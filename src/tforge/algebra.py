@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapExceeded, DegreeZero, GroupMismatch, MissingCopyIndex, NotPrime
 

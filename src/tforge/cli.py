@@ -15,6 +15,7 @@ import click
 
 from . import constructions, search
 from .codes import (
+    code_from_obj,
     code_stats,
     dumps_code,
     gbtp_to_code,
@@ -22,7 +23,7 @@ from .codes import (
     optimality_cert_2q3,
     plotkin_check,
 )
-from .designs import dumps_grid, loads_grid, verify_auto
+from .designs import dumps_grid, grid_from_obj, loads_grid, verify_auto
 from .errors import TforgeError
 from .starters import (
     build_fq_gbtd_starter,
@@ -30,7 +31,7 @@ from .starters import (
     build_igbtp_33,
     develop_gbtd,
     dumps_starter,
-    loads_starter,
+    starter_from_obj,
     verify_starter,
 )
 
@@ -52,11 +53,11 @@ def _write(path: str | None, text: str) -> None:
 
 def _load_any(text: str):
     obj = json.loads(text)
-    if "starter_kind" in obj:
-        return "starter", loads_starter(text)
-    if "words" in obj:
-        return "code", loads_code(text)
-    return "design", loads_grid(text)
+    if isinstance(obj, dict) and "starter_kind" in obj:
+        return "starter", starter_from_obj(obj)
+    if isinstance(obj, dict) and "words" in obj:
+        return "code", code_from_obj(obj)
+    return "design", grid_from_obj(obj)
 
 
 class _Fail(Exception):

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .designs import DesignGrid, block, verify_gbtp
+from .designs import DesignGrid, Incidence, block, check_keys, verify_gbtp
 from .errors import (
     DistanceTooSmall,
+    MalformedCode,
     MTooSmall,
     NotEquitable,
     NotVerified,
@@ -33,9 +35,9 @@ class Code:
         for w in self.words:
             if len(w) != self.n:
                 raise ValueError("word length %d != n=%d" % (len(w), self.n))
-            for s in w:
-                if not 0 <= s < self.q:
-                    raise SymbolOutOfRange("symbol %d out of range for q=%d" % (s, self.q))
+            if w and not (0 <= min(w) and max(w) < self.q):
+                s = next(s for s in w if not 0 <= s < self.q)
+                raise SymbolOutOfRange("symbol %d out of range for q=%d" % (s, self.q))
         if len(set(self.words)) != len(self.words):
             raise ValueError("code words must be distinct")
 
@@ -69,9 +71,25 @@ def hamming(u, v) -> int:
 
 
 def min_distance(c: Code) -> int:
+    """n minus the most coordinates two words agree on.
+
+    Words are bucketed by (coordinate, symbol).  Each word counts its
+    agreements over its own n buckets, so the work is the number of agreeing
+    (word, word, coordinate) triples, not C(M,2)·n symbol comparisons.
+    """
     if c.size < 2:
         raise TooFewWords("need at least two words")
-    return min(hamming(u, v) for u, v in itertools.combinations(c.words, 2))
+    buckets = [defaultdict(list) for _ in range(c.n)]
+    for i, w in enumerate(c.words):
+        for bucket, s in zip(buckets, w):
+            bucket[s].append(i)
+    most = 0
+    for i, w in enumerate(c.words):
+        agree = Counter(itertools.chain.from_iterable(
+            bucket[s] for bucket, s in zip(buckets, w)))
+        del agree[i]
+        most = max(most, max(agree.values(), default=0))
+    return c.n - most
 
 
 def ec_table(c: Code) -> tuple:
@@ -82,12 +100,8 @@ def ec_table(c: Code) -> tuple:
     """
     best = [0] * c.q
     for w in c.words:
-        freqs = sorted(symbol_weights(w, c.q), reverse=True)
-        acc = 0
-        for e in range(c.q):
-            acc += freqs[e]
-            if acc > best[e]:
-                best[e] = acc
+        for e, acc in enumerate(itertools.accumulate(sorted(symbol_weights(w, c.q), reverse=True))):
+            best[e] = max(best[e], acc)
     return tuple(best)
 
 
@@ -107,9 +121,10 @@ def ec_table_exhaustive(c: Code) -> tuple:
     return tuple(out)
 
 
-def capability(c: Code) -> tuple:
-    """(E table, c(C)) with c(C) = min{e : E(e) >= d}."""
-    d = min_distance(c)
+def capability(c: Code, d: int | None = None) -> tuple:
+    """(E table, c(C)) with c(C) = min{e : E(e) >= d}; d is min_distance(c) if not given."""
+    if d is None:
+        d = min_distance(c)
     table = ec_table(c)
     for e, val in enumerate(table, start=1):
         if val >= d:
@@ -165,7 +180,7 @@ class CodeStats:
 
 def code_stats(c: Code) -> CodeStats:
     d = min_distance(c)
-    table, cap = capability(c)
+    table, cap = capability(c, d)
     return CodeStats(c.n, c.q, c.size, d, is_equitable(c), table, cap,
                      plotkin_check(c.n, d, c.q, c.size))
 
@@ -174,17 +189,11 @@ def gbtp_to_code(g: DesignGrid) -> Code:
     """One word per point; symbol j is the row holding the point in column j."""
     if g.hole is not None:
         raise NotVerified("cannot derive a code from a holed grid")
-    rep = verify_gbtp(g)
+    inc = Incidence(g)
+    rep = verify_gbtp(g, inc=inc)
     if not rep.ok:
         raise NotVerified("grid fails verify_gbtp:\n" + rep.describe())
-    row_index = {r: i for i, r in enumerate(g.rows)}
-    where = {}
-    for (r, c), b in g.cells.items():
-        for p in b:
-            where[(p, c)] = row_index[r]
-    words = []
-    for p in g.points:
-        words.append(tuple(where[(p, c)] for c in g.cols))
+    words = [tuple(w) for w in inc.W]
     if len(set(words)) != len(words):
         raise NotVerified("derived words are not distinct")
     return Code(g.m, g.n, tuple(words), labels=tuple(g.rows))
@@ -203,12 +212,12 @@ def code_to_gbtp(c: Code, k_set, lam: int, points=None, kind: str = "GBTP") -> D
         raise ValueError("need one point per word")
     rows = tuple(c.labels) if c.labels is not None else tuple(str(i + 1) for i in range(c.q))
     cols = tuple(str(j + 1) for j in range(c.n))
-    cells = {}
-    for j in range(c.n):
-        for r in range(c.q):
-            members = [points[i] for i, w in enumerate(c.words) if w[j] == r]
-            if members:
-                cells[(rows[r], cols[j])] = block(members)
+    columns = [defaultdict(list) for _ in range(c.n)]
+    for p, w in zip(points, c.words):
+        for column, s in zip(columns, w):
+            column[s].append(p)
+    cells = {(rows[r], cols[j]): block(column[r])
+             for j, column in enumerate(columns) for r in sorted(column)}
     g = DesignGrid(kind, lam, tuple(sorted(set(k_set))), points, rows, cols, cells)
     rep = verify_gbtp(g, exact=False)
     if not rep.ok:
@@ -251,6 +260,7 @@ def code_to_obj(c: Code) -> dict:
 
 
 def code_from_obj(obj: dict) -> Code:
+    check_keys(obj, ("q", "n", "words"), "code", MalformedCode)
     return Code(obj["q"], obj["n"], tuple(tuple(w) for w in obj["words"]),
                 tuple(obj["labels"]) if obj.get("labels") else None)
 
@@ -261,13 +271,3 @@ def dumps_code(c: Code) -> str:
 
 def loads_code(text: str) -> Code:
     return code_from_obj(json.loads(text))
-
-
-def save_code(c: Code, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_code(c))
-
-
-def load_code(path) -> Code:
-    with open(path, encoding="utf-8") as fh:
-        return loads_code(fh.read())

@@ -6,24 +6,20 @@ so every construction is deterministic given its inputs.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import Counter
 
-from .algebra import block, format_point, fpoint, gf_build, ipoint, factor_prime_power
+from .algebra import block, fpoint, gf_build, ipoint, factor_prime_power
 from .designs import (
     DesignGrid,
-    VerifyReport,
+    Incidence,
     demote_special,
-    pair_counts,
     pi_witness_row,
     promote_coloring,
     verify_auto,
     verify_coloring,
     verify_drtd,
     verify_frgbtd,
-    verify_gbtp,
-    verify_igbtp,
     verify_packing,
     verify_td,
 )
@@ -105,14 +101,9 @@ def _check_rbibd_shape(g: DesignGrid):
     m = g.v
     if m % 3 or g.m != m // 3 or g.n != (m - 1) // 2:
         raise BadShape("array must be m/3 x (m-1)/2 over m points")
-    rep = verify_packing(g, exact=True)
-    col_bad = []
-    pts = set(g.points)
-    for c in g.cols:
-        cnt = Counter(p for b in g.col_blocks(c) for p in b)
-        if any(cnt.get(p, 0) != 1 for p in pts):
-            col_bad.append(c)
-    if not rep.ok or col_bad:
+    inc = Incidence(g)
+    rep = verify_packing(g, exact=True, inc=inc)
+    if not rep.ok or any(inc.column_misses(c) for c in g.cols):
         raise NotVerified("input is not a resolvable triple system in array form")
 
 
@@ -190,9 +181,13 @@ def tripling(rbibd: DesignGrid, drtd: DesignGrid) -> DesignGrid:
                       special=special)
 
 
+def _one_triple_per_column(g: DesignGrid, cols) -> bool:
+    triples = Counter(c for (_, c), b in g.cells.items() if len(b) == 3)
+    return all(triples[c] == 1 for c in cols)
+
+
 def _grid_is_star(g: DesignGrid) -> bool:
-    return 3 in {len(b) for b in g.cells.values()} and all(
-        sum(1 for b in g.col_blocks(c) if len(b) == 3) == 1 for c in g.cols)
+    return 3 in {len(b) for b in g.cells.values()} and _one_triple_per_column(g, g.cols)
 
 
 def _classify_filled(g: DesignGrid) -> str:
@@ -311,10 +306,10 @@ def frame_fill(frame: DesignGrid, inners, final: DesignGrid | str | None = None)
 
 
 def _grid_is_star_partial(g: DesignGrid) -> bool:
-    full = [c for c in g.cols if c not in set(g.hole[2])]
+    hole = set(g.hole[2])
     sizes = {len(b) for b in g.cells.values()}
-    return 3 in sizes and 2 in sizes and all(
-        sum(1 for b in g.col_blocks(c) if len(b) == 3) == 1 for c in full)
+    return 3 in sizes and 2 in sizes and _one_triple_per_column(
+        g, [c for c in g.cols if c not in hole])
 
 
 def inflate(frame: DesignGrid, drtd: DesignGrid) -> DesignGrid:
@@ -382,7 +377,7 @@ def fundamental(master: DesignGrid, weights: dict, provider) -> DesignGrid:
         return weights.get(p, 0)
 
     cells = {}
-    for mb in (master.cells[rc] for rc in sorted(master.cells, key=master._cell_key)):
+    for mb in master.blocks():
         t_active = sorted((wt(p) for p in mb if wt(p) > 0))
         if len(t_active) < 2:
             continue

@@ -5,22 +5,25 @@ admissible block sizes K, optional hole (W, P, Q), optional group partition
 with per-group row/column index classes, optional block coloring and an
 optional special cell.  Row and column indices are opaque strings, listed
 explicitly, because the construction rules index them by group elements and
-auxiliary symbols rather than 1..m.
+auxiliary symbols rather than 1..m.  Every verifier reads its conditions
+off one Incidence, a single counting pass over the cells.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from . import algebra
-from .algebra import Block, Point, block, format_point, parse_point
+from .algebra import block, format_point, parse_point
 from .errors import (
     BadGroupSizes,
     BadParameters,
     BadShape,
+    MalformedGrid,
     MissingColoring,
     MissingHole,
     NoSingletonPoint,
@@ -54,14 +57,12 @@ class VerifyReport:
         return all(c.ok for c in self.conditions)
 
     def add(self, cid: str, witnesses, detail: str = "") -> None:
-        ws = list(witnesses)[:MAX_WITNESSES]
+        """Record a condition; only the first MAX_WITNESSES witnesses are drawn."""
+        ws = list(itertools.islice(witnesses, MAX_WITNESSES))
         self.conditions.append(Condition(cid, not ws, ws, detail))
 
     def merge(self, other: "VerifyReport") -> None:
         self.conditions.extend(other.conditions)
-
-    def failed(self) -> list:
-        return [c for c in self.conditions if not c.ok]
 
     def describe(self) -> str:
         lines = [c.describe() for c in self.conditions]
@@ -105,13 +106,13 @@ class DesignGrid:
         return len(self.points)
 
     def blocks(self) -> list:
-        return [self.cells[k] for k in sorted(self.cells, key=self._cell_key)]
-
-    def _cell_key(self, rc):
-        return (self.rows.index(rc[0]), self.cols.index(rc[1]))
+        return [b for _, b in self.sorted_cells()]
 
     def sorted_cells(self) -> list:
-        return sorted(self.cells.items(), key=lambda kv: self._cell_key(kv[0]))
+        """(cell, block) items in row-major order of the row and column lists."""
+        ri = {r: i for i, r in enumerate(self.rows)}
+        ci = {c: j for j, c in enumerate(self.cols)}
+        return sorted(self.cells.items(), key=lambda kv: (ri[kv[0][0]], ci[kv[0][1]]))
 
     def row_blocks(self, r) -> list:
         return [b for (rr, _), b in self.cells.items() if rr == r]
@@ -122,116 +123,211 @@ class DesignGrid:
     def row_cells(self, r) -> list:
         return [(rc, b) for rc, b in self.cells.items() if rc[0] == r]
 
-    def col_cells(self, c) -> list:
-        return [(rc, b) for rc, b in self.cells.items() if rc[1] == c]
 
+class Incidence:
+    """The array <-> code carrier: one pass over a grid's cells.
 
-def pair_counts(blocks) -> Counter:
-    cnt = Counter()
-    for b in blocks:
-        for x, y in itertools.combinations(b, 2):
-            cnt[(x, y)] += 1
-    return cnt
+    Points are indexed in sorted order.  A point found in a cell but missing
+    from the point list gets the next index after them, so ``v`` counts the
+    listed points and ``V`` every indexed one.  For point index x, row index
+    i and column index j (positions in g.rows and g.cols):
+
+      W[x][j]           the row holding x in column j, -1 if x is absent
+      rowf[i * V + x]   occurrences of x in row i
+      colf[j * V + x]   occurrences of x in column j
+      pairs[x * V + y]  blocks holding both x and y, x before y in point order
+
+    In a GBTP the rows of W are the code words and ``pairs`` holds their
+    agreement counts, so "no pair covered more than λ times" and "distance at
+    least n - λ" are one check.  The counts are plain lists: importing numpy
+    would double the package's start-up time, which every command pays.
+    The grid is mutable, so an Incidence is built per call and never cached.
+    """
+
+    def __init__(self, g: DesignGrid):
+        self.row_index = ri = {r: i for i, r in enumerate(g.rows)}
+        self.col_index = ci = {c: j for j, c in enumerate(g.cols)}
+        self.index = ix = {p: x for x, p in enumerate(g.points)}
+        self.v = len(ix)
+        # (row, col) label -> (row index, column index, point indices), in g.cells order
+        self.cells = {}
+        for rc, b in g.cells.items():
+            xs = tuple(map(ix.get, b))
+            if None in xs:
+                xs = tuple(ix.setdefault(p, len(ix)) for p in b)
+            self.cells[rc] = (ri[rc[0]], ci[rc[1]], xs)
+        self.points = list(ix)
+        V = self.V = len(ix)
+        self.W = [[-1] * len(ci) for _ in range(V)]
+        self.rowf = [0] * (len(ri) * V)
+        self.colf = [0] * (len(ci) * V)
+        self.pairs = [0] * (V * V)
+        self._count(self.cells.values(), 1)
+
+    def _count(self, entries, d: int) -> None:
+        V, W, rowf, colf, pairs = self.V, self.W, self.rowf, self.colf, self.pairs
+        for i, j, xs in entries:
+            ro, co = i * V, j * V
+            for x in xs:
+                W[x][j] = i if d > 0 else -1
+                rowf[ro + x] += d
+                colf[co + x] += d
+            for x, y in itertools.combinations(xs, 2):
+                pairs[x * V + y] += d
+
+    def drop(self, rc) -> None:
+        """Take one cell's block out of every count."""
+        self._count([self.cells.pop(rc)], -1)
+
+    def cells_where(self, keep) -> list:
+        """(cell, point indices) of the cells whose indices pass keep, row-major."""
+        return [(rc, xs) for _, rc, xs in sorted(
+            ((i, j), rc, xs) for rc, (i, j, xs) in self.cells.items() if keep(xs))]
+
+    def row_counts(self, r) -> list:
+        i = self.row_index.get(r)
+        return [0] * self.V if i is None else self.rowf[i * self.V:(i + 1) * self.V]
+
+    def col_counts(self, c) -> list:
+        j = self.col_index.get(c)
+        return [0] * self.V if j is None else self.colf[j * self.V:(j + 1) * self.V]
+
+    def indices(self, points) -> list:
+        """Indices of the given points, in point order; unindexed points are left out."""
+        return [self.index[p] for p in sorted(points) if p in self.index]
+
+    def misses(self, counts, lo: int, hi: int, skip=()) -> list:
+        """(point, count) for listed points outside skip counted below lo or above hi."""
+        test = counts[:self.v]
+        for x in self.indices(skip):
+            if x < self.v:
+                test[x] = lo
+        if lo <= min(test, default=lo) and max(test, default=lo) <= hi:
+            return []
+        return [(self.points[x], k) for x, k in enumerate(test) if not lo <= k <= hi]
+
+    def column_misses(self, c, outside=()) -> list:
+        """Witnesses that column c does not partition the listed points minus outside."""
+        counts = self.col_counts(c)
+        bad = ["col %s: %s appears %d times" % (c, format_point(p), k)
+               for p, k in self.misses(counts, 1, 1, outside)]
+        skip = set(self.indices(outside))
+        if sum(counts) > sum(counts[:self.v]) or any(counts[x] for x in skip):
+            bad += ["col %s: unexpected point %s" % (c, format_point(p)) for p in sorted(
+                self.points[x] for x, k in enumerate(counts) if k and (x >= self.v or x in skip))]
+        return bad
+
+    def listed_pairs_not(self, lam: int):
+        """(p, q, count) for listed points p < q covered other than lam times."""
+        V, v, pts, pairs = self.V, self.v, self.points, self.pairs
+        for x in range(v):
+            row = pairs[x * V + x + 1:x * V + v]
+            if row.count(lam) != len(row):
+                for y, k in enumerate(row, x + 1):
+                    if k != lam:
+                        yield pts[x], pts[y], k
+
+    def group_ids(self, groups) -> list:
+        """Group position of every indexed point, -1 for points in no group."""
+        gid = [-1] * self.V
+        for gi, grp in enumerate(groups):
+            for x in self.indices(grp):
+                gid[x] = gi
+        return gid
 
 
 def _fmt_pair(p, q) -> str:
     return "{%s,%s}" % (format_point(p), format_point(q))
 
 
-def _freq_in_row(g: DesignGrid, r) -> Counter:
-    cnt = Counter()
-    for b in g.row_blocks(r):
-        for p in b:
-            cnt[p] += 1
-    return cnt
+def _column_partition(g: DesignGrid, inc: Incidence, w=(), q_cols=()):
+    return (x for c in g.cols for x in inc.column_misses(c, w if c in q_cols else ()))
+
+
+def _row_frequency(g: DesignGrid, inc: Incidence, w=(), p_rows=()):
+    lo, hi = g.n // g.m, -(-g.n // g.m)
+    for r in g.rows:
+        counts, skip = inc.row_counts(r), (w if r in p_rows else ())
+        for x in inc.indices(skip):
+            if counts[x]:
+                yield "hole row %s contains %s" % (r, format_point(inc.points[x]))
+        for p, k in inc.misses(counts, lo, hi, skip):
+            yield "row %s: %s appears %d times (want %d..%d)" % (r, format_point(p), k, lo, hi)
+
+
+def _star(rep: VerifyReport, g: DesignGrid, inc: Incidence, skip=()) -> None:
+    triples = [0] * g.n
+    for _, j, xs in inc.cells.values():
+        if len(xs) == 3:
+            triples[j] += 1
+    rep.add("star-one-triple", ("col %s has %d size-3 blocks" % (c, t)
+                                for c, t in zip(g.cols, triples) if c not in skip and t != 1))
+
+
+def _gdd_pairs(inc: Incidence, gid: list) -> list:
+    """In-group pairs never covered; cross-group pairs of listed points exactly once."""
+    V, v, pts, pairs = inc.V, inc.v, inc.points, inc.pairs
+    members = defaultdict(list)
+    for x, gi in enumerate(gid):
+        members[gi].append(x)
+    inside = sorted((pts[x], pts[y]) for xs in members.values()
+                    for x, y in itertools.permutations(xs, 2) if pairs[x * V + y])
+    bad = ["in-group pair %s covered" % _fmt_pair(p, q) for p, q in inside]
+    bad += ["%s covered %d times" % (_fmt_pair(pts[x], pts[y]), pairs[x * V + y])
+            for x in range(v) for y in range(x + 1, v)
+            if gid[x] != gid[y] and pairs[x * V + y] != 1]
+    return bad
 
 
 # ---------------------------------------------------------------------------
 # verifiers
 
 
-def verify_packing(g: DesignGrid, exact: bool | None = None) -> VerifyReport:
+def verify_packing(g: DesignGrid, exact: bool | None = None,
+                   inc: Incidence | None = None) -> VerifyReport:
     """K-uniformity plus pairwise coverage <= λ (== λ in exact mode)."""
     if exact is None:
         exact = g.kind in ("GBTD", "RBIBD", "TD", "DRTD")
+    inc = inc or Incidence(g)
     rep = VerifyReport()
-    pts = set(g.points)
-    bad_size = []
-    stray = []
-    for rc, b in g.sorted_cells():
-        if len(b) not in g.k_set:
-            bad_size.append("cell (%s,%s) size %d" % (rc[0], rc[1], len(b)))
-        for p in b:
-            if p not in pts:
-                stray.append("cell (%s,%s) point %s" % (rc[0], rc[1], format_point(p)))
-    rep.add("k-uniform", bad_size)
-    rep.add("points-known", stray)
-
-    cnt = pair_counts(g.blocks())
-    over = ["%s covered %d times" % (_fmt_pair(p, q), c)
-            for (p, q), c in sorted(cnt.items()) if c > g.lam]
-    rep.add("pair-at-most-lambda", over)
+    k_set = set(g.k_set)
+    rep.add("k-uniform", ["cell (%s,%s) size %d" % (rc + (len(xs),))
+                          for rc, xs in inc.cells_where(lambda xs: len(xs) not in k_set)])
+    V, v, pts, lam = inc.V, inc.v, inc.points, g.lam
+    strays = [] if V == v else inc.cells_where(lambda xs: any(x >= v for x in xs))
+    rep.add("points-known", ["cell (%s,%s) point %s" % (rc + (format_point(pts[x]),))
+                             for rc, xs in strays for x in xs if x >= v])
+    over = [] if max(inc.pairs, default=0) <= lam else sorted(
+        (pts[xy // V], pts[xy % V], k) for xy, k in enumerate(inc.pairs) if k > lam)
+    rep.add("pair-at-most-lambda", ("%s covered %d times" % (_fmt_pair(p, q), k)
+                                    for p, q, k in over))
     if exact:
-        missing = ["%s covered %d times" % (_fmt_pair(p, q), cnt.get((p, q), 0))
-                   for p, q in itertools.combinations(g.points, 2)
-                   if cnt.get((p, q), 0) != g.lam]
-        rep.add("pair-exactly-lambda", missing)
-    if g.lam > 1:
+        rep.add("pair-exactly-lambda", ("%s covered %d times" % (_fmt_pair(p, q), k)
+                                        for p, q, k in inc.listed_pairs_not(lam)))
+    if lam > 1:
         by_pair = defaultdict(list)
-        for rc, b in g.cells.items():
-            for x, y in itertools.combinations(b, 2):
-                by_pair[(x, y)].append(rc[1])
-        shared = ["%s twice in column %s" % (_fmt_pair(p, q), c)
-                  for (p, q), cols in sorted(by_pair.items())
-                  for c, k in Counter(cols).items() if k > 1]
-        rep.add("pair-column-distinct", shared)
+        for (_, c), (_, _, xs) in inc.cells.items():
+            for x, y in itertools.combinations(xs, 2):
+                by_pair[(pts[x], pts[y])].append(c)
+        rep.add("pair-column-distinct", ["%s twice in column %s" % (_fmt_pair(p, q), c)
+                                         for (p, q), cols in sorted(by_pair.items())
+                                         for c, k in Counter(cols).items() if k > 1])
     return rep
 
 
-def _column_partition(g: DesignGrid, c, universe: set) -> list:
-    cnt = Counter()
-    for b in g.col_blocks(c):
-        for p in b:
-            cnt[p] += 1
-    bad = []
-    for p in sorted(universe):
-        if cnt.get(p, 0) != 1:
-            bad.append("col %s: %s appears %d times" % (c, format_point(p), cnt.get(p, 0)))
-    for p in sorted(set(cnt) - universe):
-        bad.append("col %s: unexpected point %s" % (c, format_point(p)))
-    return bad
-
-
-def verify_gbtp(g: DesignGrid, exact: bool | None = None) -> VerifyReport:
+def verify_gbtp(g: DesignGrid, exact: bool | None = None,
+                inc: Incidence | None = None) -> VerifyReport:
     """Columns are parallel classes; rows have near-uniform point frequency."""
-    rep = verify_packing(g, exact=exact)
-    pts = set(g.points)
-    col_bad = []
-    for c in g.cols:
-        col_bad.extend(_column_partition(g, c, pts))
-    rep.add("column-partition", col_bad)
-
-    lo, hi = g.n // g.m, -(-g.n // g.m)
-    row_bad = []
-    for r in g.rows:
-        cnt = _freq_in_row(g, r)
-        for p in g.points:
-            k = cnt.get(p, 0)
-            if not (lo <= k <= hi):
-                row_bad.append("row %s: %s appears %d times (want %d..%d)"
-                               % (r, format_point(p), k, lo, hi))
-    rep.add("row-frequency", row_bad)
+    inc = inc or Incidence(g)
+    rep = verify_packing(g, exact, inc)
+    rep.add("column-partition", _column_partition(g, inc))
+    rep.add("row-frequency", _row_frequency(g, inc))
     if g.star:
-        star_bad = []
-        for c in g.cols:
-            t = sum(1 for b in g.col_blocks(c) if len(b) == 3)
-            if t != 1:
-                star_bad.append("col %s has %d size-3 blocks" % (c, t))
-        rep.add("star-one-triple", star_bad)
+        _star(rep, g, inc)
     return rep
 
 
-def verify_gbtd(g: DesignGrid) -> VerifyReport:
+def verify_gbtd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
     """GBTP in exact-λ mode with the single-block-size parameter arithmetic."""
     if len(g.k_set) != 1:
         raise BadParameters("GBTD needs a single block size, got %r" % (g.k_set,))
@@ -240,10 +336,10 @@ def verify_gbtd(g: DesignGrid) -> VerifyReport:
         raise BadParameters("v=%d is not k*m=%d" % (g.v, k * g.m))
     if g.n * (k - 1) != g.lam * (k * g.m - 1):
         raise BadParameters("n=%d is not lambda(km-1)/(k-1)" % g.n)
-    return verify_gbtp(g, exact=True)
+    return verify_gbtp(g, exact=True, inc=inc)
 
 
-def verify_rbibd(g: DesignGrid) -> VerifyReport:
+def verify_rbibd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
     """Resolvable BIBD arranged v/k x λ(v-1)/(k-1): exact pairs, column classes."""
     if len(g.k_set) != 1:
         raise BadParameters("RBIBD needs a single block size")
@@ -252,67 +348,30 @@ def verify_rbibd(g: DesignGrid) -> VerifyReport:
         raise BadParameters("array must have v/k rows")
     if g.n * (k - 1) != g.lam * (g.v - 1):
         raise BadParameters("array must have lambda(v-1)/(k-1) columns")
-    rep = verify_packing(g, exact=True)
-    pts = set(g.points)
-    col_bad = []
-    for c in g.cols:
-        col_bad.extend(_column_partition(g, c, pts))
-    rep.add("column-partition", col_bad)
+    inc = inc or Incidence(g)
+    rep = verify_packing(g, exact=True, inc=inc)
+    rep.add("column-partition", _column_partition(g, inc))
     return rep
 
 
-def verify_igbtp(g: DesignGrid) -> VerifyReport:
+def verify_igbtp(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
     """Hole conditions of an incomplete GBTP."""
     if g.hole is None:
         raise MissingHole("grid has no hole")
     w_pts, p_rows, q_cols = g.hole
     w = set(w_pts)
-    rep = verify_packing(g, exact=False)
-
-    empty_bad = ["cell (%s,%s) occupied" % (r, c)
-                 for r in p_rows for c in q_cols if (r, c) in g.cells]
-    rep.add("hole-empty", empty_bad)
-
-    lo, hi = g.n // g.m, -(-g.n // g.m)
-    row_bad = []
-    for r in g.rows:
-        cnt = _freq_in_row(g, r)
-        if r in p_rows:
-            for p in sorted(w):
-                if cnt.get(p, 0):
-                    row_bad.append("hole row %s contains %s" % (r, format_point(p)))
-            universe = [p for p in g.points if p not in w]
-        else:
-            universe = g.points
-        for p in universe:
-            k = cnt.get(p, 0)
-            if not (lo <= k <= hi):
-                row_bad.append("row %s: %s appears %d times (want %d..%d)"
-                               % (r, format_point(p), k, lo, hi))
-    rep.add("row-frequency", row_bad)
-
-    col_bad = []
-    pts = set(g.points)
-    for c in g.cols:
-        universe = pts - w if c in q_cols else pts
-        col_bad.extend(_column_partition(g, c, universe))
-    rep.add("column-partition", col_bad)
-
-    cnt = pair_counts(g.blocks())
-    wpair_bad = ["%s covered" % _fmt_pair(p, q)
-                 for p, q in itertools.combinations(sorted(w), 2)
-                 if cnt.get((p, q), 0)]
-    rep.add("w-pairs-uncovered", wpair_bad)
-
+    inc = inc or Incidence(g)
+    rep = verify_packing(g, exact=False, inc=inc)
+    rep.add("hole-empty", ["cell (%s,%s) occupied" % (r, c)
+                           for r in p_rows for c in q_cols if (r, c) in g.cells])
+    rep.add("row-frequency", _row_frequency(g, inc, w, p_rows))
+    rep.add("column-partition", _column_partition(g, inc, w, q_cols))
+    V, pts = inc.V, inc.points
+    rep.add("w-pairs-uncovered", ("%s covered" % _fmt_pair(pts[x], pts[y])
+                                  for x, y in itertools.combinations(inc.indices(w), 2)
+                                  if inc.pairs[x * V + y]))
     if g.star:
-        star_bad = []
-        for c in g.cols:
-            if c in q_cols:
-                continue
-            t = sum(1 for b in g.col_blocks(c) if len(b) == 3)
-            if t != 1:
-                star_bad.append("col %s has %d size-3 blocks" % (c, t))
-        rep.add("star-one-triple", star_bad)
+        _star(rep, g, inc, skip=q_cols)
     return rep
 
 
@@ -324,7 +383,7 @@ def _frame_meta(g: DesignGrid):
     return list(zip(g.groups, g.row_group_index, g.col_group_index))
 
 
-def verify_frgbtd(g: DesignGrid) -> VerifyReport:
+def verify_frgbtd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
     """Frame conditions over a group-divisible design."""
     if len(g.k_set) != 1:
         raise BadParameters("FrGBTD needs a single block size")
@@ -335,6 +394,7 @@ def verify_frgbtd(g: DesignGrid) -> VerifyReport:
             raise BadGroupSizes("group size %d not divisible by k(k-1)" % len(grp))
         if len(ri) != len(grp) // k or len(ci) != len(grp) // (k - 1):
             raise BadGroupSizes("index class sizes do not match group size")
+    inc = inc or Incidence(g)
     rep = VerifyReport()
     part_bad = []
     gpts = [p for grp, _, _ in meta for p in grp]
@@ -346,95 +406,53 @@ def verify_frgbtd(g: DesignGrid) -> VerifyReport:
         part_bad.append("column classes do not partition the columns")
     rep.add("frame-partitions", part_bad)
 
-    empty_bad = []
-    for grp, ri, ci in meta:
-        for r in ri:
-            for c in ci:
-                if (r, c) in g.cells:
-                    empty_bad.append("cell (%s,%s) occupied" % (r, c))
-    rep.add("frame-empty", empty_bad)
+    rep.add("frame-empty", ["cell (%s,%s) occupied" % (r, c)
+                            for _, ri, ci in meta for r in ri for c in ci if (r, c) in g.cells])
 
     row_bad = []
     for grp, ri, _ in meta:
-        gset = set(grp)
         for r in ri:
-            cnt = _freq_in_row(g, r)
-            for p in sorted(gset):
-                if cnt.get(p, 0):
-                    row_bad.append("row %s contains group point %s" % (r, format_point(p)))
-            for p in g.points:
-                if p in gset:
-                    continue
-                k2 = cnt.get(p, 0)
-                if k2 not in (1, 2):
-                    row_bad.append("row %s: %s appears %d times" % (r, format_point(p), k2))
+            counts = inc.row_counts(r)
+            row_bad += ["row %s contains group point %s" % (r, format_point(inc.points[x]))
+                        for x in inc.indices(set(grp)) if counts[x]]
+            row_bad += ["row %s: %s appears %d times" % (r, format_point(p), k2)
+                        for p, k2 in inc.misses(counts, 1, 2, grp)]
     rep.add("frame-row", row_bad)
 
-    col_bad = []
-    pts = set(g.points)
-    for grp, _, ci in meta:
-        for c in ci:
-            col_bad.extend(_column_partition(g, c, pts - set(grp)))
-    rep.add("frame-column", col_bad)
-
-    group_of = {}
-    for idx, (grp, _, _) in enumerate(meta):
-        for p in grp:
-            group_of[p] = idx
-    cnt = pair_counts(g.blocks())
-    pair_bad = []
-    for (p, q), c in sorted(cnt.items()):
-        if group_of.get(p) == group_of.get(q):
-            pair_bad.append("in-group pair %s covered" % _fmt_pair(p, q))
-    for p, q in itertools.combinations(g.points, 2):
-        if group_of.get(p) != group_of.get(q) and cnt.get((p, q), 0) != 1:
-            pair_bad.append("%s covered %d times" % (_fmt_pair(p, q), cnt.get((p, q), 0)))
-    rep.add("gdd-pairs", pair_bad)
-
-    size_bad = ["cell (%s,%s) size %d" % (rc[0], rc[1], len(b))
-                for rc, b in g.sorted_cells() if len(b) != k]
-    rep.add("k-uniform", size_bad)
+    rep.add("frame-column", (x for grp, _, ci in meta for c in ci
+                             for x in inc.column_misses(c, grp)))
+    rep.add("gdd-pairs", _gdd_pairs(inc, inc.group_ids(grp for grp, _, _ in meta)))
+    rep.add("k-uniform", ["cell (%s,%s) size %d" % (rc + (len(xs),))
+                          for rc, xs in inc.cells_where(lambda xs: len(xs) != k)])
     return rep
 
 
-def verify_gdd(g: DesignGrid) -> VerifyReport:
+def verify_gdd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
     """GDD axioms: cross-group pairs exactly once, in-group pairs never."""
     if g.groups is None:
         raise BadGroupSizes("GDD needs groups")
+    inc = inc or Incidence(g)
     rep = VerifyReport()
     part_bad = []
     gpts = [p for grp in g.groups for p in grp]
     if sorted(gpts) != list(g.points):
         part_bad.append("groups do not partition the point set")
     rep.add("group-partition", part_bad)
-    group_of = {}
-    for idx, grp in enumerate(g.groups):
-        for p in grp:
-            group_of[p] = idx
-    blocks = g.blocks()
+    gid = inc.group_ids(g.groups)
     meet_bad = []
-    for b in blocks:
-        seen = Counter(group_of[p] for p in b)
-        for gi, c in seen.items():
-            if c > 1:
-                meet_bad.append("block %s meets group %d twice"
-                                % ("".join(format_point(p) for p in b), gi))
+    for _, xs in inc.cells_where(lambda xs: len({gid[x] for x in xs}) < len(xs)):
+        name = "".join(format_point(inc.points[x]) for x in xs)
+        meet_bad += ["block %s meets group %d twice" % (name, gi)
+                     for gi, c in Counter(gid[x] for x in xs).items() if c > 1]
     rep.add("block-meets-group-once", meet_bad)
-    cnt = pair_counts(blocks)
-    pair_bad = []
-    for (p, q), c in sorted(cnt.items()):
-        if group_of[p] == group_of[q]:
-            pair_bad.append("in-group pair %s covered" % _fmt_pair(p, q))
-    for p, q in itertools.combinations(g.points, 2):
-        if group_of[p] != group_of[q] and cnt.get((p, q), 0) != 1:
-            pair_bad.append("%s covered %d times" % (_fmt_pair(p, q), cnt.get((p, q), 0)))
-    rep.add("gdd-pairs", pair_bad)
-    size_bad = ["block size %d not in K" % len(b) for b in blocks if len(b) not in g.k_set]
-    rep.add("k-uniform", size_bad)
+    rep.add("gdd-pairs", _gdd_pairs(inc, gid))
+    k_set = set(g.k_set)
+    rep.add("k-uniform", ["block size %d not in K" % len(xs)
+                          for _, xs in inc.cells_where(lambda xs: len(xs) not in k_set)])
     return rep
 
 
-def verify_td(g: DesignGrid) -> VerifyReport:
+def verify_td(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
     if g.groups is None:
         raise BadGroupSizes("TD needs groups")
     sizes = {len(grp) for grp in g.groups}
@@ -442,25 +460,19 @@ def verify_td(g: DesignGrid) -> VerifyReport:
         raise BadShape("TD groups must share one size")
     if len(g.k_set) != 1 or g.k_set[0] != len(g.groups):
         raise BadShape("TD block size must equal group count")
-    return verify_gdd(g)
+    return verify_gdd(g, inc)
 
 
-def verify_drtd(g: DesignGrid) -> VerifyReport:
-    rep = verify_td(g)
+def verify_drtd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
+    inc = inc or Incidence(g)
+    rep = verify_td(g, inc)
     n = len(g.groups[0])
     if g.m != n or g.n != n:
         raise BadShape("DRTD array must be n x n")
-    rc_bad = []
-    for r in g.rows:
-        cnt = _freq_in_row(g, r)
-        for p in g.points:
-            if cnt.get(p, 0) != 1:
-                rc_bad.append("row %s: %s appears %d times" % (r, format_point(p), cnt.get(p, 0)))
-    for c in g.cols:
-        cnt = Counter(p for b in g.col_blocks(c) for p in b)
-        for p in g.points:
-            if cnt.get(p, 0) != 1:
-                rc_bad.append("col %s: %s appears %d times" % (c, format_point(p), cnt.get(p, 0)))
+    rc_bad = ["row %s: %s appears %d times" % (r, format_point(p), k)
+              for r in g.rows for p, k in inc.misses(inc.row_counts(r), 1, 1)]
+    rc_bad += ["col %s: %s appears %d times" % (c, format_point(p), k)
+               for c in g.cols for p, k in inc.misses(inc.col_counts(c), 1, 1)]
     rep.add("doubly-resolvable", rc_bad)
     return rep
 
@@ -529,21 +541,12 @@ def promote_coloring(g: DesignGrid) -> DesignGrid:
     if len(used) != k - 1:
         raise BadParameters("expected %d colors, found %d" % (k - 1, len(used)))
     r0 = g.rows[0]
-    cnt = _freq_in_row(g, r0)
+    cnt = Counter(p for b in g.row_blocks(r0) for p in b)
     singles = sorted(p for p, c in cnt.items() if c == 1)
     if not singles:
         raise NoSingletonPoint("no point appears exactly once in the first row")
-    x = singles[0]
-    target = None
-    for rc, b in g.row_cells(r0):
-        if x in b:
-            target = rc
-            break
-    colors = dict(g.colors)
-    colors[target] = k - 1
-    return DesignGrid(g.kind, g.lam, g.k_set, g.points, g.rows, g.cols,
-                      dict(g.cells), colors, g.hole, g.groups,
-                      g.row_group_index, g.col_group_index, g.special, g.star)
+    target = next(rc for rc, b in g.row_cells(r0) if singles[0] in b)
+    return dataclasses.replace(g, cells=dict(g.cells), colors={**g.colors, target: k - 1})
 
 
 def demote_special(g: DesignGrid) -> DesignGrid:
@@ -558,14 +561,21 @@ def demote_special(g: DesignGrid) -> DesignGrid:
     colors = None
     if g.colors is not None:
         colors = {rc: col for rc, col in g.colors.items() if rc != (r, c)}
-    return DesignGrid("IGBTP", g.lam, g.k_set, g.points, g.rows, g.cols,
-                      cells, colors, (tuple(w), (r,), (c,)), g.groups,
-                      g.row_group_index, g.col_group_index, None, g.star)
+    return dataclasses.replace(g, kind="IGBTP", cells=cells, colors=colors,
+                               hole=(tuple(w), (r,), (c,)), special=None)
 
 
-def verify_special(g: DesignGrid) -> VerifyReport:
-    """A special GBTD must reduce to a valid IGBTP when its cell is emptied."""
-    return verify_igbtp(demote_special(g))
+def verify_special(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
+    """A special GBTD must reduce to a valid IGBTP when its cell is emptied.
+
+    An Incidence of g passed in is reduced in place to that of the IGBTP.
+    """
+    ig = demote_special(g)
+    if inc is None:
+        inc = Incidence(ig)
+    else:
+        inc.drop(g.special)
+    return verify_igbtp(ig, inc)
 
 
 VERIFIERS = {
@@ -582,9 +592,11 @@ VERIFIERS = {
 
 
 def verify_auto(g: DesignGrid) -> VerifyReport:
-    rep = VERIFIERS.get(g.kind, verify_packing)(g)
+    """The verifier of g's kind, then the special-cell check, off one Incidence."""
+    inc = Incidence(g)
+    rep = VERIFIERS.get(g.kind, verify_packing)(g, inc=inc)
     if g.special is not None:
-        rep.merge(verify_special(g))
+        rep.merge(verify_special(g, inc))
     return rep
 
 
@@ -592,11 +604,26 @@ def verify_auto(g: DesignGrid) -> VerifyReport:
 # file format
 
 
+def check_keys(obj, keys, what: str, error) -> None:
+    """Raise error naming what when obj is not a JSON object holding every key."""
+    if not isinstance(obj, dict):
+        raise error("%s is not a JSON object" % what)
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise error("%s has no %s" % (what, ", ".join(repr(k) for k in missing)))
+
+
+def _check_distinct(labels, what: str) -> None:
+    twice = [x for x, k in Counter(labels).items() if k > 1]
+    if twice:
+        raise MalformedGrid("%s lists %s twice" % (what, twice[0]))
+
+
 def grid_to_obj(g: DesignGrid) -> dict:
+    label = functools.cache(format_point)  # each point is in n cells
     cells = []
-    for rc, _b in g.sorted_cells():
-        entry = {"r": rc[0], "c": rc[1],
-                 "block": [format_point(p) for p in g.cells[rc]]}
+    for rc, b in g.sorted_cells():
+        entry = {"r": rc[0], "c": rc[1], "block": list(map(label, b))}
         if g.colors is not None and rc in g.colors:
             entry["color"] = g.colors[rc]
         cells.append(entry)
@@ -604,17 +631,17 @@ def grid_to_obj(g: DesignGrid) -> dict:
         "kind": g.kind,
         "lambda": g.lam,
         "k_set": list(g.k_set),
-        "points": [format_point(p) for p in g.points],
+        "points": list(map(label, g.points)),
         "rows": list(g.rows),
         "cols": list(g.cols),
         "cells": cells,
     }
     if g.hole is not None:
         w, p_rows, q_cols = g.hole
-        obj["hole"] = {"w": [format_point(p) for p in sorted(w)],
+        obj["hole"] = {"w": [label(p) for p in sorted(w)],
                        "p_rows": list(p_rows), "q_cols": list(q_cols)}
     if g.groups is not None:
-        obj["groups"] = [[format_point(p) for p in sorted(grp)] for grp in g.groups]
+        obj["groups"] = [[label(p) for p in sorted(grp)] for grp in g.groups]
     if g.row_group_index is not None:
         obj["row_group_index"] = [list(ri) for ri in g.row_group_index]
     if g.col_group_index is not None:
@@ -627,21 +654,43 @@ def grid_to_obj(g: DesignGrid) -> dict:
 
 
 def grid_from_obj(obj: dict) -> DesignGrid:
+    """Read a grid object; MalformedGrid names an entry the grid cannot hold.
+
+    Rejected: missing keys, a row, column or point listed twice, a cell listed
+    twice, and a cell whose row or column is not listed.  Points in a cell but
+    not in the point list are left to the verifiers (condition points-known).
+    """
+    check_keys(obj, ("kind", "lambda", "k_set", "points", "rows", "cols", "cells"), "grid",
+               MalformedGrid)
+    rows, cols = tuple(obj["rows"]), tuple(obj["cols"])
+    _check_distinct(rows, "rows")
+    _check_distinct(cols, "cols")
+    parse = functools.cache(parse_point)
+    points = tuple(map(parse, obj["points"]))
+    _check_distinct(map(format_point, points), "points")
+    row_set, col_set = set(rows), set(cols)
     cells = {}
     colors = {}
-    for entry in obj["cells"]:
+    for i, entry in enumerate(obj["cells"]):
+        check_keys(entry, ("r", "c", "block"), "cell entry %d" % i, MalformedGrid)
         rc = (entry["r"], entry["c"])
-        cells[rc] = block(parse_point(s) for s in entry["block"])
+        if rc[0] not in row_set:
+            raise MalformedGrid("cell entry %d: row %s is not in rows" % (i, rc[0]))
+        if rc[1] not in col_set:
+            raise MalformedGrid("cell entry %d: column %s is not in cols" % (i, rc[1]))
+        if rc in cells:
+            raise MalformedGrid("cell entry %d: cell (%s,%s) is listed twice" % (i, rc[0], rc[1]))
+        cells[rc] = block(map(parse, entry["block"]))
         if "color" in entry:
             colors[rc] = entry["color"]
     hole = None
     if "hole" in obj and obj["hole"] is not None:
         h = obj["hole"]
-        hole = (tuple(sorted(parse_point(s) for s in h["w"])),
+        hole = (tuple(sorted(map(parse, h["w"]))),
                 tuple(h["p_rows"]), tuple(h["q_cols"]))
     groups = None
     if "groups" in obj and obj["groups"] is not None:
-        groups = tuple(tuple(sorted(parse_point(s) for s in grp)) for grp in obj["groups"])
+        groups = tuple(tuple(sorted(map(parse, grp))) for grp in obj["groups"])
     rgi = tuple(tuple(x) for x in obj["row_group_index"]) if obj.get("row_group_index") else None
     cgi = tuple(tuple(x) for x in obj["col_group_index"]) if obj.get("col_group_index") else None
     special = None
@@ -651,9 +700,9 @@ def grid_from_obj(obj: dict) -> DesignGrid:
         kind=obj["kind"],
         lam=obj["lambda"],
         k_set=tuple(obj["k_set"]),
-        points=tuple(parse_point(s) for s in obj["points"]),
-        rows=tuple(obj["rows"]),
-        cols=tuple(obj["cols"]),
+        points=points,
+        rows=rows,
+        cols=cols,
         cells=cells,
         colors=colors or None,
         hole=hole,

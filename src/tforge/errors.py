@@ -51,6 +51,10 @@ class BadShape(TforgeError):
     pass
 
 
+class MalformedGrid(TforgeError):
+    """A grid file entry the grid cannot hold: the message names it."""
+
+
 # codes
 class SymbolOutOfRange(TforgeError):
     pass
@@ -74,6 +78,10 @@ class DistanceTooSmall(TforgeError):
 
 class MTooSmall(TforgeError):
     pass
+
+
+class MalformedCode(TforgeError):
+    """A code file without one of its required keys."""
 
 
 # starters

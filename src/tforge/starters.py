@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .algebra import (
     AbelianGroup,
-    FieldGF,
     block,
     cyclic,
     difference_list,

@@ -152,3 +152,22 @@ def test_derive_recipe_gbtd_49(tmp_path):
     res = run_cli("derive", "recipes/gbtd_3_49.json", "--out-dir", str(tmp_path))
     assert res.returncode == 0, res.stderr
     assert run_cli("verify", str(tmp_path / "gbtd_3_49.json")).returncode == 0
+
+
+def test_verify_malformed_files_exit_2(tmp_path, fig3):
+    from tforge.designs import dumps_grid
+
+    obj = json.loads(dumps_grid(fig3))
+    first = obj["cells"][0]
+    dup = dict(obj, cells=[{"r": first["r"], "c": first["c"], "block": ["0_0"]}] + obj["cells"])
+    unknown = dict(obj, cells=[dict(first, r="no-such-row")] + obj["cells"][1:])
+    cases = {"empty": {}, "dup": dup, "unknown": unknown, "code": {"q": 3, "words": []},
+             "list": []}
+    for name, bad in cases.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(bad))
+        res = run_cli("verify", str(path))
+        assert res.returncode == 2, (name, res.stdout, res.stderr)
+        assert "Traceback" not in res.stderr and res.stderr.startswith("error: ")
+    assert "listed twice" in run_cli("verify", str(tmp_path / "dup.json")).stderr
+    assert "no-such-row" in run_cli("verify", str(tmp_path / "unknown.json")).stderr

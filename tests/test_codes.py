@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from tforge.codes import (
     Code,
+    capability,
     code_from_obj,
     code_stats,
     code_to_gbtp,
@@ -14,6 +16,7 @@ from tforge.codes import (
     ec_table,
     ec_table_exhaustive,
     gbtp_to_code,
+    hamming,
     is_equitable,
     loads_code,
     min_distance,
@@ -22,7 +25,13 @@ from tforge.codes import (
     symbol_weights,
     word_equitable,
 )
-from tforge.errors import MTooSmall, NotVerified, SymbolOutOfRange, TooFewWords
+from tforge.errors import (
+    MalformedCode,
+    MTooSmall,
+    NotVerified,
+    SymbolOutOfRange,
+    TooFewWords,
+)
 from tforge.starters import build_fq_gbtd_starter, develop_gbtd
 
 
@@ -157,3 +166,26 @@ def test_code_file_roundtrip(fig1):
     again = loads_code(text)
     assert code_to_obj(again) == code_to_obj(code)
     assert sorted(again.words) == sorted(code.words)
+
+
+def test_code_loader_names_missing_keys():
+    with pytest.raises(MalformedCode, match="'words'"):
+        code_from_obj({"q": 3, "n": 4})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 8), st.data())
+def test_min_distance_matches_pairwise_hamming(q, n, data):
+    words = data.draw(st.sets(st.tuples(*[st.integers(0, q - 1)] * n), min_size=2, max_size=12))
+    c = Code(q, n, tuple(sorted(words)))
+    want = min(hamming(u, v) for u, v in itertools.combinations(c.words, 2))
+    assert min_distance(c) == want
+    assert capability(c) == capability(c, want)
+
+
+def test_min_distance_when_no_pair_agrees():
+    c = Code(4, 3, ((0, 1, 2), (1, 2, 3), (2, 3, 0), (3, 0, 1)))
+    assert min_distance(c) == c.n == 3
+    assert capability(c) == (ec_table(c), 3)
+    with pytest.raises(TooFewWords):
+        min_distance(Code(4, 3, ((0, 1, 2),)))

@@ -21,7 +21,7 @@ from tforge.designs import (
     verify_rbibd,
     verify_frgbtd,
 )
-from tforge.errors import BadParameters, MissingColoring, NoSingletonPoint
+from tforge.errors import BadParameters, MalformedGrid, MissingColoring, NoSingletonPoint
 
 
 def test_fixture_verifications(fig1, fig2, fig3, fig7, fig8):
@@ -191,3 +191,34 @@ def test_grid_obj_cells_sorted(fig3):
     for e in obj["cells"]:
         pts = [parse_point(s) for s in e["block"]]
         assert pts == sorted(pts)
+
+
+def test_loader_rejects_what_the_grid_cannot_hold(fig3):
+    good = grid_to_obj(fig3)
+    first = good["cells"][0]
+    with pytest.raises(MalformedGrid, match="'cells'"):
+        grid_from_obj({})
+    with pytest.raises(MalformedGrid, match="not a JSON object"):
+        grid_from_obj([])
+    bad = dict(good, cells=[{"r": first["r"], "c": first["c"], "block": ["0_0"]}] + good["cells"])
+    with pytest.raises(MalformedGrid, match=r"cell entry 1: cell \(%s,%s\) is listed twice"
+                       % (first["r"], first["c"])):
+        grid_from_obj(bad)
+    with pytest.raises(MalformedGrid, match="cell entry 0: row zz is not in rows"):
+        grid_from_obj(dict(good, cells=[dict(first, r="zz")] + good["cells"][1:]))
+    with pytest.raises(MalformedGrid, match="cell entry 0: column zz is not in cols"):
+        grid_from_obj(dict(good, cells=[dict(first, c="zz")] + good["cells"][1:]))
+    with pytest.raises(MalformedGrid, match="cell entry 0 has no 'block'"):
+        grid_from_obj(dict(good, cells=[{"r": first["r"], "c": first["c"]}]))
+    with pytest.raises(MalformedGrid, match="rows lists"):
+        grid_from_obj(dict(good, rows=good["rows"] + good["rows"][:1]))
+    with pytest.raises(MalformedGrid, match="points lists"):
+        grid_from_obj(dict(good, points=good["points"] + good["points"][:1]))
+
+
+def test_stray_point_stays_a_verifier_condition(fig3):
+    obj = grid_to_obj(fig3)
+    obj["cells"][0]["block"][0] = "99"
+    rep = verify_auto(grid_from_obj(obj))
+    stray = next(c for c in rep.conditions if c.cid == "points-known")
+    assert not stray.ok and "point 99" in stray.witnesses[0]
