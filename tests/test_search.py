@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
-from tforge.codes import gbtp_to_code, hamming, is_equitable, min_distance
-from tforge.designs import verify_auto, verify_coloring
+from tforge.codes import dumps_code, gbtp_to_code, hamming, is_equitable, min_distance
+from tforge.designs import dumps_grid, verify_auto, verify_coloring
 from tforge.errors import BadKind, BudgetZero, InconsistentParams
 from tforge.search import (
     Budget,
@@ -15,7 +17,11 @@ from tforge.search import (
     search_starter,
     witness_code_9_8_6,
 )
-from tforge.starters import develop_starter
+from tforge.starters import develop_starter, dumps_starter
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_equitable_word_enumeration():
@@ -92,6 +98,7 @@ def test_search_starter_bad_kind():
 def test_search_starter_gbtd_m5_exhausts():
     res = search_starter("gbtd", {"m": 5}, budget=5_000_000)
     assert not res.starters and res.exhausted
+    assert res.nodes == 70669
 
 
 def test_search_starter_frgbtd_t5():
@@ -128,6 +135,8 @@ def test_witness_9_8_6():
     assert code.size == 14
     assert is_equitable(code)
     assert min_distance(code) == 8
+    assert _sha(dumps_code(code)) == (
+        "e6ca9bcf762b1d5d3fe7590fc7d3b192b2a5b490a4321f805bb87c502f09cd68")
 
 
 def test_eswc_witness_dispatch():
@@ -146,3 +155,44 @@ def test_arrange_resolution_fig2_deletion(fig2):
     assert verify_auto(g).ok
     code = gbtp_to_code(g)
     assert code.size == 14 and min_distance(code) == 6 and is_equitable(code)
+
+
+# Node counts, stop flags and the sha256 of every canonical output, pinned so
+# that a rewrite of a search must keep its exploration order exactly.
+_STARTER_PINS = [
+    ("gbtd", {"m": 7}, 5_000_000, 1, 32054, True,
+     ["8ac4fab9bda2ac7166aba05d3d4908374a02bdfd00c31bf8cadc49a404adfbc8"]),
+    ("frgbtd", {"t": 5}, 2_000, 1, 2001, False, []),
+    ("igbtp_z2", {"m": 11, "w": 9}, 5_000_000, 1, 104793, True,
+     ["3c8de920858c272f2f419fa6e36c7078fc453307decf426c96831945e79924b1"]),
+    ("igbtp_z4", {"m": 5}, 5_000_000, 4, 14818, True,
+     ["2ab1d8cb6cbfd6a654477560cbf4e4eaba424199bdecf3f6723fc1cabb3b73c9",
+      "dc26eed14888301f4ff81e572cafd0ae255a3c9e8f3ef0d56c0c7e5432d1eeaf",
+      "19ae253c90d775a84e404cdb774d4263c8ae4ad628d3269d67368e549b074138",
+      "37d638417a050719df1fc983223cb3d08e6a87f159aea9b19514b82e66b68e34"]),
+]
+
+_GBTP_PINS = [
+    ({"K": [3], "v": 9, "m": 3, "n": 4}, 5_000_000, 3484, True, None),
+    ({"K": [3], "v": 15, "m": 5, "n": 7}, 2_000, 2001, False, None),
+    ({"K": [2, 3], "v": 9, "m": 4, "n": 5, "star3": True}, 3_000_000, 21464, True,
+     "68975f7c2afcf89446542320e982d5a2234bd6f059a3fd2f0cb5f4739bfc4f0f"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,params,budget,count,nodes,exhausted,digests", _STARTER_PINS,
+    ids=[c[0] for c in _STARTER_PINS])
+def test_starter_search_pinned(kind, params, budget, count, nodes, exhausted, digests):
+    res = search_starter(kind, params, budget=budget, count=count)
+    assert (res.nodes, res.exhausted) == (nodes, exhausted)
+    assert [_sha(dumps_starter(s)) for s in res.starters] == digests
+
+
+@pytest.mark.parametrize(
+    "params,budget,nodes,exhausted,digest", _GBTP_PINS,
+    ids=["gbtp-9", "gbtp-15", "gbtp-9-star"])
+def test_search_gbtp_pinned(params, budget, nodes, exhausted, digest):
+    res = search_gbtp(params, budget=budget)
+    assert (res.nodes, res.exhausted) == (nodes, exhausted)
+    assert (res.grid and _sha(dumps_grid(res.grid))) == digest
