@@ -233,7 +233,7 @@ def search_design(spec_path, out):
 
 @search_group.command("starter")
 @click.option("--kind", required=True,
-              type=click.Choice(["gbtd", "igbtp_z2", "igbtp_z4", "frgbtd"]))
+              type=click.Choice(list(search.STARTER_SEARCHES)))
 @click.option("--m", type=int, default=None)
 @click.option("--t", type=int, default=None)
 @click.option("--w", type=int, default=None)

@@ -7,6 +7,7 @@ so every construction is deterministic given its inputs.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 
 from .algebra import block, fpoint, gf_build, ipoint, factor_prime_power
@@ -14,8 +15,10 @@ from .designs import (
     DesignGrid,
     Incidence,
     demote_special,
+    load_grid,
     pi_witness_row,
     promote_coloring,
+    save_grid,
     verify_auto,
     verify_coloring,
     verify_drtd,
@@ -38,6 +41,8 @@ from .errors import (
     PointMapInvalid,
     WMismatch,
 )
+from .search import search_gbtp
+from .starters import build_fq_gbtd_starter, build_frgbtd_6_8, build_igbtp_33, develop_gbtd
 
 
 def build_td(k: int, q: int) -> DesignGrid:
@@ -488,17 +493,39 @@ def _gdd_from_blocks(td: DesignGrid, survivors, groups) -> DesignGrid:
 # declarative recipes
 
 
+def _search_step(params: dict) -> DesignGrid:
+    res = search_gbtp(params)
+    if res.grid is None:
+        raise NotVerified("search found no design for %r" % (params,))
+    return res.grid
+
+
+# recipe op name -> its step, a function of (input grids, params)
+RECIPE_OPS = {
+    "fq_gbtd": lambda ins, p: develop_gbtd(build_fq_gbtd_starter(p["q"])),
+    "build_td": lambda ins, p: build_td(p["k"], p["q"]),
+    "drtd_from_td": lambda ins, p: drtd_from_td(ins[0]),
+    "drtd": lambda ins, p: drtd_from_td(build_td(p["k"] + 2, p["q"])),
+    "build_frgbtd_6_8": lambda ins, p: build_frgbtd_6_8(),
+    "build_igbtp_33": lambda ins, p: build_igbtp_33(),
+    "promote_coloring": lambda ins, p: promote_coloring(ins[0]),
+    "tripling": lambda ins, p: tripling(ins[0], ins[1]),
+    "fill_hole": lambda ins, p: fill_hole(ins[0], ins[1]),
+    "frame_fill": lambda ins, p: frame_fill(ins[0], ins[1:] * p.get("copies", 1),
+                                            final=p.get("final")),
+    "inflate": lambda ins, p: inflate(ins[0], ins[1]),
+    "truncate_td": lambda ins, p: truncate_td(ins[0], p["keeps"]),
+    "demote_special": lambda ins, p: demote_special(ins[0]),
+    "search_gbtp": lambda ins, p: _search_step(p),
+}
+
+
 def run_recipe(recipe: dict, base_dir, out_dir, verbose=print) -> dict:
     """Execute build/derive steps; verify every output; stop on first failure.
 
     Returns {step name: grid}.  Raises NotVerified when a step's output fails
     its class verifier.
     """
-    import os
-
-    from . import search as search_mod
-    from .designs import load_grid, save_grid
-
     made = {}
 
     def resolve(ref):
@@ -510,47 +537,9 @@ def run_recipe(recipe: dict, base_dir, out_dir, verbose=print) -> dict:
     for step in recipe["steps"]:
         op = step["op"]
         ins = [resolve(r) for r in step.get("in", [])]
-        params = step.get("params", {})
-        if op == "fq_gbtd":
-            from .starters import build_fq_gbtd_starter, develop_gbtd
-            out = develop_gbtd(build_fq_gbtd_starter(params["q"]))
-        elif op == "build_td":
-            out = build_td(params["k"], params["q"])
-        elif op == "drtd_from_td":
-            out = drtd_from_td(ins[0])
-        elif op == "drtd":
-            out = drtd_from_td(build_td(params["k"] + 2, params["q"]))
-        elif op == "build_frgbtd_6_8":
-            from .starters import build_frgbtd_6_8
-            out = build_frgbtd_6_8()
-        elif op == "build_igbtp_33":
-            from .starters import build_igbtp_33
-            out = build_igbtp_33()
-        elif op == "promote_coloring":
-            out = promote_coloring(ins[0])
-        elif op == "tripling":
-            out = tripling(ins[0], ins[1])
-        elif op == "fill_hole":
-            out = fill_hole(ins[0], ins[1])
-        elif op == "frame_fill":
-            frame = ins[0]
-            inners = ins[1:]
-            if "copies" in params:
-                inners = inners * params["copies"]
-            out = frame_fill(frame, inners, final=params.get("final"))
-        elif op == "inflate":
-            out = inflate(ins[0], ins[1])
-        elif op == "truncate_td":
-            out = truncate_td(ins[0], params["keeps"])
-        elif op == "demote_special":
-            out = demote_special(ins[0])
-        elif op == "search_gbtp":
-            res = search_mod.search_gbtp(params)
-            if res.grid is None:
-                raise NotVerified("search found no design for %r" % (params,))
-            out = res.grid
-        else:
+        if op not in RECIPE_OPS:
             raise ValueError("unknown recipe op %r" % op)
+        out = RECIPE_OPS[op](ins, step.get("params", {}))
         rep = verify_auto(out)
         if not rep.ok:
             raise NotVerified("step %r output failed verification:\n%s"

@@ -97,6 +97,10 @@ class StarterInvalid(TforgeError):
     pass
 
 
+class MalformedStarter(TforgeError):
+    """A starter file entry the starter cannot hold: the message names it."""
+
+
 # constructions
 class KTooLarge(TforgeError):
     pass

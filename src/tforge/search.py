@@ -3,10 +3,17 @@
 Budgets are node counts, not wall time, so results reproduce across machines.
 Exact answers are only claimed when the search space was exhausted within
 budget; otherwise the best object found so far is returned with exact=False.
+
+The searches that stop at a first result are generators: they yield each
+candidate in their fixed exploration order and leave verifying, counting and
+stopping to the one function that calls them (`search_starter`,
+`search_gbtp`, `arrange_resolution`).  A budget running out raises
+`_Exhausted` through the generator into that caller.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections import Counter
@@ -99,29 +106,18 @@ class EswcResult:
 
 def _adjacency(words, d):
     """Per-vertex bitmask of words at distance >= d."""
-    try:
-        import numpy as np
-    except ImportError:
-        np = None
-    nv = len(words)
-    adj = [0] * nv
-    if np is not None and nv:
-        mat = np.array(words, dtype=np.int16)
-        thresh = mat.shape[1] - d
-        for i in range(nv):
-            agree = (mat == mat[i]).sum(axis=1)
-            ok = agree <= thresh
-            ok[i] = False
-            bits = 0
-            for j in np.nonzero(ok)[0]:
-                bits |= 1 << int(j)
-            adj[i] = bits
-        return adj
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            if hamming(words[i], words[j]) >= d:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    import numpy as np  # imported here so importing the package stays cheap
+
+    mat = np.array(words, dtype=np.int16)
+    thresh = mat.shape[1] - d
+    adj = []
+    for i in range(len(words)):
+        ok = (mat == mat[i]).sum(axis=1) <= thresh
+        ok[i] = False
+        bits = 0
+        for j in np.nonzero(ok)[0]:
+            bits |= 1 << int(j)
+        adj.append(bits)
     return adj
 
 
@@ -266,39 +262,35 @@ def arrange_resolution(classes, m: int, n: int, lam: int = 1,
     def place_col(ci):
         bud.tick()
         if ci == n:
-            return True
+            yield sol
+            return
         blocks = sorted(classes[ci], key=lambda b: (-len(b), b))
         order: list = []
 
         def rec(bi, used):
             bud.tick()
             if bi == len(blocks):
-                if not deficiency_ok(n - ci - 1):
-                    return False
-                sol.append(list(zip(order, blocks)))
-                if place_col(ci + 1):
-                    return True
-                sol.pop()
-                return False
+                if deficiency_ok(n - ci - 1):
+                    sol.append(list(zip(order, blocks)))
+                    yield from place_col(ci + 1)
+                    sol.pop()
+                return
             b = blocks[bi]
             for r in range(m):
                 if (used >> r) & 1 or not rows_ok(b, r):
                     continue
                 put(b, r, +1)
                 order.append(r)
-                if rec(bi + 1, used | (1 << r)):
-                    return True
+                yield from rec(bi + 1, used | (1 << r))
                 order.pop()
                 put(b, r, -1)
-            return False
 
-        return rec(0, 0)
+        yield from rec(0, 0)
 
     try:
-        ok = place_col(0)
+        if next(place_col(0), None) is None:
+            return None
     except _Exhausted:
-        return None
-    if not ok:
         return None
     rows = tuple(str(r + 1) for r in range(m))
     cols = tuple(str(c + 1) for c in range(n))
@@ -500,7 +492,6 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
     hi_rows = [0] * v  # rows already at the cap
     covered = [0]  # pairs covered so far
     columns: list = []
-    found: list = []
 
     def place_block(r, b):
         for x in b:
@@ -548,14 +539,12 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
     def extend_column(uncovered, triples, used_rows, col, remaining):
         """Anchor the least uncovered point, pick its block and row jointly."""
         bud.tick()
-        if found:
-            return
         if not uncovered:
             if star3 and triples != 1:
                 return
             if feasible(remaining):
                 columns.append(list(col))
-                dfs(len(columns))
+                yield from dfs(len(columns))
                 columns.pop()
             return
         # most constrained anchor: fewest unused partners, least index on ties
@@ -604,23 +593,18 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
                         continue
                     place_block(r, b)
                     col.append((r, b))
-                    extend_column(sub, triples + (s == 3),
-                                  used_rows | (1 << r), col, remaining)
+                    yield from extend_column(sub, triples + (s == 3),
+                                             used_rows | (1 << r), col, remaining)
                     col.pop()
                     unplace_block(r, b)
-                    if found:
-                        return
 
     def dfs(ci):
-        if found:
-            return
         if ci == n:
-            found.append([list(c) for c in columns])
+            yield columns
             return
-        extend_column(tuple(range(v)), 0, 0, [], n - ci - 1)
+        yield from extend_column(tuple(range(v)), 0, 0, [], n - ci - 1)
 
-    exhausted = True
-    try:
+    def solutions():
         for comp in comps:
             col0 = []
             x = 0
@@ -631,18 +615,17 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
                 x += s
             if feasible(n - 1):
                 columns.append(col0)
-                dfs(1)
+                yield from dfs(1)
                 columns.pop()
             for r, b in col0:
                 unplace_block(r, b)
-            if found:
-                break
-    except _Exhausted:
-        exhausted = False
 
-    if not found:
-        return GbtpSearchResult(None, exhausted, bud.used)
-    sol = found[0]
+    try:
+        sol = next(solutions(), None)
+    except _Exhausted:
+        return GbtpSearchResult(None, False, bud.used)
+    if sol is None:
+        return GbtpSearchResult(None, True, bud.used)
     rows = tuple(str(r + 1) for r in range(m))
     cols = tuple(str(c + 1) for c in range(n))
     cells = {}
@@ -666,84 +649,80 @@ class StarterSearchResult:
     nodes: int
 
 
-class _DiffPool:
-    """Exact multiset of still-needed differences, keyed per list."""
+class _Ledger:
+    """Counts per key, each held at or below its cap (a key with no cap has cap 0).
 
-    def __init__(self, pools: dict):
-        self.pools = {k: Counter(v) for k, v in pools.items()}
+    `caps` maps keys to positive caps.  `add` counts a sequence of keys all or
+    nothing: it returns the token that `undo` takes back, or None when some
+    key would pass its cap.  `zeros` is the number of capped keys still at zero.
+    """
 
-    def take(self, items):
-        taken = []
-        for key, d in items:
-            if self.pools[key][d] <= 0:
-                self.give(taken)
+    def __init__(self, caps: dict):
+        self.caps = caps
+        self.count = dict.fromkeys(caps, 0)
+        self.zeros = len(caps)
+
+    def add(self, keys):
+        count, caps = self.count, self.caps
+        for i, k in enumerate(keys):
+            c = count.get(k, 0)
+            if c >= caps.get(k, 0):
+                self.undo(keys[:i])
                 return None
-            self.pools[key][d] -= 1
-            taken.append((key, d))
-        return taken
+            count[k] = c + 1
+            if not c:
+                self.zeros -= 1
+        return keys
 
-    def give(self, items):
-        for key, d in items:
-            self.pools[key][d] += 1
-
-    def empty(self, key) -> bool:
-        return all(val == 0 for val in self.pools[key].values())
-
-    def all_empty(self) -> bool:
-        return all(self.empty(k) for k in self.pools)
+    def undo(self, keys) -> None:
+        count = self.count
+        for k in keys:
+            count[k] -= 1
+            if not count[k]:
+                self.zeros += 1
 
 
-def _search_gbtd_starters(m: int, special: bool, bud: Budget, count: int):
+def _class_diffs(pts, mod: int) -> dict:
+    """Both differences of each pair of points (x, c) mod `mod`, keyed by the
+    list they belong to: ("p", c) inside class c, ("m", (c, c')) across."""
+    table = {}
+    for p, q in itertools.combinations(pts, 2):
+        items = tuple((("p", cx) if cx == cy else ("m", (cx, cy)), (x - y) % mod)
+                      for (x, cx), (y, cy) in ((p, q), (q, p)))
+        table[(p, q)] = table[(q, p)] = items
+    return table
+
+
+def _triple_diffs(table: dict, b) -> tuple:
+    return table[(b[0], b[1])] + table[(b[0], b[2])] + table[(b[1], b[2])]
+
+
+def _gbtd_starters(m: int, special: bool, bud: Budget):
     """Cover Gamma x {0,1,2} by m triples plus transversal extras with exact
     difference lists, then choose translation indices satisfying the row rule."""
     pts = sorted((e, c) for e in range(m) for c in range(3))
-    nonzero = {d: 1 for d in range(1, m)}
-    full = {d: 1 for d in range(m)}
-    pool = _DiffPool({("p", c): nonzero for c in range(3)}
-                     | {("m", pr): full for pr in itertools.permutations(range(3), 2)})
+    pure = [(("p", c), d) for c in range(3) for d in range(1, m)]
+    mixed = [(("m", pr), d) for pr in itertools.permutations(range(3), 2) for d in range(m)]
+    pool = _Ledger(dict.fromkeys(pure + mixed, 1))
+    diffs = _class_diffs(pts, m)
 
-    def diff_items(b):
-        items = []
-        for (x, cx), (y, cy) in itertools.permutations(b, 2):
-            if cx == cy:
-                if x == y:
-                    return None
-                items.append((("p", cx), (x - y) % m))
-            else:
-                items.append((("m", (cx, cy)), (x - y) % m))
-        return items
-
-    results: list = []
     a_blocks: list = []
     b_blocks: list = []
 
-    def done():
-        return len(results) >= count
-
-    def emit(assignment):
-        group = cyclic(m)
-        blocks_a = {(al,): block(fpoint(x, c) for x, c in bl)
-                    for al, bl in assignment.items()}
-        bb = tuple(block(fpoint(x, c) for x, c in bl) for bl in sorted(b_blocks))
-        st = GbtdStarter(group, blocks_a, bb, special=special)
-        if verify_starter(st).ok:
-            results.append(st)
-
     def assign_phase():
-        r = Counter()
-        for b in b_blocks:
-            for p in b:
-                r[p] += 1
+        r = Counter(p for b in b_blocks for p in b)
         blocks = sorted(a_blocks)
         cap = {}
+        assign = {}
 
         def rec(bi, free):
             bud.tick()
-            if done():
-                return
             if bi == len(blocks):
                 if all(r[p] in (1, 2) for p in pts):
-                    emit({al: bl for bl, al in assign.items()})
+                    blocks_a = {(al,): block(fpoint(x, c) for x, c in bl)
+                                for bl, al in assign.items()}
+                    bb = tuple(block(fpoint(x, c) for x, c in bl) for bl in sorted(b_blocks))
+                    yield GbtdStarter(cyclic(m), blocks_a, bb, special=special)
                 return
             short = sum(1 for p in pts if r[p] == 0)
             if short > 3 * (len(blocks) - bi):
@@ -762,26 +741,21 @@ def _search_gbtd_starters(m: int, special: bool, bud: Budget, count: int):
                     for p in trans:
                         cap[p] = 1
                 assign[b] = alpha
-                rec(bi + 1, free - {alpha})
+                yield from rec(bi + 1, free - {alpha})
                 del assign[b]
                 if special and alpha == 0:
                     for p in trans:
                         cap.pop(p, None)
                 for p in trans:
                     r[p] -= 1
-                if done():
-                    return
 
-        assign = {}
-        rec(0, set(range(m)))
+        yield from rec(0, set(range(m)))
 
     def b_phase(prev):
         bud.tick()
-        if done():
-            return
         if len(b_blocks) == (m - 1) // 2:
-            if pool.all_empty():
-                assign_phase()
+            if not pool.zeros:
+                yield from assign_phase()
             return
         for x in range(m):
             for y in range(m):
@@ -789,173 +763,95 @@ def _search_gbtd_starters(m: int, special: bool, bud: Budget, count: int):
                     cand = ((x, 0), (y, 1), (z, 2))
                     if prev is not None and cand <= prev:
                         continue
-                    items = diff_items(cand)
-                    taken = pool.take(items)
+                    taken = pool.add(_triple_diffs(diffs, cand))
                     if taken is None:
                         continue
                     b_blocks.append(cand)
-                    b_phase(cand)
+                    yield from b_phase(cand)
                     b_blocks.pop()
-                    pool.give(taken)
-                    if done():
-                        return
+                    pool.undo(taken)
 
     def cover_phase(uncovered):
         bud.tick()
-        if done():
-            return
         if not uncovered:
-            if all(pool.empty(("p", c)) for c in range(3)):
-                b_phase(None)
+            if all(pool.count[k] for k in pure):
+                yield from b_phase(None)
             return
         p0 = uncovered[0]
         rest = uncovered[1:]
         for pair in itertools.combinations(rest, 2):
-            b = (p0,) + pair
-            items = diff_items(b)
-            if items is None:
-                continue
-            taken = pool.take(items)
+            taken = pool.add(_triple_diffs(diffs, (p0,) + pair))
             if taken is None:
                 continue
-            a_blocks.append(b)
-            cover_phase(tuple(x for x in rest if x not in pair))
+            a_blocks.append((p0,) + pair)
+            yield from cover_phase(tuple(x for x in rest if x not in pair))
             a_blocks.pop()
-            pool.give(taken)
-            if done():
-                return
+            pool.undo(taken)
 
-    exhausted = True
-    try:
-        cover_phase(tuple(pts))
-    except _Exhausted:
-        exhausted = False
-    return results, exhausted
+    yield from cover_phase(tuple(pts))
 
 
-def _search_frgbtd_starters(t: int, bud: Budget, count: int, seed: int = 0):
+def _frgbtd_starters(t: int, bud: Budget):
     """Exact cover of the punctured point set by triples, with the (i, j)
     placement chosen as each block is formed so the row-multiset caps prune
-    during the cover, not after it.  A nonzero seed deterministically
-    shuffles the exploration order (useful restarts for larger t)."""
-    import random
-
+    during the cover, not after it."""
     n3 = 3 * t
     hole = {0, t, 2 * t}
     pts = sorted((e, c) for c in range(2) for e in range(n3) if e not in hole)
-    if seed:
-        rng = random.Random(seed)
-        pts = list(pts)
-        rng.shuffle(pts)
-    needed = {d: 1 for d in range(n3) if d not in hole}
-    pool = _DiffPool({("p", 0): needed, ("p", 1): needed,
-                      ("m", (0, 1)): needed, ("m", (1, 0)): needed})
+    lists = (("p", 0), ("p", 1), ("m", (0, 1)), ("m", (1, 0)))
+    pool = _Ledger({(key, d): 1 for key in lists for d in range(n3) if d not in hole})
+    diffs = _class_diffs(pts, n3)
 
-    pair_items = {}
-    for p, q in itertools.combinations(pts, 2):
-        items = []
-        for (x, cx), (y, cy) in ((p, q), (q, p)):
-            key = ("p", cx) if cx == cy else ("m", (cx, cy))
-            items.append((key, (x - y) % n3))
-        pair_items[(p, q)] = tuple(items)
-        pair_items[(q, p)] = pair_items[(p, q)]
-
-    def diff_items(b):
-        return (pair_items[(b[0], b[1])] + pair_items[(b[0], b[2])]
-                + pair_items[(b[1], b[2])])
-
-    results: list = []
-    rj = {0: Counter(), 1: Counter()}
+    # the row multiset R_j of each row class j: every nonzero residue mod t of
+    # either copy at most twice, and in the end at least once
+    slots = dict.fromkeys(((res, c) for res in range(1, t) for c in (0, 1)), 2)
+    rj = {0: _Ledger(slots), 1: _Ledger(slots)}
     assign: dict = {}
-
-    def done():
-        return len(results) >= count
-
-    def emit():
-        st = FrGbtdStarter(t, {key: block(fpoint(x, c) for x, c in bl)
-                               for key, bl in assign.items()})
-        if verify_starter(st).ok:
-            results.append(st)
-
-    zero_slots = {0: 2 * (t - 1), 1: 2 * (t - 1)}  # residue slots still empty
-
-    def r_add(key, b):
-        i, j = key
-        items = Counter((((x - i) % t), c) for x, c in b)
-        if any(res == 0 for res, _ in items):
-            return None
-        for it, c in items.items():
-            if rj[j][it] + c > 2:
-                return None
-        for it, c in items.items():
-            if rj[j][it] == 0:
-                zero_slots[j] -= 1
-            rj[j][it] += c
-        return items
-
-    def r_pop(key, items):
-        j = key[1]
-        for it, c in items.items():
-            rj[j][it] -= c
-            if rj[j][it] == 0:
-                zero_slots[j] += 1
-
     slot_order = sorted((i, j) for i in range(1, t) for j in (0, 1))
-    if seed:
-        rng.shuffle(slot_order)
 
     def rec(uncovered, free):
         bud.tick()
-        if done():
-            return
         if not uncovered:
-            if not zero_slots[0] and not zero_slots[1]:
-                emit()
+            if not rj[0].zeros and not rj[1].zeros:
+                yield FrGbtdStarter(t, {key: block(fpoint(x, c) for x, c in bl)
+                                        for key, bl in assign.items()})
             return
         have = {0: 0, 1: 0}
         for key in free:
             have[key[1]] += 3
-        if zero_slots[0] > have[0] or zero_slots[1] > have[1]:
+        if rj[0].zeros > have[0] or rj[1].zeros > have[1]:
             return
         p0 = uncovered[0]
         rest = uncovered[1:]
         for pair in itertools.combinations(rest, 2):
             b = (p0,) + pair
-            taken = pool.take(diff_items(b))
+            taken = pool.add(_triple_diffs(diffs, b))
             if taken is None:
                 continue
             for key in slot_order:
                 if key not in free:
                     continue
-                items = r_add(key, b)
+                i, j = key
+                items = rj[j].add([((x - i) % t, c) for x, c in b])
                 if items is None:
                     continue
                 assign[key] = b
-                rec(tuple(x for x in rest if x not in pair), free - {key})
+                yield from rec(tuple(x for x in rest if x not in pair), free - {key})
                 del assign[key]
-                r_pop(key, items)
-                if done():
-                    break
-            pool.give(taken)
-            if done():
-                return
+                rj[j].undo(items)
+            pool.undo(taken)
 
-    exhausted = True
-    try:
-        rec(tuple(pts), frozenset((i, j) for i in range(1, t) for j in (0, 1)))
-    except _Exhausted:
-        exhausted = False
-    return results, exhausted
+    yield from rec(tuple(pts), frozenset(slot_order))
 
 
-def _pair_diff_items(p, q, mods):
-    m2, m4 = mods
-    d1 = ((p[0] - q[0]) % m2, (p[1] - q[1]) % m4)
-    d2 = ((q[0] - p[0]) % m2, (q[1] - p[1]) % m4)
-    return [(0, d1), (0, d2)]
+def _block_diffs(b, mods) -> list:
+    """Every ordered difference of a block over Z_m x Z_k, as keys (0, d)."""
+    m, k = mods
+    return [(0, ((p[0] - q[0]) % m, (p[1] - q[1]) % k))
+            for p, q in itertools.permutations(b, 2)]
 
 
-def _search_igbtp_z2_starters(m: int, w: int, bud: Budget, count: int):
+def _igbtp_z2_starters(m: int, w: int, bud: Budget):
     """Row-multiset first: the C family is searched in row-anchored form
     E_i = C_i - (i,0), where both the difference list and the row condition
     are independent of the index i; the indices are then an exact cover of
@@ -965,136 +861,87 @@ def _search_igbtp_z2_starters(m: int, w: int, bud: Budget, count: int):
     n_b = (w - 1) // 2
     n_cpair = m - w - 1
     if n_cpair < 0 or m % 2 == 0:
-        return [], True
+        return
     mods = (m, 2)
     finite = [(x, j) for x in range(m) for j in (0, 1)]
     bit = {p: 1 << (p[0] * 2 + p[1]) for p in finite}
-    full_mask = (1 << (2 * m)) - 1
-    needed = {(dx, dj): 1 for dx in range(m) for dj in (0, 1)
-              if (dx, dj) not in ((0, 0), (0, 1))}
-    pool = _DiffPool({0: needed})
+    # one ledger: (0, d) each nonzero difference once, (1, p) the row
+    # multiset R at most twice per point
+    led = _Ledger({(0, (dx, dj)): 1 for dx in range(1, m) for dj in (0, 1)}
+                  | {(1, p): 2 for p in finite})
+    led.add([(1, (0, 0)), (1, (0, 1))])
 
-    results: list = []
     a_blocks: list = []
     e_blocks: list = []  # row-anchored C blocks: (points, has_inf)
-    r_cnt = Counter({(0, 0): 1, (0, 1): 1})
 
-    def done():
-        return len(results) >= count
-
-    def pair_items(p, q):
-        return _pair_diff_items(p, q, mods)
-
-    def r_add(pts):
-        cnt = Counter((p[0], (p[1] - j) % 2) for p in pts for j in (0, 1))
-        for it, c in cnt.items():
-            if r_cnt[it] + c > 2:
-                return None
-        for it, c in cnt.items():
-            r_cnt[it] += c
-        return cnt
-
-    def r_pop(cnt):
-        for it, c in cnt.items():
-            r_cnt[it] -= c
+    def row_items(b):
+        return [(1, (p[0], (p[1] - j) % 2)) for p in b for j in (0, 1)]
 
     def choose_a(idx, prev):
         bud.tick()
-        if done():
-            return
         if idx == n_a:
-            choose_triple()
+            yield from choose_triple()
             return
         for a in range(m):
             for bb in range(m):
                 cand = ((a, 0), (bb, 1))
                 if prev is not None and cand <= prev:
                     continue
-                taken = pool.take(pair_items(*cand))
+                taken = led.add(_block_diffs(cand, mods) + row_items(cand))
                 if taken is None:
                     continue
-                rc = r_add(cand)
-                if rc is None:
-                    pool.give(taken)
-                    continue
                 a_blocks.append(cand)
-                choose_a(idx + 1, cand)
+                yield from choose_a(idx + 1, cand)
                 a_blocks.pop()
-                r_pop(rc)
-                pool.give(taken)
-                if done():
-                    return
+                led.undo(taken)
 
     def choose_triple():
         # the index-0 block in row-anchored form; anchored at (0,*) wlog is
         # unsound, so enumerate all triples
         for triple in itertools.combinations(finite, 3):
-            items = (pair_items(triple[0], triple[1])
-                     + pair_items(triple[0], triple[2])
-                     + pair_items(triple[1], triple[2]))
-            taken = pool.take(items)
+            taken = led.add(_block_diffs(triple, mods) + row_items(triple))
             if taken is None:
                 continue
-            rc = r_add(triple)
-            if rc is None:
-                pool.give(taken)
-                continue
             e_blocks.append((triple, False))
-            choose_epairs(0, None)
+            yield from choose_epairs(0, None)
             e_blocks.pop()
-            r_pop(rc)
-            pool.give(taken)
-            if done():
-                return
+            led.undo(taken)
 
     def choose_epairs(idx, prev):
         bud.tick()
-        if done():
-            return
         if idx == n_cpair:
-            choose_singles(n_b * 2 + w, None)
+            yield from choose_singles(0, None)
             return
         for pair in itertools.combinations(finite, 2):
             if prev is not None and pair <= prev:
                 continue
-            taken = pool.take(pair_items(*pair))
+            taken = led.add(_block_diffs(pair, mods) + row_items(pair))
             if taken is None:
                 continue
-            rc = r_add(pair)
-            if rc is None:
-                pool.give(taken)
-                continue
             e_blocks.append((pair, False))
-            choose_epairs(idx + 1, pair)
+            yield from choose_epairs(idx + 1, pair)
             e_blocks.pop()
-            r_pop(rc)
-            pool.give(taken)
-            if done():
-                return
+            led.undo(taken)
 
-    def choose_singles(slots_left, prev):
+    def choose_singles(singles, prev):
         bud.tick()
-        if done():
-            return
-        if sum(1 for _b, inf in e_blocks if inf) == w:
-            assign_phase()
+        if singles == w:
+            yield from assign_phase()
             return
         for p in finite:
             if prev is not None and (p,) <= prev:
                 continue
-            rc = r_add((p,))
-            if rc is None:
+            taken = led.add(row_items((p,)))
+            if taken is None:
                 continue
             e_blocks.append(((p,), True))
-            choose_singles(slots_left - 1, (p,))
+            yield from choose_singles(singles + 1, (p,))
             e_blocks.pop()
-            r_pop(rc)
-            if done():
-                return
+            led.undo(taken)
 
     def assign_phase():
         # R must be exactly once-or-twice everywhere before indexing
-        if any(r_cnt[p] not in (1, 2) for p in finite):
+        if not all(led.count[(1, p)] for p in finite):
             return
         blocks = list(e_blocks)
         masks = []
@@ -1110,10 +957,8 @@ def _search_igbtp_z2_starters(m: int, w: int, bud: Budget, count: int):
 
         def rec(bi, used_mask, free):
             bud.tick()
-            if done():
-                return
             if bi == len(blocks):
-                finish(dict(assign), used_mask)
+                yield from finish(dict(assign), used_mask)
                 return
             idxs = [0] if bi == 0 else sorted(free - {0})
             for i in idxs:
@@ -1121,20 +966,18 @@ def _search_igbtp_z2_starters(m: int, w: int, bud: Budget, count: int):
                 if used_mask & mk:
                     continue
                 assign[bi] = i
-                rec(bi + 1, used_mask | mk, free - {i})
+                yield from rec(bi + 1, used_mask | mk, free - {i})
                 del assign[bi]
-                if done():
-                    return
 
         def finish(assignment, used_mask):
             leftover = [p for p in finite if not (used_mask >> (p[0] * 2 + p[1])) & 1]
             if len(leftover) != 2 * n_b:
                 return
-            rem = {d for d, cval in pool.pools[0].items() if cval > 0}
+            rem = {d for (tag, d), c in led.count.items() if tag == 0 and not c}
 
             def match(rest, picked):
                 if not rest:
-                    emit(assignment, picked)
+                    yield starter(assignment, picked)
                     return
                 p0 = rest[0]
                 for q in rest[1:]:
@@ -1143,16 +986,14 @@ def _search_igbtp_z2_starters(m: int, w: int, bud: Budget, count: int):
                     if d1 not in rem or d2 not in rem or d1 == d2:
                         continue
                     rem.difference_update((d1, d2))
-                    match([x for x in rest[1:] if x != q], picked + [(p0, q)])
+                    yield from match([x for x in rest[1:] if x != q], picked + [(p0, q)])
                     rem.update((d1, d2))
-                    if done():
-                        return
 
-            match(sorted(leftover), [])
+            yield from match(sorted(leftover), [])
 
-        rec(0, 0, set(range(m)))
+        yield from rec(0, 0, set(range(m)))
 
-    def emit(assignment, b_pairs):
+    def starter(assignment, b_pairs):
         inf_iter = itertools.count(1)
         cb = [None] * m
         for bi, i in sorted(assignment.items()):
@@ -1161,225 +1002,165 @@ def _search_igbtp_z2_starters(m: int, w: int, bud: Budget, count: int):
             if has_inf:
                 moved.append(ipoint(next(inf_iter)))
             cb[i] = block(moved)
-        st = IgbtpStarterZ2(
+        return IgbtpStarterZ2(
             m, w,
             tuple(block(fpoint(p) for p in b) for b in a_blocks),
             tuple(block(fpoint(p) for p in b) for b in b_pairs),
             tuple(cb))
-        if verify_starter(st).ok:
-            results.append(st)
 
-    exhausted = True
-    try:
-        choose_a(0, None)
-    except _Exhausted:
-        exhausted = False
-    return results, exhausted
+    yield from choose_a(0, None)
 
 
-def _search_igbtp_z4_starters(m: int, bud: Budget, count: int):
+def _igbtp_z4_starters(m: int, bud: Budget):
     """Forced structure: A on parities {0,2}, four finite B pairs, finite
     triple C_0, all nine infinite points as partner blocks in C or D."""
     finite = [(x, j) for x in range(m) for j in range(4)]
     n_pair = 2 * m - 10
     if n_pair < 0 or m % 2 == 0:
-        return [], True
+        return
     mods = (m, 4)
-    needed = {(dx, dj): 1 for dx in range(m) for dj in range(4) if dx != 0}
-    pool = _DiffPool({0: needed})
-
-    results: list = []
-
-    def done():
-        return len(results) >= count
-
-    def pair_items(p, q):
-        return _pair_diff_items(p, q, mods)
+    pool = _Ledger({(0, (dx, dj)): 1 for dx in range(1, m) for dj in range(4)})
+    # the two row multisets R_o and R_b, each point at most twice per multiset
+    row_caps = {(tag, p): 2 for tag in "ob" for p in finite}
+    slots = [("C", i) for i in range(1, m)] + [("D", i) for i in range(m)]
 
     def choose_a():
         for a in range(m):
             for bb in range(m):
                 cand = ((a, 0), (bb, 2))
-                taken = pool.take(pair_items(*cand))
+                taken = pool.add(_block_diffs(cand, mods))
                 if taken is None:
                     continue
-                choose_b(cand, 0, None, [])
-                pool.give(taken)
-                if done():
-                    return
+                yield from choose_b(cand, 0, None, [])
+                pool.undo(taken)
 
     def choose_b(a_blk, idx, prev, b_blocks):
         bud.tick()
-        if done():
-            return
         if idx == 4:
-            choose_triple(a_blk, b_blocks)
+            yield from choose_triple(a_blk, b_blocks)
             return
         used = {p for b in b_blocks for p in b}
         cands = [p for p in finite if p not in used]
         for pair in itertools.combinations(cands, 2):
             if prev is not None and pair <= prev:
                 continue
-            taken = pool.take(pair_items(*pair))
+            taken = pool.add(_block_diffs(pair, mods))
             if taken is None:
                 continue
-            choose_b(a_blk, idx + 1, pair, b_blocks + [pair])
-            pool.give(taken)
-            if done():
-                return
+            yield from choose_b(a_blk, idx + 1, pair, b_blocks + [pair])
+            pool.undo(taken)
 
     def choose_triple(a_blk, b_blocks):
         used = {p for b in b_blocks for p in b}
         rest = [p for p in finite if p not in used]
         for triple in itertools.combinations(rest, 3):
-            items = (pair_items(triple[0], triple[1])
-                     + pair_items(triple[0], triple[2])
-                     + pair_items(triple[1], triple[2]))
-            taken = pool.take(items)
+            taken = pool.add(_block_diffs(triple, mods))
             if taken is None:
                 continue
-            choose_pairs(a_blk, b_blocks, triple,
-                         [p for p in rest if p not in triple], [], None)
-            pool.give(taken)
-            if done():
-                return
+            yield from choose_pairs(a_blk, b_blocks, triple,
+                                    [p for p in rest if p not in triple], [], None)
+            pool.undo(taken)
 
     def choose_pairs(a_blk, b_blocks, triple, rest, cpairs, prev):
         bud.tick()
-        if done():
-            return
         if len(cpairs) == n_pair:
-            if pool.all_empty():
-                assign_phase(a_blk, b_blocks, triple, cpairs, rest)
+            if not pool.zeros:
+                yield from assign_phase(a_blk, b_blocks, triple, cpairs, rest)
             return
         for pair in itertools.combinations(rest, 2):
             if prev is not None and pair <= prev:
                 continue
-            taken = pool.take(pair_items(*pair))
+            taken = pool.add(_block_diffs(pair, mods))
             if taken is None:
                 continue
-            choose_pairs(a_blk, b_blocks, triple, [p for p in rest if p not in pair],
-                         cpairs + [pair], pair)
-            pool.give(taken)
-            if done():
-                return
+            yield from choose_pairs(a_blk, b_blocks, triple, [p for p in rest if p not in pair],
+                                    cpairs + [pair], pair)
+            pool.undo(taken)
+
+    @functools.cache
+    def row_items(blk, i, flav):
+        # translate j in {0, 2} lands in R_o for C blocks and in R_b for D
+        # blocks, translate j in {1, 3} the other way round
+        even, odd = ("o", "b") if flav == "C" else ("b", "o")
+        return tuple((even if j % 2 == 0 else odd, ((qx - i) % m, (qj - j) % 4))
+                     for (qx, qj) in blk for j in range(4))
 
     def assign_phase(a_blk, b_blocks, triple, cpairs, singles):
         blocks = list(cpairs) + [(p,) for p in sorted(singles)]
+        assign = {}
 
-        def contrib(blk, i, flav):
-            oo, bb_ = [], []
-            for (qx, qj) in blk:
-                for j in (0, 2):
-                    (oo if flav == "C" else bb_).append(((qx - i) % m, (qj - j) % 4))
-                for j in (1, 3):
-                    (bb_ if flav == "C" else oo).append(((qx - i) % m, (qj - j) % 4))
-            return oo, bb_
+        def rec(bi, free):
+            bud.tick()
+            if bi == len(blocks):
+                if not rows.zeros:
+                    yield starter(x, y)
+                return
+            blk = blocks[bi]
+            for slot in sorted(free):
+                taken = rows.add(row_items(blk, slot[1], slot[0]))
+                if taken is None:
+                    continue
+                assign[slot] = blk
+                yield from rec(bi + 1, free - {slot})
+                del assign[slot]
+                rows.undo(taken)
+
+        def starter(xx, yy):
+            inf_iter = itertools.count(1)
+            cblocks = [None] * m
+            dblocks = [None] * m
+            cblocks[0] = block(fpoint(p) for p in triple)
+            for (flav, i), blk in sorted(assign.items()):
+                pts = [fpoint(p) for p in blk]
+                if len(blk) == 1:
+                    pts.append(ipoint(next(inf_iter)))
+                (cblocks if flav == "C" else dblocks)[i] = block(pts)
+            return IgbtpStarterZ4(
+                m, xx, yy,
+                block(fpoint(p) for p in a_blk),
+                tuple(block(fpoint(p) for p in b) for b in b_blocks),
+                tuple(cblocks), tuple(dblocks))
 
         for x in range(m):
             for y in range(m):
-                if done():
-                    return
                 bud.tick()
-                r_o = Counter()
-                r_b = Counter()
-                for p in ((0, 0), (0, 1), (x, 0), (x, 2), (y, 0), (y, 3)):
-                    r_o[p] += 1
-                for p in ((0, 2), (0, 3), (x, 1), (x, 3), (y, 1), (y, 2)):
-                    r_b[p] += 1
-                for j, tgt in ((0, r_o), (2, r_o), (1, r_b), (3, r_b)):
-                    for (px, pj) in a_blk:
-                        tgt[(px, (pj + j) % 4)] += 1
-                oo, bb_ = contrib(triple, 0, "C")
-                for it in oo:
-                    r_o[it] += 1
-                for it in bb_:
-                    r_b[it] += 1
-                if any(val > 2 for val in r_o.values()) or any(val > 2 for val in r_b.values()):
+                rows = _Ledger(row_caps)
+                fixed = ([("o", p) for p in ((0, 0), (0, 1), (x, 0), (x, 2), (y, 0), (y, 3))]
+                         + [("b", p) for p in ((0, 2), (0, 3), (x, 1), (x, 3), (y, 1), (y, 2))]
+                         + [("o" if j % 2 == 0 else "b", (px, (pj + j) % 4))
+                            for j in range(4) for (px, pj) in a_blk]
+                         + list(row_items(triple, 0, "C")))
+                if rows.add(fixed) is None:
                     continue
-                assign = {}
-                slots = [("C", i) for i in range(1, m)] + [("D", i) for i in range(m)]
+                yield from rec(0, set(slots))
 
-                def rec(bi, free):
-                    bud.tick()
-                    if done():
-                        return
-                    if bi == len(blocks):
-                        if (all(r_o[p] in (1, 2) for p in finite)
-                                and all(r_b[p] in (1, 2) for p in finite)):
-                            emit(dict(assign), x, y)
-                        return
-                    blk = blocks[bi]
-                    for slot in sorted(free):
-                        flav, i = slot
-                        oo2, bb2 = contrib(blk, i, flav)
-                        if any(r_o[it] >= 2 for it in oo2) or any(r_b[it] >= 2 for it in bb2):
-                            continue
-                        for it in oo2:
-                            r_o[it] += 1
-                        for it in bb2:
-                            r_b[it] += 1
-                        assign[slot] = blk
-                        rec(bi + 1, free - {slot})
-                        del assign[slot]
-                        for it in oo2:
-                            r_o[it] -= 1
-                        for it in bb2:
-                            r_b[it] -= 1
-                        if done():
-                            return
+    yield from choose_a()
 
-                def emit(assignment, xx, yy):
-                    inf_iter = itertools.count(1)
-                    cblocks = [None] * m
-                    dblocks = [None] * m
-                    cblocks[0] = block(fpoint(p) for p in triple)
-                    for slot in sorted(assignment):
-                        flav, i = slot
-                        blk = assignment[slot]
-                        pts = [fpoint(p) for p in blk]
-                        if len(blk) == 1:
-                            pts.append(ipoint(next(inf_iter)))
-                        if flav == "C":
-                            cblocks[i] = block(pts)
-                        else:
-                            dblocks[i] = block(pts)
-                    st = IgbtpStarterZ4(
-                        m, xx, yy,
-                        block(fpoint(p) for p in a_blk),
-                        tuple(block(fpoint(p) for p in b) for b in b_blocks),
-                        tuple(cblocks), tuple(dblocks))
-                    if verify_starter(st).ok:
-                        results.append(st)
 
-                rec(0, set(slots))
-
-    exhausted = True
-    try:
-        choose_a()
-    except _Exhausted:
-        exhausted = False
-    return results, exhausted
+# Each starter kind's search, as a generator of candidate starters.
+STARTER_SEARCHES = {
+    "gbtd": lambda p, bud: _gbtd_starters(p["m"], bool(p.get("special", False)), bud),
+    "igbtp_z2": lambda p, bud: _igbtp_z2_starters(p["m"], p.get("w", 9), bud),
+    "igbtp_z4": lambda p, bud: _igbtp_z4_starters(p["m"], bud),
+    "frgbtd": lambda p, bud: _frgbtd_starters(p["t"], bud),
+}
 
 
 def search_starter(kind: str, params: dict, budget: int | None = None,
                    count: int = 1) -> StarterSearchResult:
-    """Deterministic backtracking per starter family; found starters verify."""
+    """Deterministic backtracking per starter family: the first `count`
+    candidates that pass `verify_starter`, in the search's own order."""
     bud = Budget(budget if budget is not None else env_budget())
-    if kind == "gbtd":
-        res, exhausted = _search_gbtd_starters(
-            params["m"], bool(params.get("special", False)), bud, count)
-    elif kind == "frgbtd":
-        res, exhausted = _search_frgbtd_starters(params["t"], bud, count,
-                                                 seed=params.get("seed", 0))
-    elif kind == "igbtp_z2":
-        res, exhausted = _search_igbtp_z2_starters(
-            params["m"], params.get("w", 9), bud, count)
-    elif kind == "igbtp_z4":
-        res, exhausted = _search_igbtp_z4_starters(params["m"], bud, count)
-    else:
+    if kind not in STARTER_SEARCHES:
         raise BadKind("unknown starter kind %r" % kind)
-    return StarterSearchResult(res, exhausted, bud.used)
+    candidates = STARTER_SEARCHES[kind](params, bud)
+    found: list = []
+    try:
+        for st in itertools.islice((s for s in candidates if verify_starter(s).ok), count):
+            found.append(st)
+    except _Exhausted:
+        return StarterSearchResult(found, False, bud.used)
+    return StarterSearchResult(found, True, bud.used)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from .algebra import (
     parse_point,
     translate_block,
 )
-from .designs import DesignGrid, VerifyReport
-from .errors import NotOneMod6, NotPrimePower, StarterInvalid
+from .designs import DesignGrid, VerifyReport, check_keys
+from .errors import MalformedStarter, NotOneMod6, NotPrimePower, StarterInvalid
 
 CLUB, DIAMOND, HEART = 0, 1, 2
 
@@ -753,19 +753,38 @@ def starter_to_obj(s) -> dict:
     raise TypeError("unknown starter type %r" % type(s))
 
 
+# starter kind -> (top-level keys, params keys, family keys) a file must hold
+_STARTER_KEYS = {
+    "gbtd": (("group",), (), ("A", "B")),
+    "igbtp_z2": ((), ("m", "w"), ("A", "B", "C")),
+    "igbtp_z4": ((), ("m", "x", "y"), ("A", "B", "C", "D")),
+    "frgbtd": ((), ("t",), ("A",)),
+}
+
+
 def starter_from_obj(obj: dict):
     def fam(lst):
         return [block(parse_point(x) for x in entry) for entry in lst]
 
+    check_keys(obj, ("starter_kind",), "starter", MalformedStarter)
     kind = obj["starter_kind"]
+    if not isinstance(kind, str) or kind not in _STARTER_KEYS:
+        raise MalformedStarter("starter_kind %r is not one of %s"
+                               % (kind, ", ".join(_STARTER_KEYS)))
+    top, params, families = _STARTER_KEYS[kind]
+    check_keys(obj, top + ("params", "families"), "%s starter" % kind, MalformedStarter)
+    check_keys(obj["params"], params, "%s starter params" % kind, MalformedStarter)
+    check_keys(obj["families"], families, "%s starter families" % kind, MalformedStarter)
     fams = obj["families"]
     if kind == "gbtd":
+        check_keys(obj["group"], ("factors",), "gbtd starter group", MalformedStarter)
         group = AbelianGroup(tuple(obj["group"]["factors"]))
         elems = sorted(group.elements())
         blocks_a = dict(zip(elems, fam(fams["A"])))
         colors_a = None
         colors_b = None
         if obj.get("colors"):
+            check_keys(obj["colors"], ("A", "B"), "gbtd starter colors", MalformedStarter)
             colors_a = dict(zip(elems, obj["colors"]["A"]))
             colors_b = tuple(obj["colors"]["B"])
         return GbtdStarter(group, blocks_a, tuple(fam(fams["B"])),
@@ -776,14 +795,14 @@ def starter_from_obj(obj: dict):
                               tuple(fam(fams["A"])), tuple(fam(fams["B"])),
                               tuple(fam(fams["C"])))
     if kind == "igbtp_z4":
+        if not isinstance(fams["A"], list) or len(fams["A"]) != 1:
+            raise MalformedStarter("igbtp_z4 starter family 'A' must hold exactly one block")
         return IgbtpStarterZ4(obj["params"]["m"], obj["params"]["x"], obj["params"]["y"],
                               fam(fams["A"])[0], tuple(fam(fams["B"])),
                               tuple(fam(fams["C"])), tuple(fam(fams["D"])))
-    if kind == "frgbtd":
-        t = obj["params"]["t"]
-        keys = [(i, j) for i in range(1, t) for j in (0, 1)]
-        return FrGbtdStarter(t, dict(zip(keys, fam(fams["A"]))))
-    raise ValueError("unknown starter kind %r" % kind)
+    t = obj["params"]["t"]
+    keys = [(i, j) for i in range(1, t) for j in (0, 1)]
+    return FrGbtdStarter(t, dict(zip(keys, fam(fams["A"]))))
 
 
 def verify_starter(s) -> VerifyReport:

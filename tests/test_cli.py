@@ -171,3 +171,20 @@ def test_verify_malformed_files_exit_2(tmp_path, fig3):
         assert "Traceback" not in res.stderr and res.stderr.startswith("error: ")
     assert "listed twice" in run_cli("verify", str(tmp_path / "dup.json")).stderr
     assert "no-such-row" in run_cli("verify", str(tmp_path / "unknown.json")).stderr
+
+
+def test_verify_malformed_starter_files_exit_2(tmp_path):
+    from tforge.search import search_starter
+    from tforge.starters import dumps_starter
+
+    z4 = json.loads(dumps_starter(search_starter("igbtp_z4", {"m": 5}).starters[0]))
+    z4["families"]["A"] = []
+    cases = {"gbtd": ({"starter_kind": "gbtd"}, "'group'"),
+             "z4": (z4, "family 'A'")}
+    for name, (bad, entry) in cases.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(bad))
+        res = run_cli("verify", str(path))
+        assert res.returncode == 2, (name, res.stdout, res.stderr)
+        assert "Traceback" not in res.stderr and res.stderr.startswith("error: ")
+        assert entry in res.stderr, (name, res.stderr)

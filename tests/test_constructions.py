@@ -9,6 +9,7 @@ from tforge.constructions import (
     fundamental,
     inflate,
     make_w_block,
+    run_recipe,
     tripling,
     truncate_td,
     truncate_td_block,
@@ -162,3 +163,8 @@ def test_fundamental_pbd_closure():
                       lambda t: frame5 if t == (6,) * 5 else None)
     assert sorted(len(grp) for grp in out.groups) == [6] * 25
     assert verify_auto(out).ok
+
+
+def test_run_recipe_unknown_op():
+    with pytest.raises(ValueError, match="unknown recipe op 'nope'"):
+        run_recipe({"steps": [{"op": "nope"}]}, ".", None, verbose=lambda _line: None)
