@@ -1093,7 +1093,7 @@ def _igbtp_z4_starters(m: int, bud: Budget):
             bud.tick()
             if bi == len(blocks):
                 if not rows.zeros:
-                    yield starter(x, y)
+                    yield starter()
                 return
             blk = blocks[bi]
             for slot in sorted(free):
@@ -1105,7 +1105,7 @@ def _igbtp_z4_starters(m: int, bud: Budget):
                 del assign[slot]
                 rows.undo(taken)
 
-        def starter(xx, yy):
+        def starter():
             inf_iter = itertools.count(1)
             cblocks = [None] * m
             dblocks = [None] * m
@@ -1116,7 +1116,7 @@ def _igbtp_z4_starters(m: int, bud: Budget):
                     pts.append(ipoint(next(inf_iter)))
                 (cblocks if flav == "C" else dblocks)[i] = block(pts)
             return IgbtpStarterZ4(
-                m, xx, yy,
+                m, x, y,
                 block(fpoint(p) for p in a_blk),
                 tuple(block(fpoint(p) for p in b) for b in b_blocks),
                 tuple(cblocks), tuple(dblocks))

@@ -180,7 +180,8 @@ def test_verify_malformed_starter_files_exit_2(tmp_path):
     z4 = json.loads(dumps_starter(search_starter("igbtp_z4", {"m": 5}).starters[0]))
     z4["families"]["A"] = []
     cases = {"gbtd": ({"starter_kind": "gbtd"}, "'group'"),
-             "z4": (z4, "family 'A'")}
+             "z4": (z4, "family 'A'"),
+             "kind": ({"starter_kind": "nope", "families": {}}, "starter_kind 'nope'")}
     for name, (bad, entry) in cases.items():
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps(bad))
