@@ -34,3 +34,11 @@ def fig7():
 @pytest.fixture(scope="session")
 def fig8():
     return load_grid(FIXTURES / "fig8_frgbtd_6_6.json")
+
+
+@pytest.fixture(scope="session")
+def frgbtd_t5():
+    """The first frgbtd starter for t=5 (a 73k-node search), run once."""
+    from tforge.search import search_starter
+
+    return search_starter("frgbtd", {"t": 5}, budget=5_000_000)

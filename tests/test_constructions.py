@@ -142,11 +142,10 @@ def test_fundamental_zero_weight(fig8):
     assert all(dead not in grp for grp in out.groups)
 
 
-def test_fundamental_pbd_closure():
+def test_fundamental_pbd_closure(frgbtd_t5):
     # master: a 25-point pairwise balanced design (transversal blocks plus
     # the groups themselves), viewed as a GDD with singleton groups
     from tforge.designs import DesignGrid
-    from tforge.search import search_starter
     from tforge.starters import develop_starter
 
     td = build_td(5, 5)
@@ -157,8 +156,7 @@ def test_fundamental_pbd_closure():
                         groups=tuple((p,) for p in td.points))
     assert verify_gdd(master).ok
 
-    frame5 = develop_starter(search_starter("frgbtd", {"t": 5},
-                                            budget=5_000_000).starters[0])
+    frame5 = develop_starter(frgbtd_t5.starters[0])
     out = fundamental(master, {p: 6 for p in master.points},
                       lambda t: frame5 if t == (6,) * 5 else None)
     assert sorted(len(grp) for grp in out.groups) == [6] * 25

@@ -101,9 +101,12 @@ def test_search_starter_gbtd_m5_exhausts():
     assert res.nodes == 70669
 
 
-def test_search_starter_frgbtd_t5():
-    res = search_starter("frgbtd", {"t": 5}, budget=5_000_000)
+def test_search_starter_frgbtd_t5(frgbtd_t5):
+    res = frgbtd_t5
     assert res.starters
+    assert (res.nodes, res.exhausted) == (73339, True)
+    assert [_sha(dumps_starter(s)) for s in res.starters] == [
+        "0c1d441fa89f2d13555d7227b66360757f313779132f349e3341400d5880d168"]
     g = develop_starter(res.starters[0])
     assert verify_auto(g).ok
     assert sorted(len(grp) for grp in g.groups) == [6] * 5

@@ -135,12 +135,8 @@ def test_fq_starter_idempotent():
     assert starter_to_obj(a) == starter_to_obj(b)
 
 
-def test_frgbtd_row_multiset_identity():
-    from collections import Counter
-
-    from tforge.search import search_starter
-
-    st = search_starter("frgbtd", {"t": 5}, budget=3_000_000).starters[0]
+def test_frgbtd_row_multiset_identity(frgbtd_t5):
+    st = frgbtd_t5.starters[0]
     g = develop_starter(st)
     t = st.t
     for j in (0, 1):
