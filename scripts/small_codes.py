@@ -2,8 +2,10 @@
 """Reproduce the small optimal equitable-code sizes by exact search.
 
 Runs the exact clique search for the desk-scale parameter sets, attempts the
-two expensive cases under a node budget, and falls back to heuristic
-witnesses plus the generalized Plotkin cap when the budget runs out.
+two expensive cases under a node budget, and falls back to structured
+size-14 witnesses plus the generalized Plotkin cap when the budget runs out:
+(7,6)_5 from the 15-point Kirkman array without its infinite point, (9,8)_6
+from `eswc_witness`.
 """
 
 import argparse
@@ -59,7 +61,7 @@ def main():
                   % ("(%d,%d)_%d" % (n, d, q), res.M, "exact", time.perf_counter() - t0))
             continue
         wit = witness_7_6_5() if (n, d, q) == (7, 6, 5) else eswc_witness(n, d, q, 14)
-        assert wit is not None and is_equitable(wit) and min_distance(wit) >= d
+        assert is_equitable(wit) and min_distance(wit) >= d
         lo = wit.size
         if lo == cap:
             print("%-12s %-8d %-10s %.2fs"

@@ -40,10 +40,6 @@ def is_finite(p: Point) -> bool:
     return p[0] == 0
 
 
-def base_of(p: Point) -> tuple:
-    return p[1]
-
-
 def copy_of(p: Point) -> int:
     return p[2]
 
@@ -295,14 +291,14 @@ class FieldGF:
         return AbelianGroup((self.p,) * self.e)
 
 
-def gf_build(p: int, e: int, cap: int = GF_CAP) -> FieldGF:
+def gf_build(p: int, e: int) -> FieldGF:
     """Deterministic field: least monic irreducible modulus, least primitive omega."""
     if e < 1:
         raise DegreeZero("extension degree must be >= 1")
     if not is_prime(p):
         raise NotPrime("%d is not prime" % p)
-    if p ** e > cap:
-        raise CapExceeded("p^e = %d exceeds cap %d" % (p ** e, cap))
+    if p ** e > GF_CAP:
+        raise CapExceeded("p^e = %d exceeds cap %d" % (p ** e, GF_CAP))
     if e == 1:
         modulus = (1, 0)
     else:
@@ -326,9 +322,11 @@ def gf_build(p: int, e: int, cap: int = GF_CAP) -> FieldGF:
 
 
 def translate_point(p: Point, gamma: tuple, g: AbelianGroup) -> Point:
+    """Shift a finite point by gamma.  Neither is checked against g: every
+    starter verifier checks its points (`difference_list`) before any shift."""
     if p[0] == 1:
         return p
-    return (0, g.add(g.check(p[1]), g.check(gamma)), p[2])
+    return (0, g.add(p[1], gamma), p[2])
 
 
 def translate_block(b: Block, gamma: tuple, g: AbelianGroup) -> Block:
@@ -346,11 +344,9 @@ def difference_list(blocks, g: AbelianGroup, mode="plain") -> Counter:
     out = Counter()
     if mode == "plain":
         for b in blocks:
-            fin = [p for p in b if is_finite(p)]
-            for x in fin:
-                for y in fin:
-                    if x != y:
-                        out[g.sub(g.check(x[1]), g.check(y[1]))] += 1
+            fin = [g.check(p[1]) for p in b if is_finite(p)]
+            for x, y in itertools.permutations(fin, 2):
+                out[g.sub(x, y)] += 1
         return out
     kind = mode[0]
     if kind == "pure":

@@ -199,7 +199,7 @@ def gbtp_to_code(g: DesignGrid) -> Code:
     return Code(g.m, g.n, tuple(words), labels=tuple(g.rows))
 
 
-def code_to_gbtp(c: Code, k_set, lam: int, points=None, kind: str = "GBTP") -> DesignGrid:
+def code_to_gbtp(c: Code, k_set, lam: int, points=None) -> DesignGrid:
     """Reverse correspondence: cell (r, j) collects the points whose word has r at j."""
     if not is_equitable(c):
         raise NotEquitable("code is not of equitable symbol weight")
@@ -218,7 +218,7 @@ def code_to_gbtp(c: Code, k_set, lam: int, points=None, kind: str = "GBTP") -> D
             column[s].append(p)
     cells = {(rows[r], cols[j]): block(column[r])
              for j, column in enumerate(columns) for r in sorted(column)}
-    g = DesignGrid(kind, lam, tuple(sorted(set(k_set))), points, rows, cols, cells)
+    g = DesignGrid("GBTP", lam, tuple(sorted(set(k_set))), points, rows, cols, cells)
     rep = verify_gbtp(g, exact=False)
     if not rep.ok:
         raise NotVerified("reconstructed grid fails verify_gbtp:\n" + rep.describe())

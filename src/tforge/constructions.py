@@ -38,7 +38,6 @@ from .errors import (
     NotPrimePower,
     NotVerified,
     NoWitnessBlock,
-    PointMapInvalid,
     WMismatch,
 )
 from .search import search_gbtp
@@ -203,7 +202,7 @@ def _classify_filled(g: DesignGrid) -> str:
     return "GBTP"
 
 
-def fill_hole(outer: DesignGrid, inner: DesignGrid, point_map: dict | None = None) -> DesignGrid:
+def fill_hole(outer: DesignGrid, inner: DesignGrid) -> DesignGrid:
     """Paste a matching packing over the empty subarray of an incomplete one."""
     if outer.hole is None:
         raise HoleMismatch("outer grid has no hole")
@@ -215,10 +214,7 @@ def fill_hole(outer: DesignGrid, inner: DesignGrid, point_map: dict | None = Non
         raise HoleMismatch("inner has %d points, hole has %d" % (inner.v, len(w_pts)))
     if inner.lam != outer.lam or not set(inner.k_set) <= set(outer.k_set):
         raise HoleMismatch("inner parameters do not match the hole")
-    if point_map is None:
-        point_map = dict(zip(sorted(inner.points), sorted(w_pts)))
-    if sorted(point_map) != list(inner.points) or sorted(point_map.values()) != list(sorted(w_pts)):
-        raise PointMapInvalid("point map must biject inner points onto the hole")
+    point_map = dict(zip(sorted(inner.points), sorted(w_pts)))
     cells = dict(outer.cells)
     for (r, c), b in inner.cells.items():
         rc = (p_rows[inner.rows.index(r)], q_cols[inner.cols.index(c)])

@@ -110,10 +110,6 @@ class HoleMismatch(TforgeError):
     pass
 
 
-class PointMapInvalid(TforgeError):
-    pass
-
-
 class ColorMissing(TforgeError):
     pass
 

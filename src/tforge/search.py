@@ -35,19 +35,19 @@ DEFAULT_BUDGET = 20_000_000
 MAX_CLIQUE_VERTICES = 60_000
 
 
-def env_budget(default: int = DEFAULT_BUDGET) -> int:
-    try:
-        return int(os.environ["TFORGE_BUDGET"])
-    except (KeyError, ValueError):
-        return default
-
-
 class _Exhausted(Exception):
     pass
 
 
 class Budget:
-    def __init__(self, limit: int):
+    """A node count; None takes TFORGE_BUDGET, or DEFAULT_BUDGET without it."""
+
+    def __init__(self, limit: int | None = None):
+        if limit is None:
+            try:
+                limit = int(os.environ["TFORGE_BUDGET"])
+            except (KeyError, ValueError):
+                limit = DEFAULT_BUDGET
         if limit <= 0:
             raise BudgetZero("budget must be positive")
         self.limit = limit
@@ -141,7 +141,7 @@ def max_eswc(n: int, d: int, q: int, budget: int | None = None) -> EswcResult:
     """
     if n < 1 or d < 1 or q < 1:
         raise InconsistentParams("n, d, q must be positive")
-    bud = Budget(budget if budget is not None else env_budget())
+    bud = Budget(budget)
     cap = plotkin_cap(n, d, q)
     gen = equitable_words(n, q)
     w0 = next(gen)
@@ -214,7 +214,7 @@ def max_eswc(n: int, d: int, q: int, budget: int | None = None) -> EswcResult:
     return EswcResult(n, d, q, len(best), code, exact, bud.used)
 
 
-def arrange_resolution(classes, m: int, n: int, lam: int = 1,
+def arrange_resolution(classes, m: int, n: int,
                        budget: int | None = None) -> DesignGrid | None:
     """Arrange given parallel classes into an m x n array with equitable rows.
 
@@ -228,7 +228,7 @@ def arrange_resolution(classes, m: int, n: int, lam: int = 1,
     v = len(pts)
     lo, hi = n // m, -(-n // m)
     t_hi = n - m * lo if hi > lo else None
-    bud = Budget(budget if budget is not None else env_budget())
+    bud = Budget(budget)
     cnt = [[0] * m for _ in range(v)]
     hi_rows = [0] * v
     sol: list = []
@@ -299,7 +299,7 @@ def arrange_resolution(classes, m: int, n: int, lam: int = 1,
         for r, b in col:
             cells[(rows[r], cols[ci])] = block(b)
     k_set = tuple(sorted({len(b) for cls in classes for b in cls}))
-    return DesignGrid("GBTP", lam, k_set, tuple(pts), rows, cols, cells)
+    return DesignGrid("GBTP", 1, k_set, tuple(pts), rows, cols, cells)
 
 
 # Base parallel classes over (Z_3 x [4]) u {inf1, inf2}: developing each by
@@ -346,82 +346,16 @@ def witness_code_9_8_6() -> Code:
     return gbtp_to_code(grid)
 
 
-def eswc_witness(n: int, d: int, q: int, M: int, budget: int | None = None,
-                 seed: int = 0) -> Code | None:
-    """Heuristic lower-bound witness: an equitable code of size M or None.
-
-    The (9,8,6,14) instance is built from a structured array; anything else
-    falls back to a seeded min-conflicts search, so the outcome is
-    reproducible but not guaranteed.
-    """
-    if (n, d, q) == (9, 8, 6) and M <= 14:
-        code = witness_code_9_8_6()
-        if M == 14:
-            return code
-        return Code(q, n, tuple(sorted(code.words)[:M]))
-    import random
-
-    rng = random.Random(seed)
-    bud = Budget(budget if budget is not None else env_budget())
-    lo, hi = n // q, -(-n // q)
-    extra = n - q * lo
-
-    def random_word():
-        hot = rng.sample(range(q), extra)
-        pool = []
-        for s in range(q):
-            pool.extend([s] * (hi if s in hot else lo))
-        rng.shuffle(pool)
-        return tuple(pool)
-
-    def conflicts_of(state):
-        bad = Counter()
-        for i in range(M):
-            for j in range(i + 1, M):
-                if hamming(state[i], state[j]) < d:
-                    bad[i] += 1
-                    bad[j] += 1
-        return bad
-
-    state = [random_word() for _ in range(M)]
-    while len(set(state)) < M:
-        state = [random_word() for _ in range(M)]
-    bad = conflicts_of(state)
-    stall = 0
-    try:
-        while sum(bad.values()):
-            bud.tick()
-            worst = max(bad, key=lambda i: (bad[i], i))
-            old = state[worst]
-            best_w, best_cost = None, None
-            for _ in range(24):
-                w = random_word()
-                if w in state:
-                    continue
-                cost = sum(1 for j in range(M)
-                           if j != worst and hamming(w, state[j]) < d)
-                if best_cost is None or cost < best_cost:
-                    best_w, best_cost = w, cost
-            if best_w is None:
-                continue
-            cur_cost = bad[worst]
-            if best_cost <= cur_cost or rng.random() < 0.05:
-                state[worst] = best_w
-                bad = conflicts_of(state)
-                stall = 0 if best_cost < cur_cost else stall + 1
-            else:
-                stall += 1
-            if stall > 400:
-                jumble = rng.sample(range(M), max(2, M // 4))
-                for i in jumble:
-                    w = random_word()
-                    if w not in state:
-                        state[i] = w
-                bad = conflicts_of(state)
-                stall = 0
-    except _Exhausted:
-        return None
-    return Code(q, n, tuple(sorted(state)))
+def eswc_witness(n: int, d: int, q: int, M: int) -> Code:
+    """An equitable code of size M <= 14 for (n, d, q) = (9, 8, 6): the M
+    least words of the structured size-14 witness."""
+    if (n, d, q) != (9, 8, 6) or M > 14:
+        raise InconsistentParams("no witness construction for (%d,%d,%d) with M=%d"
+                                 % (n, d, q, M))
+    code = witness_code_9_8_6()
+    if M == 14:
+        return code
+    return Code(q, n, tuple(sorted(code.words)[:M]))
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +397,11 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
     rows) so one of its columns takes that form.  Exhaustion therefore proves
     nonexistence.  The hole variant is not supported.
     """
-    k_set = tuple(sorted(params["K"]))
-    v, m, n = params["v"], params["m"], params["n"]
+    try:
+        k_set = tuple(sorted(params["K"]))
+        v, m, n = params["v"], params["m"], params["n"]
+    except KeyError as exc:
+        raise InconsistentParams("missing search parameter %r" % exc.args[0]) from None
     lam = params.get("lambda", 1)
     star3 = bool(params.get("star3", False))
     if lam != 1:
@@ -473,7 +410,7 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
         raise InconsistentParams("hole search is not supported")
     if v > m * max(k_set) or m < 1 or n < 1:
         raise InconsistentParams("array cannot hold the point set")
-    bud = Budget(budget if budget is not None else env_budget())
+    bud = Budget(budget)
 
     kmin, kmax = min(k_set), max(k_set)
     exact = len(k_set) == 1 and v == k_set[0] * m and n * (k_set[0] - 1) == lam * (v - 1)
@@ -682,6 +619,36 @@ class _Ledger:
                 self.zeros += 1
 
 
+def _fitting(led: _Ledger, keyed):
+    """Each option of `keyed`, pairs (option, keys), whose keys the ledger can
+    count; the keys stay counted while the consumer runs."""
+    for option, keys in keyed:
+        taken = led.add(keys)
+        if taken is not None:
+            yield option
+            led.undo(taken)
+
+
+def _ascending(bud: Budget, led: _Ledger, options, count: int, keys, chosen: list):
+    """Yield once per increasing choice (in list order) of `count` options whose
+    keys, `keys(option)`, fit the ledger together; the choice sits at the end
+    of `chosen` while the consumer runs.  Each step of a choice ticks once."""
+    keyed = [(i, keys(o)) for i, o in enumerate(options)]
+    depth = len(chosen) + count
+
+    def rec(start):
+        bud.tick()
+        if len(chosen) == depth:
+            yield
+            return
+        for i in _fitting(led, keyed[start:]):
+            chosen.append(options[i])
+            yield from rec(i + 1)
+            chosen.pop()
+
+    yield from rec(0)
+
+
 def _class_diffs(pts, mod: int) -> dict:
     """Both differences of each pair of points (x, c) mod `mod`, keyed by the
     list they belong to: ("p", c) inside class c, ("m", (c, c')) across."""
@@ -751,31 +718,16 @@ def _gbtd_starters(m: int, special: bool, bud: Budget):
 
         yield from rec(0, set(range(m)))
 
-    def b_phase(prev):
-        bud.tick()
-        if len(b_blocks) == (m - 1) // 2:
-            if not pool.zeros:
-                yield from assign_phase()
-            return
-        for x in range(m):
-            for y in range(m):
-                for z in range(m):
-                    cand = ((x, 0), (y, 1), (z, 2))
-                    if prev is not None and cand <= prev:
-                        continue
-                    taken = pool.add(_triple_diffs(diffs, cand))
-                    if taken is None:
-                        continue
-                    b_blocks.append(cand)
-                    yield from b_phase(cand)
-                    b_blocks.pop()
-                    pool.undo(taken)
+    transversals = [((x, 0), (y, 1), (z, 2)) for x in range(m) for y in range(m) for z in range(m)]
 
     def cover_phase(uncovered):
         bud.tick()
         if not uncovered:
             if all(pool.count[k] for k in pure):
-                yield from b_phase(None)
+                for _ in _ascending(bud, pool, transversals, (m - 1) // 2,
+                                    lambda b: _triple_diffs(diffs, b), b_blocks):
+                    if not pool.zeros:
+                        yield from assign_phase()
             return
         p0 = uncovered[0]
         rest = uncovered[1:]
@@ -877,67 +829,8 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
     def row_items(b):
         return [(1, (p[0], (p[1] - j) % 2)) for p in b for j in (0, 1)]
 
-    def choose_a(idx, prev):
-        bud.tick()
-        if idx == n_a:
-            yield from choose_triple()
-            return
-        for a in range(m):
-            for bb in range(m):
-                cand = ((a, 0), (bb, 1))
-                if prev is not None and cand <= prev:
-                    continue
-                taken = led.add(_block_diffs(cand, mods) + row_items(cand))
-                if taken is None:
-                    continue
-                a_blocks.append(cand)
-                yield from choose_a(idx + 1, cand)
-                a_blocks.pop()
-                led.undo(taken)
-
-    def choose_triple():
-        # the index-0 block in row-anchored form; anchored at (0,*) wlog is
-        # unsound, so enumerate all triples
-        for triple in itertools.combinations(finite, 3):
-            taken = led.add(_block_diffs(triple, mods) + row_items(triple))
-            if taken is None:
-                continue
-            e_blocks.append((triple, False))
-            yield from choose_epairs(0, None)
-            e_blocks.pop()
-            led.undo(taken)
-
-    def choose_epairs(idx, prev):
-        bud.tick()
-        if idx == n_cpair:
-            yield from choose_singles(0, None)
-            return
-        for pair in itertools.combinations(finite, 2):
-            if prev is not None and pair <= prev:
-                continue
-            taken = led.add(_block_diffs(pair, mods) + row_items(pair))
-            if taken is None:
-                continue
-            e_blocks.append((pair, False))
-            yield from choose_epairs(idx + 1, pair)
-            e_blocks.pop()
-            led.undo(taken)
-
-    def choose_singles(singles, prev):
-        bud.tick()
-        if singles == w:
-            yield from assign_phase()
-            return
-        for p in finite:
-            if prev is not None and (p,) <= prev:
-                continue
-            taken = led.add(row_items((p,)))
-            if taken is None:
-                continue
-            e_blocks.append(((p,), True))
-            yield from choose_singles(singles + 1, (p,))
-            e_blocks.pop()
-            led.undo(taken)
+    def keys(b):
+        return _block_diffs(b, mods) + row_items(b)
 
     def assign_phase():
         # R must be exactly once-or-twice everywhere before indexing
@@ -1008,7 +901,19 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
             tuple(block(fpoint(p) for p in b) for b in b_pairs),
             tuple(cb))
 
-    yield from choose_a(0, None)
+    a_options = [((a, 0), (bb, 1)) for a in range(m) for bb in range(m)]
+    epairs = [(pair, False) for pair in itertools.combinations(finite, 2)]
+    singles = [((p,), True) for p in finite]
+    for _ in _ascending(bud, led, a_options, n_a, keys, a_blocks):
+        # the index-0 block in row-anchored form; anchored at (0,*) wlog is
+        # unsound, so every triple is tried
+        triples = ((t, keys(t)) for t in itertools.combinations(finite, 3))
+        for triple in _fitting(led, triples):
+            e_blocks.append((triple, False))
+            for _ in _ascending(bud, led, epairs, n_cpair, lambda e: keys(e[0]), e_blocks):
+                for _ in _ascending(bud, led, singles, w, lambda e: row_items(e[0]), e_blocks):
+                    yield from assign_phase()
+            e_blocks.pop()
 
 
 def _igbtp_z4_starters(m: int, bud: Budget):
@@ -1019,63 +924,22 @@ def _igbtp_z4_starters(m: int, bud: Budget):
     if n_pair < 0 or m % 2 == 0:
         return
     mods = (m, 4)
-    pool = _Ledger({(0, (dx, dj)): 1 for dx in range(1, m) for dj in range(4)})
+    # (0, d) each nonzero difference once, (1, p) each finite point in at
+    # most one of the B, C and D blocks
+    pool = _Ledger({(0, (dx, dj)): 1 for dx in range(1, m) for dj in range(4)}
+                   | {(1, p): 1 for p in finite})
+    # the points no B, C or D pair or triple takes, partnered with the nine
+    # infinite points
+    n_single = len(finite) - 2 * 4 - 3 - 2 * n_pair
     # the two row multisets R_o and R_b, each point at most twice per multiset
     row_caps = {(tag, p): 2 for tag in "ob" for p in finite}
     slots = [("C", i) for i in range(1, m)] + [("D", i) for i in range(m)]
 
-    def choose_a():
-        for a in range(m):
-            for bb in range(m):
-                cand = ((a, 0), (bb, 2))
-                taken = pool.add(_block_diffs(cand, mods))
-                if taken is None:
-                    continue
-                yield from choose_b(cand, 0, None, [])
-                pool.undo(taken)
+    def keys(b):
+        return _block_diffs(b, mods) + [(1, p) for p in b]
 
-    def choose_b(a_blk, idx, prev, b_blocks):
-        bud.tick()
-        if idx == 4:
-            yield from choose_triple(a_blk, b_blocks)
-            return
-        used = {p for b in b_blocks for p in b}
-        cands = [p for p in finite if p not in used]
-        for pair in itertools.combinations(cands, 2):
-            if prev is not None and pair <= prev:
-                continue
-            taken = pool.add(_block_diffs(pair, mods))
-            if taken is None:
-                continue
-            yield from choose_b(a_blk, idx + 1, pair, b_blocks + [pair])
-            pool.undo(taken)
-
-    def choose_triple(a_blk, b_blocks):
-        used = {p for b in b_blocks for p in b}
-        rest = [p for p in finite if p not in used]
-        for triple in itertools.combinations(rest, 3):
-            taken = pool.add(_block_diffs(triple, mods))
-            if taken is None:
-                continue
-            yield from choose_pairs(a_blk, b_blocks, triple,
-                                    [p for p in rest if p not in triple], [], None)
-            pool.undo(taken)
-
-    def choose_pairs(a_blk, b_blocks, triple, rest, cpairs, prev):
-        bud.tick()
-        if len(cpairs) == n_pair:
-            if not pool.zeros:
-                yield from assign_phase(a_blk, b_blocks, triple, cpairs, rest)
-            return
-        for pair in itertools.combinations(rest, 2):
-            if prev is not None and pair <= prev:
-                continue
-            taken = pool.add(_block_diffs(pair, mods))
-            if taken is None:
-                continue
-            yield from choose_pairs(a_blk, b_blocks, triple, [p for p in rest if p not in pair],
-                                    cpairs + [pair], pair)
-            pool.undo(taken)
+    def free_points():
+        return [p for p in finite if not pool.count[(1, p)]]
 
     @functools.cache
     def row_items(blk, i, flav):
@@ -1134,7 +998,20 @@ def _igbtp_z4_starters(m: int, bud: Budget):
                     continue
                 yield from rec(0, set(slots))
 
-    yield from choose_a()
+    a_options = [((a, 0), (bb, 2)) for a in range(m) for bb in range(m)]
+    pairs = list(itertools.combinations(finite, 2))
+    b_blocks: list = []
+    cpairs: list = []
+    for a_blk in _fitting(pool, ((a, _block_diffs(a, mods)) for a in a_options)):
+        for _ in _ascending(bud, pool, pairs, 4, keys, b_blocks):
+            triples = ((t, keys(t)) for t in itertools.combinations(free_points(), 3))
+            for triple in _fitting(pool, triples):
+                for _ in _ascending(bud, pool, list(itertools.combinations(free_points(), 2)),
+                                    n_pair, keys, cpairs):
+                    # the n_single points left free are the only zeros unless
+                    # some nonzero difference is still unused
+                    if pool.zeros == n_single:
+                        yield from assign_phase(a_blk, b_blocks, triple, cpairs, free_points())
 
 
 # Each starter kind's search, as a generator of candidate starters.
@@ -1150,10 +1027,13 @@ def search_starter(kind: str, params: dict, budget: int | None = None,
                    count: int = 1) -> StarterSearchResult:
     """Deterministic backtracking per starter family: the first `count`
     candidates that pass `verify_starter`, in the search's own order."""
-    bud = Budget(budget if budget is not None else env_budget())
+    bud = Budget(budget)
     if kind not in STARTER_SEARCHES:
         raise BadKind("unknown starter kind %r" % kind)
-    candidates = STARTER_SEARCHES[kind](params, bud)
+    try:
+        candidates = STARTER_SEARCHES[kind](params, bud)
+    except KeyError as exc:
+        raise InconsistentParams("missing search parameter %r" % exc.args[0]) from None
     found: list = []
     try:
         for st in itertools.islice((s for s in candidates if verify_starter(s).ok), count):

@@ -835,13 +835,3 @@ def dumps_starter(s) -> str:
 
 def loads_starter(text: str):
     return starter_from_obj(json.loads(text))
-
-
-def save_starter(s, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_starter(s))
-
-
-def load_starter(path):
-    with open(path, encoding="utf-8") as fh:
-        return loads_starter(fh.read())

@@ -189,3 +189,36 @@ def test_verify_malformed_starter_files_exit_2(tmp_path):
         assert res.returncode == 2, (name, res.stdout, res.stderr)
         assert "Traceback" not in res.stderr and res.stderr.startswith("error: ")
         assert entry in res.stderr, (name, res.stderr)
+
+
+def test_search_missing_parameters_exit_2(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"v": 9, "m": 4, "n": 5}))
+    cases = {"'m'": ("search", "starter", "--kind", "gbtd"),
+             "'t'": ("search", "starter", "--kind", "frgbtd"),
+             "'K'": ("search", "design", "--spec", str(spec))}
+    for key, args in cases.items():
+        res = run_cli(*args)
+        assert res.returncode == 2, (args, res.stdout, res.stderr)
+        assert "Traceback" not in res.stderr and res.stderr.startswith("error: ")
+        assert key in res.stderr, (args, res.stderr)
+
+
+def test_verify_starter_wrong_arity_exit_2(tmp_path):
+    from tforge.search import search_starter
+    from tforge.starters import build_fq_gbtd_starter, dumps_starter
+
+    gbtd = json.loads(dumps_starter(build_fq_gbtd_starter(7)))
+    assert gbtd["group"]["factors"] == [7]
+    gbtd["families"]["A"][1][0] = "1.2_0"
+    # a finite point alone with an infinite one has no difference to check
+    z4 = json.loads(dumps_starter(search_starter("igbtp_z4", {"m": 5}).starters[0]))
+    assert z4["families"]["D"][0][1] == "inf5"
+    z4["families"]["D"][0][0] = "2.1.0"
+    for name, obj, arity in (("gbtd", gbtd, "2 != 1"), ("z4", z4, "3 != 2")):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(obj))
+        res = run_cli("verify", str(path))
+        assert res.returncode == 2, (name, res.stdout, res.stderr)
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: element arity " + arity), (name, res.stderr)

@@ -145,6 +145,10 @@ def test_witness_9_8_6():
 def test_eswc_witness_dispatch():
     code = eswc_witness(9, 8, 6, 14)
     assert code is not None and code.size == 14
+    assert eswc_witness(9, 8, 6, 5).words == tuple(sorted(code.words)[:5])
+    for args in ((7, 6, 5, 14), (9, 8, 6, 15)):
+        with pytest.raises(InconsistentParams):
+            eswc_witness(*args)
 
 
 def test_arrange_resolution_fig2_deletion(fig2):
