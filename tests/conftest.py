@@ -42,3 +42,11 @@ def frgbtd_t5():
     from tforge.search import search_starter
 
     return search_starter("frgbtd", {"t": 5}, budget=5_000_000)
+
+
+@pytest.fixture(scope="session")
+def witness_9_8_6():
+    """The size-14 (9,8)_6 witness (a 244k-tick row arrangement), built once."""
+    from tforge.search import eswc_witness
+
+    return eswc_witness(9, 8, 6, 14)

@@ -7,6 +7,7 @@ from tforge.designs import dumps_grid, verify_auto, verify_coloring
 from tforge.errors import BadKind, BudgetZero, InconsistentParams
 from tforge.search import (
     Budget,
+    _z3_witness_classes,
     arrange_resolution,
     equitable_words,
     eswc_witness,
@@ -15,7 +16,6 @@ from tforge.search import (
     search_coloring,
     search_gbtp,
     search_starter,
-    witness_code_9_8_6,
 )
 from tforge.starters import develop_starter, dumps_starter
 
@@ -133,8 +133,8 @@ def test_search_coloring_one_color_impossible(fig2):
     assert res.colors is None
 
 
-def test_witness_9_8_6():
-    code = witness_code_9_8_6()
+def test_witness_9_8_6(witness_9_8_6):
+    code = witness_9_8_6
     assert code.size == 14
     assert is_equitable(code)
     assert min_distance(code) == 8
@@ -142,13 +142,22 @@ def test_witness_9_8_6():
         "e6ca9bcf762b1d5d3fe7590fc7d3b192b2a5b490a4321f805bb87c502f09cd68")
 
 
-def test_eswc_witness_dispatch():
-    code = eswc_witness(9, 8, 6, 14)
+def test_eswc_witness_dispatch(witness_9_8_6):
+    code = witness_9_8_6
     assert code is not None and code.size == 14
     assert eswc_witness(9, 8, 6, 5).words == tuple(sorted(code.words)[:5])
     for args in ((7, 6, 5, 14), (9, 8, 6, 15)):
         with pytest.raises(InconsistentParams):
             eswc_witness(*args)
+
+
+def test_arrange_resolution_witness_ticks():
+    # the witness arrangement takes exactly 244,166 ticks: one fewer runs out
+    assert arrange_resolution(_z3_witness_classes(), 6, 9, budget=244_165) is None
+    g = arrange_resolution(_z3_witness_classes(), 6, 9, budget=244_166)
+    assert g is not None
+    assert _sha(dumps_code(gbtp_to_code(g))) == (
+        "e6ca9bcf762b1d5d3fe7590fc7d3b192b2a5b490a4321f805bb87c502f09cd68")
 
 
 def test_arrange_resolution_fig2_deletion(fig2):
@@ -157,7 +166,7 @@ def test_arrange_resolution_fig2_deletion(fig2):
     inf = ipoint(0)
     classes = [[tuple(p for p in b if p != inf) for b in fig2.col_blocks(c)]
                for c in fig2.cols]
-    g = arrange_resolution(classes, 5, 7)
+    g = arrange_resolution(classes, 5, 7, budget=985_711)
     assert g is not None
     assert verify_auto(g).ok
     code = gbtp_to_code(g)
