@@ -114,10 +114,7 @@ def _adjacency(words, d):
     for i in range(len(words)):
         ok = (mat == mat[i]).sum(axis=1) <= thresh
         ok[i] = False
-        bits = 0
-        for j in np.nonzero(ok)[0]:
-            bits |= 1 << int(j)
-        adj.append(bits)
+        adj.append(int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little"))
     return adj
 
 
@@ -230,41 +227,50 @@ def arrange_resolution(classes, m: int, n: int,
     t_hi = n - m * lo if hi > lo else None
     bud = Budget(budget)
     cnt = [[0] * m for _ in range(v)]
+    # per point: rows at the cap hi, and how far its rows fall short of lo
     hi_rows = [0] * v
+    short = [m * lo] * v
     sol: list = []
+    # each column's blocks in placing order, and their points as indices
+    col_blocks = [sorted(cls, key=lambda b: (-len(b), b)) for cls in classes]
+    col_ids = [[[index[p] for p in b] for b in blocks] for blocks in col_blocks]
 
-    def rows_ok(b, r):
-        for p in b:
-            x = index[p]
+    def rows_ok(xs, r):
+        for x in xs:
             if cnt[x][r] >= hi:
                 return False
             if t_hi is not None and cnt[x][r] + 1 == hi and hi_rows[x] + 1 > t_hi:
                 return False
         return True
 
-    def put(b, r, d_):
-        for p in b:
-            x = index[p]
-            cnt[x][r] += d_
-            if d_ > 0 and cnt[x][r] == hi:
+    def put(xs, r):
+        for x in xs:
+            c = cnt[x][r]
+            cnt[x][r] = c + 1
+            if c < lo:
+                short[x] -= 1
+            if c + 1 == hi:
                 hi_rows[x] += 1
-            if d_ < 0 and cnt[x][r] == hi - 1:
+
+    def unput(xs, r):
+        for x in xs:
+            c = cnt[x][r] - 1
+            cnt[x][r] = c
+            if c < lo:
+                short[x] += 1
+            if c + 1 == hi:
                 hi_rows[x] -= 1
 
     def deficiency_ok(remaining):
-        for x in range(v):
-            if sum(max(lo - c, 0) for c in cnt[x]) > remaining:
-                return False
-            if t_hi is not None and t_hi - hi_rows[x] > remaining:
-                return False
-        return True
+        return (max(short, default=0) <= remaining
+                and (t_hi is None or t_hi - min(hi_rows, default=t_hi) <= remaining))
 
     def place_col(ci):
         bud.tick()
         if ci == n:
             yield sol
             return
-        blocks = sorted(classes[ci], key=lambda b: (-len(b), b))
+        blocks = col_blocks[ci]
         order: list = []
 
         def rec(bi, used):
@@ -275,15 +281,15 @@ def arrange_resolution(classes, m: int, n: int,
                     yield from place_col(ci + 1)
                     sol.pop()
                 return
-            b = blocks[bi]
+            xs = col_ids[ci][bi]
             for r in range(m):
-                if (used >> r) & 1 or not rows_ok(b, r):
+                if (used >> r) & 1 or not rows_ok(xs, r):
                     continue
-                put(b, r, +1)
+                put(xs, r)
                 order.append(r)
                 yield from rec(bi + 1, used | (1 << r))
                 order.pop()
-                put(b, r, -1)
+                unput(xs, r)
 
         yield from rec(0, 0)
 
@@ -587,53 +593,81 @@ class StarterSearchResult:
 
 
 class _Ledger:
-    """Counts per key, each held at or below its cap (a key with no cap has cap 0).
+    """Counts per key, each held at or below its cap of 1 or 2, kept as two
+    bitmask words: `one` has the bit of every key counted at least once,
+    `two` of every key counted twice.
 
-    `caps` maps keys to positive caps.  `add` counts a sequence of keys all or
-    nothing: it returns the token that `undo` takes back, or None when some
-    key would pass its cap.  `zeros` is the number of capped keys still at zero.
+    `option(keys)` compiles a key sequence once into (m1, m2), the bits of
+    the keys it names once and twice, or None when it can never fit (a key
+    with no cap, or one named more often than its cap).  `add(option)` counts
+    an option all or nothing: it returns the token that `undo` takes back,
+    or None when some key would pass its cap.  `zeros` is the number of
+    capped keys still at zero, `has(key)` whether a key is counted.
     """
 
     def __init__(self, caps: dict):
-        self.caps = caps
-        self.count = dict.fromkeys(caps, 0)
-        self.zeros = len(caps)
+        if any(c not in (1, 2) for c in caps.values()):
+            raise ValueError("ledger caps must be 1 or 2")
+        self.bit = {k: 1 << i for i, k in enumerate(caps)}
+        self.single = sum(1 << i for i, c in enumerate(caps.values()) if c == 1)
+        self.capped = (1 << len(caps)) - 1
+        self.one = self.two = 0
 
-    def add(self, keys):
-        count, caps = self.count, self.caps
-        for i, k in enumerate(keys):
-            c = count.get(k, 0)
-            if c >= caps.get(k, 0):
-                self.undo(keys[:i])
-                return None
-            count[k] = c + 1
-            if not c:
-                self.zeros -= 1
-        return keys
-
-    def undo(self, keys) -> None:
-        count = self.count
+    def option(self, keys):
+        bit, m1, m2 = self.bit, 0, 0
         for k in keys:
-            count[k] -= 1
-            if not count[k]:
-                self.zeros += 1
+            b = bit.get(k)
+            if b is None or b & m2 or b & m1 & self.single:
+                return None
+            if b & m1:
+                m1 ^= b
+                m2 |= b
+            else:
+                m1 |= b
+        return m1, m2
+
+    def add(self, option):
+        m1, m2 = option
+        one, two = self.one, self.two
+        if m1 & (two | (one & self.single)) or m2 & one:
+            return None
+        self.one = one | m1 | m2
+        self.two = two | (one & m1) | m2
+        return one, two
+
+    def undo(self, token) -> None:
+        self.one, self.two = token
+
+    @property
+    def zeros(self) -> int:
+        return (self.capped & ~self.one).bit_count()
+
+    def has(self, key) -> bool:
+        return bool(self.one & self.bit[key])
+
+
+def _keyed(led: _Ledger, options, keys) -> list:
+    """(option, compiled keys) for each option whose keys, `keys(option)`,
+    can ever fit the ledger, in the order given."""
+    return [(o, c) for o in options if (c := led.option(keys(o))) is not None]
 
 
 def _fitting(led: _Ledger, keyed):
-    """Each option of `keyed`, pairs (option, keys), whose keys the ledger can
-    count; the keys stay counted while the consumer runs."""
-    for option, keys in keyed:
-        taken = led.add(keys)
+    """Each option of `keyed`, pairs (option, compiled keys), that the ledger
+    can count; its keys stay counted while the consumer runs."""
+    for option, opt in keyed:
+        taken = led.add(opt)
         if taken is not None:
             yield option
             led.undo(taken)
 
 
-def _ascending(bud: Budget, led: _Ledger, options, count: int, keys, chosen: list):
-    """Yield once per increasing choice (in list order) of `count` options whose
-    keys, `keys(option)`, fit the ledger together; the choice sits at the end
-    of `chosen` while the consumer runs.  Each step of a choice ticks once."""
-    keyed = [(i, keys(o)) for i, o in enumerate(options)]
+def _ascending(bud: Budget, led: _Ledger, keyed: list, count: int, chosen: list):
+    """Yield once per increasing choice (in list order) of `count` options of
+    `keyed`, pairs (option, compiled keys), that fit the ledger together; the
+    choice sits at the end of `chosen` while the consumer runs.  Each step of
+    a choice ticks once."""
+    indexed = [((i, o), opt) for i, (o, opt) in enumerate(keyed)]
     depth = len(chosen) + count
 
     def rec(start):
@@ -641,8 +675,8 @@ def _ascending(bud: Budget, led: _Ledger, options, count: int, keys, chosen: lis
         if len(chosen) == depth:
             yield
             return
-        for i in _fitting(led, keyed[start:]):
-            chosen.append(options[i])
+        for i, option in _fitting(led, indexed[start:]):
+            chosen.append(option)
             yield from rec(i + 1)
             chosen.pop()
 
@@ -664,6 +698,22 @@ def _triple_diffs(table: dict, b) -> tuple:
     return table[(b[0], b[1])] + table[(b[0], b[2])] + table[(b[1], b[2])]
 
 
+def _anchored_triples(pts, led: _Ledger, table: dict) -> list:
+    """For each point index a, the triples (pts[a], pts[i], pts[j]) with
+    a < i < j in combination order, as (triple, bitmask of a, i and j, its
+    compiled differences); triples whose differences never fit are left out."""
+    out = []
+    for a in range(len(pts)):
+        anchored = []
+        for i, j in itertools.combinations(range(a + 1, len(pts)), 2):
+            b = (pts[a], pts[i], pts[j])
+            opt = led.option(_triple_diffs(table, b))
+            if opt is not None:
+                anchored.append((b, 1 << a | 1 << i | 1 << j, opt))
+        out.append(anchored)
+    return out
+
+
 def _gbtd_starters(m: int, special: bool, bud: Budget):
     """Cover Gamma x {0,1,2} by m triples plus transversal extras with exact
     difference lists, then choose translation indices satisfying the row rule."""
@@ -672,6 +722,7 @@ def _gbtd_starters(m: int, special: bool, bud: Budget):
     mixed = [(("m", pr), d) for pr in itertools.permutations(range(3), 2) for d in range(m)]
     pool = _Ledger(dict.fromkeys(pure + mixed, 1))
     diffs = _class_diffs(pts, m)
+    cover = _anchored_triples(pts, pool, diffs)
 
     a_blocks: list = []
     b_blocks: list = []
@@ -719,28 +770,29 @@ def _gbtd_starters(m: int, special: bool, bud: Budget):
         yield from rec(0, set(range(m)))
 
     transversals = [((x, 0), (y, 1), (z, 2)) for x in range(m) for y in range(m) for z in range(m)]
+    b_keyed = _keyed(pool, transversals, lambda b: _triple_diffs(diffs, b))
 
     def cover_phase(uncovered):
         bud.tick()
         if not uncovered:
-            if all(pool.count[k] for k in pure):
-                for _ in _ascending(bud, pool, transversals, (m - 1) // 2,
-                                    lambda b: _triple_diffs(diffs, b), b_blocks):
+            if all(pool.has(k) for k in pure):
+                for _ in _ascending(bud, pool, b_keyed, (m - 1) // 2, b_blocks):
                     if not pool.zeros:
                         yield from assign_phase()
             return
-        p0 = uncovered[0]
-        rest = uncovered[1:]
-        for pair in itertools.combinations(rest, 2):
-            taken = pool.add(_triple_diffs(diffs, (p0,) + pair))
+        covered = ~uncovered
+        for b, mask, opt in cover[(uncovered & -uncovered).bit_length() - 1]:
+            if mask & covered:
+                continue
+            taken = pool.add(opt)
             if taken is None:
                 continue
-            a_blocks.append((p0,) + pair)
-            yield from cover_phase(tuple(x for x in rest if x not in pair))
+            a_blocks.append(b)
+            yield from cover_phase(uncovered & ~mask)
             a_blocks.pop()
             pool.undo(taken)
 
-    yield from cover_phase(tuple(pts))
+    yield from cover_phase((1 << len(pts)) - 1)
 
 
 def _frgbtd_starters(t: int, bud: Budget):
@@ -757,9 +809,19 @@ def _frgbtd_starters(t: int, bud: Budget):
     # the row multiset R_j of each row class j: every nonzero residue mod t of
     # either copy at most twice, and in the end at least once
     slots = dict.fromkeys(((res, c) for res in range(1, t) for c in (0, 1)), 2)
-    rj = {0: _Ledger(slots), 1: _Ledger(slots)}
+    rj = (_Ledger(slots), _Ledger(slots))
     assign: dict = {}
     slot_order = sorted((i, j) for i in range(1, t) for j in (0, 1))
+    row0 = sum(1 << s for s, (_i, j) in enumerate(slot_order) if j == 0)
+
+    def placements(b):
+        # each slot (s, (i, j)) whose row multiset can ever take block b; the
+        # two row ledgers share one layout, so its residues compile once
+        return _keyed(rj[0], enumerate(slot_order),
+                      lambda slot: [((x - slot[1][0]) % t, c) for x, c in b])
+
+    cover = [[(b, mask, opt, placements(b)) for b, mask, opt in anchored]
+             for anchored in _anchored_triples(pts, pool, diffs)]
 
     def rec(uncovered, free):
         bud.tick()
@@ -768,32 +830,29 @@ def _frgbtd_starters(t: int, bud: Budget):
                 yield FrGbtdStarter(t, {key: block(fpoint(x, c) for x, c in bl)
                                         for key, bl in assign.items()})
             return
-        have = {0: 0, 1: 0}
-        for key in free:
-            have[key[1]] += 3
-        if rj[0].zeros > have[0] or rj[1].zeros > have[1]:
+        if (rj[0].zeros > 3 * (free & row0).bit_count()
+                or rj[1].zeros > 3 * (free & ~row0).bit_count()):
             return
-        p0 = uncovered[0]
-        rest = uncovered[1:]
-        for pair in itertools.combinations(rest, 2):
-            b = (p0,) + pair
-            taken = pool.add(_triple_diffs(diffs, b))
+        covered = ~uncovered
+        for b, mask, opt, places in cover[(uncovered & -uncovered).bit_length() - 1]:
+            if mask & covered:
+                continue
+            taken = pool.add(opt)
             if taken is None:
                 continue
-            for key in slot_order:
-                if key not in free:
+            for (s, key), ropt in places:
+                if not free >> s & 1:
                     continue
-                i, j = key
-                items = rj[j].add([((x - i) % t, c) for x, c in b])
+                items = rj[key[1]].add(ropt)
                 if items is None:
                     continue
                 assign[key] = b
-                yield from rec(tuple(x for x in rest if x not in pair), free - {key})
+                yield from rec(uncovered & ~mask, free & ~(1 << s))
                 del assign[key]
-                rj[j].undo(items)
+                rj[key[1]].undo(items)
             pool.undo(taken)
 
-    yield from rec(tuple(pts), frozenset(slot_order))
+    yield from rec((1 << len(pts)) - 1, (1 << len(slot_order)) - 1)
 
 
 def _block_diffs(b, mods) -> list:
@@ -819,9 +878,9 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
     bit = {p: 1 << (p[0] * 2 + p[1]) for p in finite}
     # one ledger: (0, d) each nonzero difference once, (1, p) the row
     # multiset R at most twice per point
-    led = _Ledger({(0, (dx, dj)): 1 for dx in range(1, m) for dj in (0, 1)}
-                  | {(1, p): 2 for p in finite})
-    led.add([(1, (0, 0)), (1, (0, 1))])
+    diff_keys = [(0, (dx, dj)) for dx in range(1, m) for dj in (0, 1)]
+    led = _Ledger(dict.fromkeys(diff_keys, 1) | {(1, p): 2 for p in finite})
+    led.add(led.option([(1, (0, 0)), (1, (0, 1))]))
 
     a_blocks: list = []
     e_blocks: list = []  # row-anchored C blocks: (points, has_inf)
@@ -834,7 +893,7 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
 
     def assign_phase():
         # R must be exactly once-or-twice everywhere before indexing
-        if not all(led.count[(1, p)] for p in finite):
+        if not all(led.has((1, p)) for p in finite):
             return
         blocks = list(e_blocks)
         masks = []
@@ -849,24 +908,29 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
         assign = {}
 
         def rec(bi, used_mask, free):
+            # free: a bit per translation index not yet taken, walked from
+            # the low bit up; the first block takes index 0
             bud.tick()
             if bi == len(blocks):
                 yield from finish(dict(assign), used_mask)
                 return
-            idxs = [0] if bi == 0 else sorted(free - {0})
-            for i in idxs:
+            rest = 1 if bi == 0 else free
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                i = low.bit_length() - 1
                 mk = masks[bi][i]
                 if used_mask & mk:
                     continue
                 assign[bi] = i
-                yield from rec(bi + 1, used_mask | mk, free - {i})
+                yield from rec(bi + 1, used_mask | mk, free & ~low)
                 del assign[bi]
 
         def finish(assignment, used_mask):
             leftover = [p for p in finite if not (used_mask >> (p[0] * 2 + p[1])) & 1]
             if len(leftover) != 2 * n_b:
                 return
-            rem = {d for (tag, d), c in led.count.items() if tag == 0 and not c}
+            rem = {d for tag, d in diff_keys if not led.has((tag, d))}
 
             def match(rest, picked):
                 if not rest:
@@ -884,7 +948,7 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
 
             yield from match(sorted(leftover), [])
 
-        yield from rec(0, 0, set(range(m)))
+        yield from rec(0, 0, (1 << m) - 1)
 
     def starter(assignment, b_pairs):
         inf_iter = itertools.count(1)
@@ -901,17 +965,18 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
             tuple(block(fpoint(p) for p in b) for b in b_pairs),
             tuple(cb))
 
-    a_options = [((a, 0), (bb, 1)) for a in range(m) for bb in range(m)]
-    epairs = [(pair, False) for pair in itertools.combinations(finite, 2)]
-    singles = [((p,), True) for p in finite]
-    for _ in _ascending(bud, led, a_options, n_a, keys, a_blocks):
-        # the index-0 block in row-anchored form; anchored at (0,*) wlog is
-        # unsound, so every triple is tried
-        triples = ((t, keys(t)) for t in itertools.combinations(finite, 3))
+    a_options = _keyed(led, [((a, 0), (bb, 1)) for a in range(m) for bb in range(m)], keys)
+    # the index-0 block in row-anchored form; anchored at (0,*) wlog is
+    # unsound, so every triple is tried
+    triples = _keyed(led, itertools.combinations(finite, 3), keys)
+    epairs = _keyed(led, [(pair, False) for pair in itertools.combinations(finite, 2)],
+                    lambda e: keys(e[0]))
+    singles = _keyed(led, [((p,), True) for p in finite], lambda e: row_items(e[0]))
+    for _ in _ascending(bud, led, a_options, n_a, a_blocks):
         for triple in _fitting(led, triples):
             e_blocks.append((triple, False))
-            for _ in _ascending(bud, led, epairs, n_cpair, lambda e: keys(e[0]), e_blocks):
-                for _ in _ascending(bud, led, singles, w, lambda e: row_items(e[0]), e_blocks):
+            for _ in _ascending(bud, led, epairs, n_cpair, e_blocks):
+                for _ in _ascending(bud, led, singles, w, e_blocks):
                     yield from assign_phase()
             e_blocks.pop()
 
@@ -932,40 +997,47 @@ def _igbtp_z4_starters(m: int, bud: Budget):
     # infinite points
     n_single = len(finite) - 2 * 4 - 3 - 2 * n_pair
     # the two row multisets R_o and R_b, each point at most twice per multiset
-    row_caps = {(tag, p): 2 for tag in "ob" for p in finite}
+    rows = _Ledger({(tag, p): 2 for tag in "ob" for p in finite})
     slots = [("C", i) for i in range(1, m)] + [("D", i) for i in range(m)]
 
     def keys(b):
         return _block_diffs(b, mods) + [(1, p) for p in b]
 
     def free_points():
-        return [p for p in finite if not pool.count[(1, p)]]
+        return [p for p in finite if not pool.has((1, p))]
 
-    @functools.cache
     def row_items(blk, i, flav):
         # translate j in {0, 2} lands in R_o for C blocks and in R_b for D
         # blocks, translate j in {1, 3} the other way round
         even, odd = ("o", "b") if flav == "C" else ("b", "o")
-        return tuple((even if j % 2 == 0 else odd, ((qx - i) % m, (qj - j) % 4))
-                     for (qx, qj) in blk for j in range(4))
+        return [(even if j % 2 == 0 else odd, ((qx - i) % m, (qj - j) % 4))
+                for (qx, qj) in blk for j in range(4)]
+
+    @functools.cache
+    def placements(blk):
+        # each slot (s, (flav, i)) whose row multisets can ever take blk
+        return _keyed(rows, enumerate(slots), lambda slot: row_items(blk, slot[1][1], slot[1][0]))
 
     def assign_phase(a_blk, b_blocks, triple, cpairs, singles):
         blocks = list(cpairs) + [(p,) for p in sorted(singles)]
         assign = {}
 
         def rec(bi, free):
+            # free: a bit per slot not yet taken
             bud.tick()
             if bi == len(blocks):
                 if not rows.zeros:
                     yield starter()
                 return
             blk = blocks[bi]
-            for slot in sorted(free):
-                taken = rows.add(row_items(blk, slot[1], slot[0]))
+            for (s, slot), opt in placements(blk):
+                if not free >> s & 1:
+                    continue
+                taken = rows.add(opt)
                 if taken is None:
                     continue
                 assign[slot] = blk
-                yield from rec(bi + 1, free - {slot})
+                yield from rec(bi + 1, free & ~(1 << s))
                 del assign[slot]
                 rows.undo(taken)
 
@@ -988,26 +1060,34 @@ def _igbtp_z4_starters(m: int, bud: Budget):
         for x in range(m):
             for y in range(m):
                 bud.tick()
-                rows = _Ledger(row_caps)
-                fixed = ([("o", p) for p in ((0, 0), (0, 1), (x, 0), (x, 2), (y, 0), (y, 3))]
-                         + [("b", p) for p in ((0, 2), (0, 3), (x, 1), (x, 3), (y, 1), (y, 2))]
-                         + [("o" if j % 2 == 0 else "b", (px, (pj + j) % 4))
-                            for j in range(4) for (px, pj) in a_blk]
-                         + list(row_items(triple, 0, "C")))
-                if rows.add(fixed) is None:
+                fixed = rows.option(
+                    [("o", p) for p in ((0, 0), (0, 1), (x, 0), (x, 2), (y, 0), (y, 3))]
+                    + [("b", p) for p in ((0, 2), (0, 3), (x, 1), (x, 3), (y, 1), (y, 2))]
+                    + [("o" if j % 2 == 0 else "b", (px, (pj + j) % 4))
+                       for j in range(4) for (px, pj) in a_blk]
+                    + row_items(triple, 0, "C"))
+                taken = None if fixed is None else rows.add(fixed)
+                if taken is None:
                     continue
-                yield from rec(0, set(slots))
+                yield from rec(0, (1 << len(slots)) - 1)
+                rows.undo(taken)
 
-    a_options = [((a, 0), (bb, 2)) for a in range(m) for bb in range(m)]
-    pairs = list(itertools.combinations(finite, 2))
+    a_options = _keyed(pool, [((a, 0), (bb, 2)) for a in range(m) for bb in range(m)],
+                       lambda a: _block_diffs(a, mods))
+    pairs = _keyed(pool, itertools.combinations(finite, 2), keys)
+    pair_keys = dict(pairs)
+    triple_keys = dict(_keyed(pool, itertools.combinations(finite, 3), keys))
+
+    def free_keyed(table, size):
+        return [(b, table[b]) for b in itertools.combinations(free_points(), size)
+                if b in table]
+
     b_blocks: list = []
     cpairs: list = []
-    for a_blk in _fitting(pool, ((a, _block_diffs(a, mods)) for a in a_options)):
-        for _ in _ascending(bud, pool, pairs, 4, keys, b_blocks):
-            triples = ((t, keys(t)) for t in itertools.combinations(free_points(), 3))
-            for triple in _fitting(pool, triples):
-                for _ in _ascending(bud, pool, list(itertools.combinations(free_points(), 2)),
-                                    n_pair, keys, cpairs):
+    for a_blk in _fitting(pool, a_options):
+        for _ in _ascending(bud, pool, pairs, 4, b_blocks):
+            for triple in _fitting(pool, free_keyed(triple_keys, 3)):
+                for _ in _ascending(bud, pool, free_keyed(pair_keys, 2), n_pair, cpairs):
                     # the n_single points left free are the only zeros unless
                     # some nonzero difference is still unused
                     if pool.zeros == n_single:
