@@ -262,8 +262,7 @@ def arrange_resolution(classes, m: int, n: int,
                 hi_rows[x] -= 1
 
     def deficiency_ok(remaining):
-        return (max(short, default=0) <= remaining
-                and (t_hi is None or t_hi - min(hi_rows, default=t_hi) <= remaining))
+        return max(short) <= remaining and (t_hi is None or t_hi - min(hi_rows) <= remaining)
 
     def place_col(ci):
         bud.tick()
@@ -818,7 +817,7 @@ def _frgbtd_starters(t: int, bud: Budget):
         # each slot (s, (i, j)) whose row multiset can ever take block b; the
         # two row ledgers share one layout, so its residues compile once
         return _keyed(rj[0], enumerate(slot_order),
-                      lambda slot: [((x - slot[1][0]) % t, c) for x, c in b])
+                      lambda e: [((x - e[1][0]) % t, c) for x, c in b])
 
     cover = [[(b, mask, opt, placements(b)) for b, mask, opt in anchored]
              for anchored in _anchored_triples(pts, pool, diffs)]
@@ -1006,7 +1005,7 @@ def _igbtp_z4_starters(m: int, bud: Budget):
     def free_points():
         return [p for p in finite if not pool.has((1, p))]
 
-    def row_items(blk, i, flav):
+    def row_items(blk, flav, i):
         # translate j in {0, 2} lands in R_o for C blocks and in R_b for D
         # blocks, translate j in {1, 3} the other way round
         even, odd = ("o", "b") if flav == "C" else ("b", "o")
@@ -1016,7 +1015,7 @@ def _igbtp_z4_starters(m: int, bud: Budget):
     @functools.cache
     def placements(blk):
         # each slot (s, (flav, i)) whose row multisets can ever take blk
-        return _keyed(rows, enumerate(slots), lambda slot: row_items(blk, slot[1][1], slot[1][0]))
+        return _keyed(rows, enumerate(slots), lambda e: row_items(blk, *e[1]))
 
     def assign_phase(a_blk, b_blocks, triple, cpairs, singles):
         blocks = list(cpairs) + [(p,) for p in sorted(singles)]
@@ -1065,7 +1064,7 @@ def _igbtp_z4_starters(m: int, bud: Budget):
                     + [("b", p) for p in ((0, 2), (0, 3), (x, 1), (x, 3), (y, 1), (y, 2))]
                     + [("o" if j % 2 == 0 else "b", (px, (pj + j) % 4))
                        for j in range(4) for (px, pj) in a_blk]
-                    + row_items(triple, 0, "C"))
+                    + row_items(triple, "C", 0))
                 taken = None if fixed is None else rows.add(fixed)
                 if taken is None:
                     continue
