@@ -1,0 +1,115 @@
+"""Interleaved A/B runs of perfbench/run.py on two checkouts of tforge.
+
+    python3 scripts/ab_bench.py --parent ../base --change . --workload fq-build \
+        --pairs 10 --seconds 28 --seed 7 --trace-pairs 3 --out BENCH_6.json
+
+Each pair runs the benchmark once in each checkout, one process at a time,
+alternating which side goes first.  Both checkouts run their own copy of
+perfbench/ and src/; the benchmark settings are the same on both sides.
+Untraced pairs (--trace 0) give the end-to-end metrics, traced pairs
+(--trace 1) the per-layer ones.  The output holds, per workload and metric,
+every run, each side's median and quartiles, and how many pairs the change
+won (ties count for neither side), with the direction that counts as better
+read from the change's BENCHMARK.json.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark process: its result line (the last line of stdout), with
+    the environment from its report line (the line before)."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    report, result = out.stdout.strip().splitlines()[-2:]
+    return dict(json.loads(result), env=json.loads(report)["env"])
+
+
+def quartiles(xs: list) -> tuple:
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(pairs: list, better: dict) -> dict:
+    """Per metric: both sides' runs, medians and quartiles, and the change's wins."""
+    out = {}
+    for name in sorted(pairs[0][0]["metrics"]):
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        sign = 1 if better.get(name, "lower") == "higher" else -1
+        wins = sum(1 for a, b in zip(parent, change) if sign * (b - a) > 0)
+        losses = sum(1 for a, b in zip(parent, change) if sign * (b - a) < 0)
+        pq, cq = quartiles(parent), quartiles(change)
+        out[name] = {
+            "unit": pairs[0][0]["metrics"][name]["unit"],
+            "better": better.get(name, "lower"),
+            "parent": {"median": pq[1], "q1": pq[0], "q3": pq[2], "runs": parent},
+            "change": {"median": cq[1], "q1": cq[0], "q3": cq[2], "runs": change},
+            "change_wins": wins,
+            "change_losses": losses,
+            "pairs": len(pairs),
+            # the gain rule: wins in at least nine tenths of the pairs, and
+            # medians further apart than the parent's interquartile range
+            "gain": wins >= 0.9 * len(pairs) and sign * (cq[1] - pq[1]) > pq[2] - pq[0],
+        }
+    return out
+
+
+def run_pairs(args, workload: str, count: int, trace: int) -> list:
+    pairs = []
+    for i in range(count):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        got = {}
+        for side in order:
+            t0 = time.monotonic()
+            got[side] = run_bench(getattr(args, side), workload, args.seed, args.seconds, trace)
+            print("%s trace=%d pair %d/%d %s: %.0f s, correct=%s" % (
+                workload, trace, i + 1, count, side, time.monotonic() - t0,
+                got[side]["correct"]), file=sys.stderr, flush=True)
+        pairs.append((got["parent"], got["change"]))
+    return pairs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--pairs", type=int, default=10, help="untraced pairs per workload")
+    ap.add_argument("--trace-pairs", type=int, default=0, help="traced pairs per workload")
+    ap.add_argument("--seconds", type=float, default=28)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    report = {"seed": args.seed, "seconds": args.seconds, "workloads": {}}
+    for workload in args.workload:
+        entry = report["workloads"][workload] = {}
+        for key, count, trace in (("end_to_end", args.pairs, 0),
+                                  ("per_layer", args.trace_pairs, 1)):
+            if count:
+                pairs = run_pairs(args, workload, count, trace)
+                report.setdefault("env", {"parent": pairs[0][0]["env"], "change": pairs[0][1]["env"]})
+                entry[key] = summarize(pairs, better)
+                entry.setdefault("correct", True)
+                entry["correct"] &= all(p["correct"] and c["correct"] for p, c in pairs)
+        # written after each workload, so a long run keeps what it finished
+        args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

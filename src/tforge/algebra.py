@@ -13,6 +13,7 @@ by ".", optional "_copy") and ``infINT`` for infinite points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from collections import Counter
@@ -66,6 +67,8 @@ def format_point(p: Point) -> str:
 
 
 def parse_point(s: str) -> Point:
+    if not isinstance(s, str):
+        raise ValueError("bad point label: %r" % (s,))
     m = _INF_RE.match(s)
     if m:
         return ipoint(int(m.group(1)))
@@ -115,6 +118,19 @@ class AbelianGroup:
     def elements(self) -> list:
         return [tuple(reversed(t)) for t in
                 itertools.product(*[range(m) for m in reversed(self.factors)])]
+
+    @functools.cached_property
+    def addition(self) -> tuple:
+        """(elements in sorted order, element -> position, table), built once:
+        table[x][y] is the position of the sum of the elements at x and y."""
+        elems = list(itertools.product(*map(range, self.factors)))
+        table = [[0]]
+        for m in self.factors:
+            # with a new least significant factor, (x, a) + (y, b) sits at
+            # position (x + y) * m + (a + b) % m
+            shifts = [[(a + b) % m for b in range(m)] for a in range(m)]
+            table = [[s * m + t for s in row for t in shift] for row in table for shift in shifts]
+        return elems, {e: x for x, e in enumerate(elems)}, table
 
 
 def cyclic(m: int) -> AbelianGroup:
@@ -239,12 +255,6 @@ class FieldGF:
             n //= self.p
         return tuple(reversed(digs))
 
-    def to_int(self, x: tuple) -> int:
-        n = 0
-        for d in x:
-            n = n * self.p + d
-        return n
-
     def elements(self) -> list:
         return [self.from_int(n) for n in range(self.q)]
 
@@ -274,9 +284,6 @@ class FieldGF:
         if x == self.zero():
             raise ZeroDivisionError("inverse of zero")
         return self.pow(x, self.q - 2)
-
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
 
     def mult_order(self, x) -> int:
         if x == self.zero():
@@ -321,17 +328,11 @@ def gf_build(p: int, e: int) -> FieldGF:
     return FieldGF(p, e, modulus, omega)
 
 
-def translate_point(p: Point, gamma: tuple, g: AbelianGroup) -> Point:
-    """Shift a finite point by gamma.  Neither is checked against g: every
-    starter verifier checks its points (`difference_list`) before any shift."""
-    if p[0] == 1:
-        return p
-    return (0, g.add(p[1], gamma), p[2])
-
-
 def translate_block(b: Block, gamma: tuple, g: AbelianGroup) -> Block:
-    """Shift finite points by gamma, fix infinite points."""
-    return block(translate_point(p, gamma, g) for p in b)
+    """Shift finite points by gamma, fix infinite points.  Neither is checked
+    against g: every starter verifier checks its points (`difference_list`)
+    before any shift."""
+    return block(p if p[0] == 1 else (0, g.add(p[1], gamma), p[2]) for p in b)
 
 
 def difference_list(blocks, g: AbelianGroup, mode="plain") -> Counter:

@@ -11,7 +11,8 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .designs import DesignGrid, Incidence, block, check_keys, verify_gbtp
+from .algebra import block
+from .designs import DesignGrid, Incidence, check_keys, json_value, verify_gbtp
 from .errors import (
     DistanceTooSmall,
     MalformedCode,
@@ -261,12 +262,26 @@ def code_to_obj(c: Code) -> dict:
 
 def code_from_obj(obj: dict) -> Code:
     check_keys(obj, ("q", "n", "words"), "code", MalformedCode)
+    if type(obj["q"]) is not int or type(obj["n"]) is not int:
+        raise MalformedCode("code q and n must be integers")
+    words = obj["words"]
+    if (type(words) is not list or not set(map(type, words)) <= {list}
+            or not set(map(type, itertools.chain.from_iterable(words))) <= {int}):
+        raise MalformedCode("code words must be lists of integers")
     return Code(obj["q"], obj["n"], tuple(tuple(w) for w in obj["words"]),
                 tuple(obj["labels"]) if obj.get("labels") else None)
 
 
 def dumps_code(c: Code) -> str:
-    return json.dumps(code_to_obj(c), sort_keys=True, indent=1) + "\n"
+    """Canonical file text: json.dumps(code_to_obj(c), sort_keys=True, indent=1)
+    plus a newline, with "words", the last key, emitted by template."""
+    head = {"q": c.q, "n": c.n}
+    if c.labels is not None:
+        head["labels"] = list(c.labels)
+    words = ["  [\n   %s\n  ]" % ",\n   ".join([json_value(s, 3) for s in w]) if w else "  []"
+             for w in sorted(c.words)]
+    text = "[\n%s\n ]" % ",\n".join(words) if words else "[]"
+    return '%s,\n "words": %s\n}\n' % (json.dumps(head, sort_keys=True, indent=1)[:-2], text)
 
 
 def loads_code(text: str) -> Code:

@@ -17,8 +17,9 @@ import itertools
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
-from .algebra import block, format_point, parse_point
+from .algebra import format_point, parse_point
 from .errors import (
     BadGroupSizes,
     BadParameters,
@@ -619,14 +620,8 @@ def _check_distinct(labels, what: str) -> None:
         raise MalformedGrid("%s lists %s twice" % (what, twice[0]))
 
 
-def grid_to_obj(g: DesignGrid) -> dict:
-    label = functools.cache(format_point)  # each point is in n cells
-    cells = []
-    for rc, b in g.sorted_cells():
-        entry = {"r": rc[0], "c": rc[1], "block": list(map(label, b))}
-        if g.colors is not None and rc in g.colors:
-            entry["color"] = g.colors[rc]
-        cells.append(entry)
+def _head_obj(g: DesignGrid, label) -> dict:
+    """Every key of g's file object but "cells"."""
     obj = {
         "kind": g.kind,
         "lambda": g.lam,
@@ -634,7 +629,6 @@ def grid_to_obj(g: DesignGrid) -> dict:
         "points": list(map(label, g.points)),
         "rows": list(g.rows),
         "cols": list(g.cols),
-        "cells": cells,
     }
     if g.hole is not None:
         w, p_rows, q_cols = g.hole
@@ -653,53 +647,120 @@ def grid_to_obj(g: DesignGrid) -> dict:
     return obj
 
 
+def grid_to_obj(g: DesignGrid) -> dict:
+    label = functools.cache(format_point)  # each point is in n cells
+    cells = []
+    for rc, b in g.sorted_cells():
+        entry = {"r": rc[0], "c": rc[1], "block": list(map(label, b))}
+        if g.colors is not None and rc in g.colors:
+            entry["color"] = g.colors[rc]
+        cells.append(entry)
+    return {**_head_obj(g, label), "cells": cells}
+
+
+def _list(value, what: str) -> list:
+    if type(value) is not list:
+        raise MalformedGrid("%s is not a list" % what)
+    return value
+
+
+def _labels(obj: dict, key: str) -> tuple:
+    """A list of distinct row or column labels."""
+    labels = _list(obj[key], key)
+    if any(isinstance(x, (list, dict)) for x in labels):  # a label must be hashable
+        raise MalformedGrid("%s holds a list or object" % key)
+    _check_distinct(labels, key)
+    return tuple(labels)
+
+
+def _section(obj: dict, key: str, keys) -> dict | None:
+    """An optional object entry of a grid file, checked for its keys."""
+    sec = obj.get(key)
+    if sec is not None:
+        check_keys(sec, keys, key, MalformedGrid)
+    return sec
+
+
 def grid_from_obj(obj: dict) -> DesignGrid:
     """Read a grid object; MalformedGrid names an entry the grid cannot hold.
 
-    Rejected: missing keys, a row, column or point listed twice, a cell listed
-    twice, and a cell whose row or column is not listed.  Points in a cell but
-    not in the point list are left to the verifiers (condition points-known).
+    Rejected: missing keys, a value of the wrong JSON type, a bad point label,
+    a row, column or point listed twice, a cell listed twice, a cell whose row
+    or column is not listed, a block holding a point twice, and a color that
+    is not an integer.  Points in a cell but not in the point list are left to
+    the verifiers (condition points-known).
     """
     check_keys(obj, ("kind", "lambda", "k_set", "points", "rows", "cols", "cells"), "grid",
                MalformedGrid)
-    rows, cols = tuple(obj["rows"]), tuple(obj["cols"])
-    _check_distinct(rows, "rows")
-    _check_distinct(cols, "cols")
+    if type(obj["kind"]) is not str:
+        raise MalformedGrid("kind is not a string")
+    k_set = _list(obj["k_set"], "k_set")
+    if any(type(k) is not int for k in k_set):
+        raise MalformedGrid("k_set is not a list of integers")
+    if type(obj["lambda"]) is not int:
+        raise MalformedGrid("lambda is not an integer")
+    rows, cols = _labels(obj, "rows"), _labels(obj, "cols")
     parse = functools.cache(parse_point)
-    points = tuple(map(parse, obj["points"]))
+
+    def sorted_points(labels, what: str) -> tuple:
+        try:
+            return tuple(sorted(map(parse, _list(labels, what))))
+        except (TypeError, ValueError) as exc:  # an unhashable or bad label
+            raise MalformedGrid("%s: %s" % (what, exc)) from None
+
+    try:
+        points = tuple(map(parse, _list(obj["points"], "points")))
+    except (TypeError, ValueError) as exc:
+        raise MalformedGrid("points: %s" % exc) from None
     _check_distinct(map(format_point, points), "points")
     row_set, col_set = set(rows), set(cols)
     cells = {}
     colors = {}
-    for i, entry in enumerate(obj["cells"]):
-        check_keys(entry, ("r", "c", "block"), "cell entry %d" % i, MalformedGrid)
-        rc = (entry["r"], entry["c"])
-        if rc[0] not in row_set:
-            raise MalformedGrid("cell entry %d: row %s is not in rows" % (i, rc[0]))
-        if rc[1] not in col_set:
-            raise MalformedGrid("cell entry %d: column %s is not in cols" % (i, rc[1]))
-        if rc in cells:
-            raise MalformedGrid("cell entry %d: cell (%s,%s) is listed twice" % (i, rc[0], rc[1]))
-        cells[rc] = block(map(parse, entry["block"]))
+    for i, entry in enumerate(_list(obj["cells"], "cells")):
+        if type(entry) is not dict or "r" not in entry or "c" not in entry or "block" not in entry:
+            check_keys(entry, ("r", "c", "block"), "cell entry %d" % i, MalformedGrid)
+        rc = r, c = entry["r"], entry["c"]
+        if type(entry["block"]) is not list:
+            raise MalformedGrid("cell entry %d: block is not a list" % i)
+        try:
+            if r not in row_set:
+                raise MalformedGrid("cell entry %d: row %s is not in rows" % (i, r))
+            if c not in col_set:
+                raise MalformedGrid("cell entry %d: column %s is not in cols" % (i, c))
+            if rc in cells:
+                raise MalformedGrid("cell entry %d: cell (%s,%s) is listed twice" % (i, r, c))
+            b = cells[rc] = tuple(sorted(map(parse, entry["block"])))
+        except (TypeError, ValueError) as exc:  # an unhashable or bad label
+            raise MalformedGrid("cell entry %d: %s" % (i, exc)) from None
+        if len(set(b)) != len(b):
+            raise MalformedGrid("cell entry %d: block holds a point twice" % i)
         if "color" in entry:
+            if type(entry["color"]) is not int:
+                raise MalformedGrid("cell entry %d: color %s is not an integer"
+                                    % (i, json.dumps(entry["color"])))
             colors[rc] = entry["color"]
-    hole = None
-    if "hole" in obj and obj["hole"] is not None:
-        h = obj["hole"]
-        hole = (tuple(sorted(map(parse, h["w"]))),
-                tuple(h["p_rows"]), tuple(h["q_cols"]))
-    groups = None
-    if "groups" in obj and obj["groups"] is not None:
-        groups = tuple(tuple(sorted(map(parse, grp))) for grp in obj["groups"])
-    rgi = tuple(tuple(x) for x in obj["row_group_index"]) if obj.get("row_group_index") else None
-    cgi = tuple(tuple(x) for x in obj["col_group_index"]) if obj.get("col_group_index") else None
-    special = None
-    if "special" in obj and obj["special"] is not None:
-        special = (obj["special"]["r"], obj["special"]["c"])
+    hole = _section(obj, "hole", ("w", "p_rows", "q_cols"))
+    if hole is not None:
+        hole = (sorted_points(hole["w"], "hole w"),
+                tuple(_list(hole["p_rows"], "hole p_rows")),
+                tuple(_list(hole["q_cols"], "hole q_cols")))
+    groups = obj.get("groups")
+    if groups is not None:
+        groups = tuple(sorted_points(grp, "group %d" % gi)
+                       for gi, grp in enumerate(_list(groups, "groups")))
+    index = {}
+    for key in ("row_group_index", "col_group_index"):
+        if obj.get(key):
+            index[key] = tuple(tuple(_list(x, key + " entry")) for x in _list(obj[key], key))
+    special = _section(obj, "special", ("r", "c"))
+    if special is not None:
+        special = (special["r"], special["c"])
+        if any(isinstance(x, (list, dict)) for x in special):
+            raise MalformedGrid("special holds a list or object")
     return DesignGrid(
         kind=obj["kind"],
         lam=obj["lambda"],
-        k_set=tuple(obj["k_set"]),
+        k_set=tuple(k_set),
         points=points,
         rows=rows,
         cols=cols,
@@ -707,15 +768,45 @@ def grid_from_obj(obj: dict) -> DesignGrid:
         colors=colors or None,
         hole=hole,
         groups=groups,
-        row_group_index=rgi,
-        col_group_index=cgi,
+        row_group_index=index.get("row_group_index"),
+        col_group_index=index.get("col_group_index"),
         special=special,
         star=bool(obj.get("star", False)),
     )
 
 
+def json_value(x, level: int) -> str:
+    """x exactly as json.dumps(..., sort_keys=True, indent=1) prints it at
+    nesting depth `level`: strings through the C string encoder, the rest
+    through json.dumps with every line break indented to that depth."""
+    if type(x) is str:
+        return encode_basestring_ascii(x)
+    if type(x) is int:
+        return int.__repr__(x)
+    return json.dumps(x, sort_keys=True, indent=1).replace("\n", "\n" + " " * level)
+
+
+def _cells_json(g: DesignGrid) -> str:
+    """The "cells" array of g's canonical file, one fixed template per cell
+    (keys block, c, color, r), every label encoded once."""
+    label = functools.cache(lambda p: encode_basestring_ascii(format_point(p)))
+    row = {r: json_value(r, 3) for r in g.rows}
+    col = {c: json_value(c, 3) for c in g.cols}
+    colors = g.colors or {}
+    out = []
+    for rc, b in g.sorted_cells():
+        points = '[\n    %s\n   ]' % ',\n    '.join(map(label, b)) if b else '[]'
+        color = '\n   "color": %s,' % json_value(colors[rc], 3) if rc in colors else ''
+        out.append('  {\n   "block": %s,\n   "c": %s,%s\n   "r": %s\n  }'
+                   % (points, col[rc[1]], color, row[rc[0]]))
+    return '[\n%s\n ]' % ',\n'.join(out) if out else '[]'
+
+
 def dumps_grid(g: DesignGrid) -> str:
-    return json.dumps(grid_to_obj(g), sort_keys=True, indent=1) + "\n"
+    """Canonical file text: json.dumps(grid_to_obj(g), sort_keys=True, indent=1)
+    plus a newline, with "cells", the first key, emitted by template."""
+    head = json.dumps(_head_obj(g, functools.cache(format_point)), sort_keys=True, indent=1)
+    return '{\n "cells": %s,%s\n' % (_cells_json(g), head[1:])
 
 
 def loads_grid(text: str) -> DesignGrid:

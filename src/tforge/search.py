@@ -227,9 +227,7 @@ def arrange_resolution(classes, m: int, n: int,
     t_hi = n - m * lo if hi > lo else None
     bud = Budget(budget)
     cnt = [[0] * m for _ in range(v)]
-    # per point: rows at the cap hi, and how far its rows fall short of lo
-    hi_rows = [0] * v
-    short = [m * lo] * v
+    hi_rows = [0] * v  # per point: rows at the cap hi
     sol: list = []
     # each column's blocks in placing order, and their points as indices
     col_blocks = [sorted(cls, key=lambda b: (-len(b), b)) for cls in classes]
@@ -245,24 +243,15 @@ def arrange_resolution(classes, m: int, n: int,
 
     def put(xs, r):
         for x in xs:
-            c = cnt[x][r]
-            cnt[x][r] = c + 1
-            if c < lo:
-                short[x] -= 1
-            if c + 1 == hi:
+            c = cnt[x][r] = cnt[x][r] + 1
+            if c == hi:
                 hi_rows[x] += 1
 
     def unput(xs, r):
         for x in xs:
-            c = cnt[x][r] - 1
-            cnt[x][r] = c
-            if c < lo:
-                short[x] += 1
-            if c + 1 == hi:
+            if cnt[x][r] == hi:
                 hi_rows[x] -= 1
-
-    def deficiency_ok(remaining):
-        return max(short) <= remaining and (t_hi is None or t_hi - min(hi_rows) <= remaining)
+            cnt[x][r] -= 1
 
     def place_col(ci):
         bud.tick()
@@ -275,10 +264,12 @@ def arrange_resolution(classes, m: int, n: int,
         def rec(bi, used):
             bud.tick()
             if bi == len(blocks):
-                if deficiency_ok(n - ci - 1):
-                    sol.append(list(zip(order, blocks)))
-                    yield from place_col(ci + 1)
-                    sol.pop()
+                # no row-deficiency test: every column partitions the points,
+                # so with at most t_hi rows at the cap (rows_ok) a point always
+                # has enough columns left to reach lo in every row
+                sol.append(list(zip(order, blocks)))
+                yield from place_col(ci + 1)
+                sol.pop()
                 return
             xs = col_ids[ci][bi]
             for r in range(m):
@@ -460,6 +451,9 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
         covered[0] -= len(b) * (len(b) - 1) // 2
 
     def feasible(remaining: int) -> bool:
+        # row equity needs no test here: every column partitions the points
+        # and row_ok holds each point to t_hi capped rows, which leaves
+        # enough columns for every row to reach lo
         # degree growth: each later column adds at least kmin-1 and at most
         # kmax-1 new partners to every point, and lambda=1 caps degrees at v-1
         if covered[0] + remaining * min_col_pairs > total_pairs:
@@ -468,13 +462,9 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
         # total end deficiency sum_x (v-1-deg_end(x)) is bounded by slack
         slack = 2 * (total_pairs - covered[0] - remaining * min_col_pairs)
         for x in range(v):
-            if sum(max(lo - c, 0) for c in cnt[x]) > remaining:
-                return False
             if deg[x] + remaining * (kmin - 1) > v - 1:
                 return False
             if (v - 1) - (deg[x] + remaining * (kmax - 1)) > slack:
-                return False
-            if t_hi is not None and t_hi - hi_rows[x] > remaining:
                 return False
         return True
 
@@ -873,13 +863,21 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
     if n_cpair < 0 or m % 2 == 0:
         return
     mods = (m, 2)
-    finite = [(x, j) for x in range(m) for j in (0, 1)]
+    finite = [(x, j) for x in range(m) for j in (0, 1)]  # point p has bit 2x + j
     bit = {p: 1 << (p[0] * 2 + p[1]) for p in finite}
+    full = (1 << len(finite)) - 1
     # one ledger: (0, d) each nonzero difference once, (1, p) the row
     # multiset R at most twice per point
     diff_keys = [(0, (dx, dj)) for dx in range(1, m) for dj in (0, 1)]
     led = _Ledger(dict.fromkeys(diff_keys, 1) | {(1, p): 2 for p in finite})
     led.add(led.option([(1, (0, 0)), (1, (0, 1))]))
+    all_diffs = sum(led.bit[k] for k in diff_keys)
+    # the ledger bits of both differences p - q and q - p of a leftover pair,
+    # 0 when the pair can never be a B block (the same first coordinate)
+    pair_diffs = [[0 if p[0] == q[0] else
+                   led.bit[(0, ((p[0] - q[0]) % m, (p[1] - q[1]) % 2))]
+                   | led.bit[(0, ((q[0] - p[0]) % m, (q[1] - p[1]) % 2))]
+                   for q in finite] for p in finite]
 
     a_blocks: list = []
     e_blocks: list = []  # row-anchored C blocks: (points, has_inf)
@@ -926,26 +924,32 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
                 del assign[bi]
 
         def finish(assignment, used_mask):
-            leftover = [p for p in finite if not (used_mask >> (p[0] * 2 + p[1])) & 1]
-            if len(leftover) != 2 * n_b:
+            leftover = full & ~used_mask
+            if leftover.bit_count() != 2 * n_b:
                 return
-            rem = {d for tag, d in diff_keys if not led.has((tag, d))}
+            picked = []
 
-            def match(rest, picked):
+            def match(rest, unused):
+                # pair the least leftover point with each later one, in
+                # point order, on two differences both still unused
                 if not rest:
                     yield starter(assignment, picked)
                     return
-                p0 = rest[0]
-                for q in rest[1:]:
-                    d1 = ((p0[0] - q[0]) % m, (p0[1] - q[1]) % 2)
-                    d2 = ((q[0] - p0[0]) % m, (q[1] - p0[1]) % 2)
-                    if d1 not in rem or d2 not in rem or d1 == d2:
-                        continue
-                    rem.difference_update((d1, d2))
-                    yield from match([x for x in rest[1:] if x != q], picked + [(p0, q)])
-                    rem.update((d1, d2))
+                low = rest & -rest
+                a = low.bit_length() - 1
+                rest ^= low
+                others = rest
+                while others:
+                    high = others & -others
+                    others ^= high
+                    b = high.bit_length() - 1
+                    need = pair_diffs[a][b]
+                    if need and unused & need == need:
+                        picked.append((finite[a], finite[b]))
+                        yield from match(rest ^ high, unused ^ need)
+                        picked.pop()
 
-            yield from match(sorted(leftover), [])
+            yield from match(leftover, all_diffs & ~led.one)
 
         yield from rec(0, 0, (1 << m) - 1)
 

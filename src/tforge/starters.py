@@ -38,6 +38,37 @@ def _elem_label(elem) -> str:
     return ".".join(str(x) for x in elem)
 
 
+class _Translates:
+    """Every translate of a block over one group, by element position.
+
+    Positions follow the sorted element order of `g.addition`; `labels`
+    holds each element's label, formatted once.  A finite point (0, e, c)
+    moves to (0, e + beta, c) and an infinite point stays.
+    """
+
+    def __init__(self, g: AbelianGroup):
+        self.group = g
+        self.elems, self.index, self.table = g.addition
+        self.labels = [_elem_label(e) for e in self.elems]
+        self._copies = {}  # copy index -> the finite points of that copy, by position
+
+    def points(self, copy: int) -> list:
+        pts = self._copies.get(copy)
+        if pts is None:
+            pts = self._copies[copy] = [(0, e, copy) for e in self.elems]
+        return pts
+
+    def position(self, e) -> int:
+        x = self.index.get(e)
+        return self.index[self.group.check(e)] if x is None else x
+
+    def __call__(self, b) -> list:
+        """b + beta for every element beta, in element order."""
+        moved = [map(self.points(p[2]).__getitem__, self.table[self.position(p[1])])
+                 if p[0] == 0 else itertools.repeat(p, len(self.elems)) for p in b]
+        return list(map(tuple, map(sorted, zip(*moved))))
+
+
 # ---------------------------------------------------------------------------
 # triple-system starter: blocks A_alpha (alpha in Gamma) and B_t over Gamma x {0,1,2}
 
@@ -160,30 +191,24 @@ def develop_gbtd(s: GbtdStarter) -> DesignGrid:
     rep = verify_gbtd_starter(s)
     if not rep.ok:
         raise StarterInvalid("starter fails verification:\n" + rep.describe())
-    g = s.group
-    elems = sorted(g.elements())
-    rows = tuple(_elem_label(e) for e in elems)
+    tr = _Translates(s.group)
+    rows = tuple(tr.labels)
     t_count = len(s.blocks_b)
     cols = rows + tuple("t%d" % t for t in range(1, t_count + 1))
     cells = {}
     colors = {} if s.colors_a is not None else None
     for alpha, b in s.blocks_a.items():
-        for beta in elems:
-            rc = (_elem_label(g.add(alpha, beta)), _elem_label(beta))
-            cells[rc] = translate_block(b, beta, g)
-            if colors is not None:
-                colors[rc] = s.colors_a[alpha]
+        rcs = list(zip(map(rows.__getitem__, tr.table[tr.index[alpha]]), rows))
+        cells.update(zip(rcs, tr(b)))
+        if colors is not None:
+            colors.update(dict.fromkeys(rcs, s.colors_a[alpha]))
     for t, b in enumerate(s.blocks_b, start=1):
-        for alpha in elems:
-            rc = (_elem_label(alpha), "t%d" % t)
-            cells[rc] = translate_block(b, alpha, g)
-            if colors is not None:
-                colors[rc] = s.colors_b[t - 1]
-    points = tuple(fpoint(e, c) for e in elems for c in range(3))
-    special = None
-    if s.special:
-        z = _elem_label(g.zero())
-        special = (z, z)
+        rcs = list(zip(rows, itertools.repeat("t%d" % t)))
+        cells.update(zip(rcs, tr(b)))
+        if colors is not None:
+            colors.update(dict.fromkeys(rcs, s.colors_b[t - 1]))
+    points = tuple(fpoint(e, c) for e in tr.elems for c in range(3))
+    special = (rows[0], rows[0]) if s.special else None
     return DesignGrid("GBTD", 1, (3,), points, rows, cols, cells,
                       colors, special=special)
 
@@ -337,28 +362,27 @@ def develop_igbtp_z2(s: IgbtpStarterZ2) -> DesignGrid:
     rep = verify_igbtp_z2_starter(s)
     if not rep.ok:
         raise StarterInvalid("starter fails verification:\n" + rep.describe())
-    g = s.group
+    tr = _Translates(s.group)  # element (i, j) at position 2i + j
     m, w = s.m, s.w
     hole_rows = tuple("p%d" % i for i in range(1, (w - 1) // 2 + 1))
-    rows = hole_rows + tuple(str(i) for i in range(m))
+    body = tuple(str(i) for i in range(m))
+    rows = hole_rows + body
     hole_cols = tuple("q%d" % j for j in range(1, w - 4 + 1))
-    gcols = [(j, l) for j in range(m) for l in (0, 1)]
-    cols = hole_cols + tuple(_elem_label(e) for e in gcols)
+    cols = hole_cols + tuple(tr.labels)
     cells = {}
+    a_moved = [tr(b) for b in s.blocks_a]
     for i in range(m):
-        cells[(str(i), "q1")] = block([fpoint((i, 0)), fpoint((i, 1))])
-        for a, b in enumerate(s.blocks_a, start=1):
+        cells[(body[i], "q1")] = block([fpoint((i, 0)), fpoint((i, 1))])
+        for a, moved in enumerate(a_moved, start=1):
             for j in (0, 1):
-                cells[(str(i), "q%d" % (2 * a + j))] = translate_block(b, (i, j), g)
+                cells[(body[i], "q%d" % (2 * a + j))] = moved[2 * i + j]
     for bi, b in enumerate(s.blocks_b, start=1):
-        for e in gcols:
-            cells[("p%d" % bi, _elem_label(e))] = translate_block(b, e, g)
-    for e in gcols:
-        j, l = e
+        cells.update(zip(zip(itertools.repeat("p%d" % bi), tr.labels), tr(b)))
+    c_moved = [tr(b) for b in s.blocks_c]
+    for x, (j, _l) in enumerate(tr.elems):
         for rr in range(m):
-            cells[(str(rr), _elem_label(e))] = translate_block(
-                s.blocks_c[(rr - j) % m], e, g)
-    points = tuple(fpoint(e) for e in g.elements()) + tuple(ipoint(i) for i in range(1, w + 1))
+            cells[(body[rr], tr.labels[x])] = c_moved[(rr - j) % m][x]
+    points = tuple(fpoint(e) for e in tr.elems) + tuple(ipoint(i) for i in range(1, w + 1))
     hole = (tuple(sorted(ipoint(i) for i in range(1, w + 1))), hole_rows, hole_cols)
     return DesignGrid("IGBTP", 1, (2, 3), points, rows, cols, cells,
                       hole=hole, star=True)
@@ -473,16 +497,16 @@ def develop_igbtp_z4(s: IgbtpStarterZ4) -> DesignGrid:
     rep = verify_igbtp_z4_starter(s)
     if not rep.ok:
         raise StarterInvalid("starter fails verification:\n" + rep.describe())
-    g = s.group
+    tr = _Translates(s.group)  # element (i, l) at position 4i + l
     m, x, y = s.m, s.x, s.y
     hole_rows = tuple("p%d" % i for i in range(1, 5))
     o_rows = tuple("%d:0" % i for i in range(m))
     b_rows = tuple("%d:1" % i for i in range(m))
     rows = hole_rows + o_rows + b_rows
     hole_cols = tuple("q%d" % j for j in range(1, 6))
-    gcols = [(j, l) for j in range(m) for l in range(4)]
-    cols = hole_cols + tuple(_elem_label(e) for e in gcols)
+    cols = hole_cols + tuple(tr.labels)
     cells = {}
+    a_moved = tr(s.block_a)
     for i in range(m):
         cells[(o_rows[i], "q1")] = block([fpoint((i, 0)), fpoint((i, 1))])
         cells[(b_rows[i], "q1")] = block([fpoint((i, 2)), fpoint((i, 3))])
@@ -490,21 +514,20 @@ def develop_igbtp_z4(s: IgbtpStarterZ4) -> DesignGrid:
         cells[(b_rows[i], "q2")] = block([fpoint(((x + i) % m, 1)), fpoint(((x + i) % m, 3))])
         cells[(o_rows[i], "q3")] = block([fpoint(((y + i) % m, 0)), fpoint(((y + i) % m, 3))])
         cells[(b_rows[i], "q3")] = block([fpoint(((y + i) % m, 1)), fpoint(((y + i) % m, 2))])
-        cells[(o_rows[i], "q4")] = translate_block(s.block_a, (i, 0), g)
-        cells[(b_rows[i], "q4")] = translate_block(s.block_a, (i, 1), g)
-        cells[(o_rows[i], "q5")] = translate_block(s.block_a, (i, 2), g)
-        cells[(b_rows[i], "q5")] = translate_block(s.block_a, (i, 3), g)
+        cells[(o_rows[i], "q4")] = a_moved[4 * i]
+        cells[(b_rows[i], "q4")] = a_moved[4 * i + 1]
+        cells[(o_rows[i], "q5")] = a_moved[4 * i + 2]
+        cells[(b_rows[i], "q5")] = a_moved[4 * i + 3]
     for bi, b in enumerate(s.blocks_b, start=1):
-        for e in gcols:
-            cells[("p%d" % bi, _elem_label(e))] = translate_block(b, e, g)
-    for e in gcols:
-        j, l = e
-        first = s.blocks_c if l in (0, 2) else s.blocks_d
-        second = s.blocks_d if l in (0, 2) else s.blocks_c
+        cells.update(zip(zip(itertools.repeat("p%d" % bi), tr.labels), tr(b)))
+    c_moved = [tr(b) for b in s.blocks_c]
+    d_moved = [tr(b) for b in s.blocks_d]
+    for e, (j, l) in enumerate(tr.elems):
+        first, second = (c_moved, d_moved) if l in (0, 2) else (d_moved, c_moved)
         for rr in range(m):
-            cells[(o_rows[rr], _elem_label(e))] = translate_block(first[(rr - j) % m], e, g)
-            cells[(b_rows[rr], _elem_label(e))] = translate_block(second[(rr - j) % m], e, g)
-    points = tuple(fpoint(e) for e in g.elements()) + tuple(ipoint(i) for i in range(1, 10))
+            cells[(o_rows[rr], tr.labels[e])] = first[(rr - j) % m][e]
+            cells[(b_rows[rr], tr.labels[e])] = second[(rr - j) % m][e]
+    points = tuple(fpoint(e) for e in tr.elems) + tuple(ipoint(i) for i in range(1, 10))
     hole = (tuple(sorted(ipoint(i) for i in range(1, 10))), hole_rows, hole_cols)
     return DesignGrid("IGBTP", 1, (2, 3), points, rows, cols, cells,
                       hole=hole, star=True)
@@ -579,14 +602,14 @@ def develop_frgbtd(s: FrGbtdStarter) -> DesignGrid:
     if not rep.ok:
         raise StarterInvalid("starter fails verification:\n" + rep.describe())
     t = s.t
-    g = s.group
+    tr = _Translates(s.group)
     rows = tuple("%d:%d" % (i, j) for i in range(t) for j in (0, 1))
-    cols = tuple(str(k) for k in range(3 * t))
+    cols = tuple(tr.labels)
     cells = {}
     for (i, j), b in sorted(s.blocks.items()):
-        for k in range(3 * t):
-            cells[("%d:%d" % ((i + k) % t, j), str(k))] = translate_block(b, (k,), g)
-    points = tuple(fpoint(e, c) for e in g.elements() for c in range(2))
+        rcs = [(rows[2 * ((i + k) % t) + j], cols[k]) for k in range(3 * t)]
+        cells.update(zip(rcs, tr(b)))
+    points = tuple(fpoint(e, c) for e in tr.elems for c in range(2))
     groups = []
     rgi = []
     cgi = []
@@ -621,16 +644,14 @@ def frgbtd_6_8_base_blocks() -> list:
 
 def build_frgbtd_6_8() -> DesignGrid:
     """16 x 24 frame of type 6^8 over Z_48; block i+j sits at (i+j mod 16, j mod 24)."""
-    g = cyclic(48)
+    tr = _Translates(cyclic(48))
     rows = tuple(str(r) for r in range(16))
     cols = tuple(str(c) for c in range(24))
     cells = {}
     for i, base in sorted(FRGBTD_6_8_BLOCKS.items()):
-        b = block(fpoint(x) for x in base)
-        for j in range(48):
-            rc = (str((i + j) % 16), str(j % 24))
-            assert rc not in cells
-            cells[rc] = translate_block(b, (j,), g)
+        rcs = [(rows[(i + j) % 16], cols[j % 24]) for j in range(48)]
+        cells.update(zip(rcs, tr(block(fpoint(x) for x in base))))
+    assert len(cells) == 48 * len(FRGBTD_6_8_BLOCKS)  # no cell taken twice
     points = tuple(fpoint(x) for x in range(48))
     groups = []
     rgi = []
@@ -680,7 +701,7 @@ IGBTP_33_C = {
 
 def build_igbtp_33() -> DesignGrid:
     """16 x 29 incomplete packing with a 4 x 5 hole on the nine infinite points."""
-    g = AbelianGroup((3, 8))
+    tr = _Translates(AbelianGroup((3, 8)))  # element (c, l) at position 8c + l
     hole_rows = tuple("p%d" % i for i in range(1, 5))
     body_rows = tuple("b%d.%d" % (rb, rs) for rb in range(4) for rs in range(3))
     rows = hole_rows + body_rows
@@ -692,22 +713,22 @@ def build_igbtp_33() -> DesignGrid:
         for rs in range(3):
             row = "b%d.%d" % (rb, rs)
             for j in range(1, 6):
-                b = block(fpoint(p) for p in IGBTP_33_A[5 * rb + j - 1])
-                cells[(row, "q%d" % j)] = translate_block(b, (rs, 0), g)
+                moved = tr(block(fpoint(p) for p in IGBTP_33_A[5 * rb + j - 1]))
+                cells[(row, "q%d" % j)] = moved[8 * rs]
     for bi, base in enumerate(IGBTP_33_B, start=1):
-        b = block(fpoint(p) for p in base)
-        for e in gcols:
-            cells[("p%d" % bi, _elem_label(e))] = translate_block(b, e, g)
+        moved = tr(block(fpoint(p) for p in base))
+        for c, l in gcols:
+            cells[("p%d" % bi, tr.labels[8 * c + l])] = moved[8 * c + l]
     inf_index = itertools.count(1)
     for (i, sdx), pts in sorted(IGBTP_33_C.items()):
         members = [fpoint(p) for p in pts]
         if len(members) == 1:
             members.append(ipoint(next(inf_index)))
-        b = block(members)
+        moved = tr(block(members))
         for (c, l) in gcols:
             row = "b%d.%d" % ((i - 1 + l) % 4, (sdx + c) % 3)
-            cells[(row, _elem_label((c, l)))] = translate_block(b, (c, l), g)
-    points = tuple(fpoint(e) for e in g.elements()) + tuple(ipoint(i) for i in range(1, 10))
+            cells[(row, tr.labels[8 * c + l])] = moved[8 * c + l]
+    points = tuple(fpoint(e) for e in tr.elems) + tuple(ipoint(i) for i in range(1, 10))
     hole = (tuple(sorted(ipoint(i) for i in range(1, 10))), hole_rows, hole_cols)
     return DesignGrid("IGBTP", 1, (2, 3), points, rows, cols, cells,
                       hole=hole, star=True)

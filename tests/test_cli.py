@@ -173,6 +173,30 @@ def test_verify_malformed_files_exit_2(tmp_path, fig3):
     assert "no-such-row" in run_cli("verify", str(tmp_path / "unknown.json")).stderr
 
 
+def test_verify_wrongly_typed_entries_exit_2(tmp_path, fig3):
+    from tforge.designs import dumps_grid
+
+    obj = json.loads(dumps_grid(fig3))
+    first, rest = obj["cells"][0], obj["cells"][1:]
+    cases = {"special": (dict(obj, special={"r": "1"}), "special has no 'c'"),
+             "special-list": (dict(obj, special={"r": ["1"], "c": "5"}), "special holds a list"),
+             "kind": (dict(obj, kind=5), "kind is not a string"),
+             "k_set": (dict(obj, k_set=3), "k_set is not a list"),
+             "block": (dict(obj, cells=[dict(first, block="0_0")] + rest),
+                       "cell entry 0: block is not a list"),
+             "color": (dict(obj, cells=[dict(first, color=[1])] + rest),
+                       "cell entry 0: color [1] is not an integer"),
+             "code-symbol": ({"q": 3, "n": 1, "words": [["a"]]}, "code words must be lists"),
+             "code-q": ({"q": "3", "n": 1, "words": [[0]]}, "code q and n must be integers")}
+    for name, (bad, entry) in cases.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(bad))
+        res = run_cli("verify", str(path))
+        assert res.returncode == 2, (name, res.stdout, res.stderr)
+        assert "Traceback" not in res.stderr and res.stderr.startswith("error: ")
+        assert entry in res.stderr, (name, res.stderr)
+
+
 def test_verify_malformed_starter_files_exit_2(tmp_path):
     from tforge.search import search_starter
     from tforge.starters import dumps_starter

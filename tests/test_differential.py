@@ -1,7 +1,10 @@
-"""The incidence verifiers against the dict-based oracle, report for report.
+"""The program against its test oracles.
 
 Every base array and every mutant must give a byte-identical ``describe()``
 (or raise the same error) under tforge.designs and tests/oracle_verify.py.
+The template emitters must print the bytes of json.dumps, and the indexed
+develops the cells and colors of the translate_block develops, of
+tests/oracle_develop.py.
 """
 
 import dataclasses
@@ -13,13 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_develop
 import oracle_verify as oracle
 from tforge import designs
-from tforge.algebra import block, fpoint
+from tforge.algebra import block, fpoint, ipoint
+from tforge.codes import Code, dumps_code, gbtp_to_code
 from tforge.constructions import build_td, drtd_from_td, load_recipe, run_recipe
 from tforge.errors import TforgeError
 from tforge.search import search_starter
-from tforge.starters import build_fq_gbtd_starter, build_frgbtd_6_8, develop_starter, develop_gbtd
+from tforge.starters import (
+    build_fq_gbtd_starter,
+    build_frgbtd_6_8,
+    build_igbtp_33,
+    develop_gbtd,
+    develop_starter,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = ("fig1.json", "fig2_rbibd_15.json", "fig3_gbtd_3_9.json",
@@ -130,3 +141,107 @@ def test_pair_twice_in_a_column_agrees_with_oracle():
 @given(kind=st.sampled_from(MUTATIONS), seed=st.integers(0, 2 ** 32 - 1))
 def test_mutants_agree_with_oracle(name, kind, seed):
     assert_same(mutate(base(name), kind, random.Random(seed)))
+
+
+# ---------------------------------------------------------------------------
+# template emitters against json.dumps, indexed develops against translate_block
+
+FQ = (7, 13, 19, 25, 31, 37, 43, 49, 61, 67, 73, 79, 97, 103, 109, 121, 127)
+GRID_FIELDS = ("kind", "lam", "k_set", "points", "rows", "cols", "cells", "colors", "hole",
+               "groups", "row_group_index", "col_group_index", "special", "star")
+
+
+def assert_same_files(g):
+    assert designs.dumps_grid(g) == oracle_develop.dumps_grid(g)
+    if g.hole is None and g.groups is None and designs.verify_gbtp(g).ok:
+        code = gbtp_to_code(g)
+        assert dumps_code(code) == oracle_develop.dumps_code(code)
+
+
+def assert_same_grid(new, old):
+    for name in GRID_FIELDS:
+        assert getattr(new, name) == getattr(old, name), name
+    assert list(new.cells) == list(old.cells)  # the same cell order too
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_bases_dump_as_json_dumps(name):
+    assert_same_files(base(name))
+
+
+def test_frgbtd_starter_dumps_as_json_dumps(frgbtd_t5):
+    assert_same_files(develop_starter(frgbtd_t5.starters[0]))
+
+
+@pytest.mark.parametrize("q", FQ)
+def test_fq_develop_agrees_with_oracle(q):
+    s = build_fq_gbtd_starter(q)
+    assert_same_grid(develop_gbtd(s), oracle_develop.develop_gbtd(s))
+
+
+@pytest.mark.parametrize("kind,params", STARTERS, ids=[k for k, _ in STARTERS])
+def test_found_starters_develop_as_oracle(kind, params):
+    for s in search_starter(kind, params, budget=2_000_000, count=2).starters:
+        assert_same_grid(develop_starter(s), oracle_develop.develop_starter(s))
+
+
+def test_frgbtd_starter_develops_as_oracle(frgbtd_t5):
+    s = frgbtd_t5.starters[0]
+    assert_same_grid(develop_starter(s), oracle_develop.develop_starter(s))
+
+
+def test_explicit_builds_agree_with_oracle():
+    assert_same_grid(build_frgbtd_6_8(), oracle_develop.build_frgbtd_6_8())
+    assert_same_grid(build_igbtp_33(), oracle_develop.build_igbtp_33())
+
+
+# labels of every JSON scalar type; unique=True keeps 1, 1.0 and True apart
+LABELS = st.one_of(st.text(max_size=4), st.integers(-300, 300), st.booleans(), st.none(),
+                   st.floats(allow_nan=False, allow_infinity=False))
+POINTS = st.one_of(st.builds(fpoint, st.tuples(st.integers(0, 12)), st.integers(-1, 2)),
+                   st.builds(fpoint, st.tuples(st.integers(0, 3), st.integers(0, 3))),
+                   st.builds(ipoint, st.integers(0, 9)))
+
+
+@st.composite
+def grids(draw):
+    rows = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    cols = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    points = draw(st.lists(POINTS, max_size=8, unique=True))
+    cells = {}
+    for rc in draw(st.lists(st.sampled_from([(r, c) for r in rows for c in cols]),
+                            unique=True)):
+        cells[rc] = block(draw(st.lists(st.sampled_from(points), unique=True))
+                          if points else [])
+    colors = {rc: draw(st.integers(-2, 10 ** 20)) for rc in cells if draw(st.booleans())}
+    some_points = st.lists(st.sampled_from(points), unique=True) if points else st.just([])
+    hole = draw(st.none() | st.tuples(some_points.map(lambda w: tuple(sorted(w))),
+                                      st.lists(st.sampled_from(rows)).map(tuple),
+                                      st.lists(st.sampled_from(cols)).map(tuple)))
+    groups = draw(st.none() | st.lists(some_points.map(lambda grp: tuple(sorted(grp))),
+                                       max_size=3).map(tuple))
+    index = st.none() | st.lists(st.lists(LABELS, max_size=3).map(tuple),
+                                 min_size=1, max_size=3).map(tuple)
+    special = draw(st.none() | st.sampled_from(sorted(cells, key=repr) or [(rows[0], cols[0])]))
+    return designs.DesignGrid(
+        draw(st.text(max_size=6)), draw(st.integers(0, 3)),
+        draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)), points, rows, cols, cells,
+        colors or None, hole, groups, draw(index), draw(index), special, draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids())
+def test_generated_grids_dump_as_json_dumps_and_load_back(g):
+    text = designs.dumps_grid(g)
+    assert text == oracle_develop.dumps_grid(g)
+    assert designs.loads_grid(text) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 4), st.data())
+def test_generated_codes_dump_as_json_dumps(q, n, data):
+    words = data.draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), min_size=1,
+                               max_size=6, unique=True))
+    labels = data.draw(st.none() | st.lists(LABELS, min_size=q, max_size=q).map(tuple))
+    code = Code(q, n, words, labels)
+    assert dumps_code(code) == oracle_develop.dumps_code(code)
