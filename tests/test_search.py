@@ -193,6 +193,11 @@ _GBTP_PINS = [
     ({"K": [3], "v": 15, "m": 5, "n": 7}, 2_000, 2001, False, None),
     ({"K": [2, 3], "v": 9, "m": 4, "n": 5, "star3": True}, 3_000_000, 21464, True,
      "68975f7c2afcf89446542320e982d5a2234bd6f059a3fd2f0cb5f4739bfc4f0f"),
+    ({"K": [2, 4], "v": 8, "m": 4, "n": 6}, 5_000_000, 1208, True,
+     "2ebcdf14b4d2a5141b94840a47eddfdef6d8623a8cf10e6a4ceb30e07027c4ea"),
+    # at this budget every rule of the column search's `feasible` fires:
+    # coverage, slack and the degree cap, and the empty-row return too
+    ({"K": [2, 3], "v": 9, "m": 4, "n": 6}, 50_000, 50001, False, None),
 ]
 
 
@@ -207,7 +212,7 @@ def test_starter_search_pinned(kind, params, budget, count, nodes, exhausted, di
 
 @pytest.mark.parametrize(
     "params,budget,nodes,exhausted,digest", _GBTP_PINS,
-    ids=["gbtp-9", "gbtp-15", "gbtp-9-star"])
+    ids=["gbtp-9", "gbtp-15", "gbtp-9-star", "gbtp-8-k24", "gbtp-9-4x6"])
 def test_search_gbtp_pinned(params, budget, nodes, exhausted, digest):
     res = search_gbtp(params, budget=budget)
     assert (res.nodes, res.exhausted) == (nodes, exhausted)
