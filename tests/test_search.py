@@ -198,6 +198,8 @@ _GBTP_PINS = [
     # at this budget every rule of the column search's `feasible` fires:
     # coverage, slack and the degree cap, and the empty-row return too
     ({"K": [2, 3], "v": 9, "m": 4, "n": 6}, 50_000, 50001, False, None),
+    # exhausted in fewer nodes with the coverage rule than without it (20,903)
+    ({"K": [2, 3, 4], "v": 8, "m": 3, "n": 4}, 5_000_000, 20398, True, None),
 ]
 
 
@@ -212,7 +214,7 @@ def test_starter_search_pinned(kind, params, budget, count, nodes, exhausted, di
 
 @pytest.mark.parametrize(
     "params,budget,nodes,exhausted,digest", _GBTP_PINS,
-    ids=["gbtp-9", "gbtp-15", "gbtp-9-star", "gbtp-8-k24", "gbtp-9-4x6"])
+    ids=["gbtp-9", "gbtp-15", "gbtp-9-star", "gbtp-8-k24", "gbtp-9-4x6", "gbtp-8-k234"])
 def test_search_gbtp_pinned(params, budget, nodes, exhausted, digest):
     res = search_gbtp(params, budget=budget)
     assert (res.nodes, res.exhausted) == (nodes, exhausted)
