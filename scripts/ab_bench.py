@@ -1,7 +1,7 @@
 """Interleaved A/B runs of perfbench/run.py on two checkouts of tforge.
 
     python3 scripts/ab_bench.py --parent ../base --change . --workload fq-build \
-        --pairs 10 --seconds 28 --seed 7 --trace-pairs 3 --out BENCH_6.json
+        --pairs 10 --seconds 28 --seed 7 --trace-pairs 3 --out BENCH_7.json
 
 Each pair runs the benchmark once in each checkout, one process at a time,
 alternating which side goes first.  Both checkouts run their own copy of
@@ -10,7 +10,9 @@ Untraced pairs (--trace 0) give the end-to-end metrics, traced pairs
 (--trace 1) the per-layer ones.  The output holds, per workload and metric,
 every run, each side's median and quartiles, and how many pairs the change
 won (ties count for neither side), with the direction that counts as better
-read from the change's BENCHMARK.json.
+read from the change's BENCHMARK.json.  Each op's mean time from the report
+line (`op_seconds`, untraced pairs only) is summarized the same way under
+`op_seconds`, lower being better.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ from pathlib import Path
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark process: its result line (the last line of stdout), with
-    the environment from its report line (the line before)."""
+    the environment and op times from its report line (the line before)."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
-    report, result = out.stdout.strip().splitlines()[-2:]
-    return dict(json.loads(result), env=json.loads(report)["env"])
+    report, result = (json.loads(line) for line in out.stdout.strip().splitlines()[-2:])
+    return dict(result, env=report["env"], op_seconds=report["op_seconds"])
 
 
 def quartiles(xs: list) -> tuple:
@@ -48,23 +50,35 @@ def summarize(pairs: list, better: dict) -> dict:
     for name in sorted(pairs[0][0]["metrics"]):
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
-        sign = 1 if better.get(name, "lower") == "higher" else -1
-        wins = sum(1 for a, b in zip(parent, change) if sign * (b - a) > 0)
-        losses = sum(1 for a, b in zip(parent, change) if sign * (b - a) < 0)
-        pq, cq = quartiles(parent), quartiles(change)
-        out[name] = {
-            "unit": pairs[0][0]["metrics"][name]["unit"],
-            "better": better.get(name, "lower"),
-            "parent": {"median": pq[1], "q1": pq[0], "q3": pq[2], "runs": parent},
-            "change": {"median": cq[1], "q1": cq[0], "q3": cq[2], "runs": change},
-            "change_wins": wins,
-            "change_losses": losses,
-            "pairs": len(pairs),
-            # the gain rule: wins in at least nine tenths of the pairs, and
-            # medians further apart than the parent's interquartile range
-            "gain": wins >= 0.9 * len(pairs) and sign * (cq[1] - pq[1]) > pq[2] - pq[0],
-        }
+        out[name] = dict(compare(parent, change, better.get(name, "lower")),
+                         unit=pairs[0][0]["metrics"][name]["unit"])
     return out
+
+
+def summarize_ops(pairs: list) -> dict:
+    """Per op: the same summary of its mean time in seconds."""
+    return {op: compare([p["op_seconds"][op] for p, _ in pairs],
+                        [c["op_seconds"][op] for _, c in pairs], "lower")
+            for op in sorted(pairs[0][0]["op_seconds"])}
+
+
+def compare(parent: list, change: list, better: str) -> dict:
+    """Both sides' runs, medians and quartiles, and the change's wins and losses."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(1 for a, b in zip(parent, change) if sign * (b - a) > 0)
+    losses = sum(1 for a, b in zip(parent, change) if sign * (b - a) < 0)
+    pq, cq = quartiles(parent), quartiles(change)
+    return {
+        "better": better,
+        "parent": {"median": pq[1], "q1": pq[0], "q3": pq[2], "runs": parent},
+        "change": {"median": cq[1], "q1": cq[0], "q3": cq[2], "runs": change},
+        "change_wins": wins,
+        "change_losses": losses,
+        "pairs": len(parent),
+        # the gain rule: wins in at least nine tenths of the pairs, and
+        # medians further apart than the parent's interquartile range
+        "gain": wins >= 0.9 * len(parent) and sign * (cq[1] - pq[1]) > pq[2] - pq[0],
+    }
 
 
 def run_pairs(args, workload: str, count: int, trace: int) -> list:
@@ -104,6 +118,8 @@ def main(argv=None) -> int:
                 pairs = run_pairs(args, workload, count, trace)
                 report.setdefault("env", {"parent": pairs[0][0]["env"], "change": pairs[0][1]["env"]})
                 entry[key] = summarize(pairs, better)
+                if not trace:
+                    entry["op_seconds"] = summarize_ops(pairs)
                 entry.setdefault("correct", True)
                 entry["correct"] &= all(p["correct"] and c["correct"] for p, c in pairs)
         # written after each workload, so a long run keeps what it finished

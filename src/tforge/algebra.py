@@ -362,10 +362,16 @@ def difference_list(blocks, g: AbelianGroup, mode="plain") -> Counter:
         fin = [p for p in b if is_finite(p)]
         if any(copy_of(p) < 0 for p in fin):
             raise MissingCopyIndex("pure/mixed differences need copy-indexed points")
-        xs = [p for p in fin if copy_of(p) == i]
-        ys = [p for p in fin if copy_of(p) == j]
-        for x in xs:
-            for y in ys:
-                if x != y:
-                    out[g.sub(g.check(x[1]), g.check(y[1]))] += 1
+        xs = [p[1] for p in fin if copy_of(p) == i]
+        ys = [p[1] for p in fin if copy_of(p) == j]
+        # each point of a pair is checked once: permutations and product
+        # take in their whole input before the first pair
+        if i == j and len(xs) > 1:
+            pairs = itertools.permutations(map(g.check, xs), 2)
+        elif i != j and xs and ys:
+            pairs = itertools.product(map(g.check, xs), map(g.check, ys))
+        else:
+            continue
+        for x, y in pairs:
+            out[g.sub(x, y)] += 1
     return out

@@ -59,6 +59,11 @@ class Budget:
             raise _Exhausted()
 
 
+def _bits(mask: int) -> list:
+    """The indices of the set bits of mask, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 # ---------------------------------------------------------------------------
 # equitable words and the maximum-code search
 
@@ -211,6 +216,53 @@ def max_eswc(n: int, d: int, q: int, budget: int | None = None) -> EswcResult:
     return EswcResult(n, d, q, len(best), code, exact, bud.used)
 
 
+def _row_counts(v: int, m: int, n: int):
+    """Row equity of an m x n array in which every column partitions the v
+    points: each point ends with floor(n/m) or hi = ceil(n/m) cells in every
+    row, so with exactly t_hi = n - m*(hi-1) rows at hi.  Returns closures
+    over the counts so far: `fits(xs, r)`, whether every point of xs can take
+    one more cell in row r, and `put(xs, r)` and `take(xs, r)`, which add
+    that cell and take it back.  No row-deficiency test is needed: a point
+    holding at most t_hi rows at hi always has columns enough left to reach
+    the floor in every row."""
+    hi = -(-n // m)
+    t_hi = n - m * (hi - 1)
+    cnt = [[0] * m for _ in range(v)]
+    hi_rows = [0] * v  # per point: rows at the cap hi
+
+    def fits(xs, r):
+        for x in xs:
+            c = cnt[x][r]
+            if c >= hi or c + 1 == hi and hi_rows[x] >= t_hi:
+                return False
+        return True
+
+    def put(xs, r):
+        for x in xs:
+            c = cnt[x][r] = cnt[x][r] + 1
+            if c == hi:
+                hi_rows[x] += 1
+
+    def take(xs, r):
+        for x in xs:
+            if cnt[x][r] == hi:
+                hi_rows[x] -= 1
+            cnt[x][r] -= 1
+
+    return fits, put, take
+
+
+def _array_grid(kind: str, lam: int, k_set, points, m: int, columns,
+                star: bool = False) -> DesignGrid:
+    """The m-row grid of `columns`, each a list of (row, block of indices
+    into points); rows and columns are labelled "1", "2", ..."""
+    rows = tuple(str(r + 1) for r in range(m))
+    cols = tuple(str(c + 1) for c in range(len(columns)))
+    cells = {(rows[r], cols[ci]): block(points[x] for x in b)
+             for ci, col in enumerate(columns) for r, b in col}
+    return DesignGrid(kind, lam, k_set, tuple(points), rows, cols, cells, star=star)
+
+
 def arrange_resolution(classes, m: int, n: int,
                        budget: int | None = None) -> DesignGrid | None:
     """Arrange given parallel classes into an m x n array with equitable rows.
@@ -222,64 +274,37 @@ def arrange_resolution(classes, m: int, n: int,
         raise InconsistentParams("need one class per column")
     pts = sorted({p for cls in classes for b in cls for p in b})
     index = {p: i for i, p in enumerate(pts)}
-    v = len(pts)
-    lo, hi = n // m, -(-n // m)
-    t_hi = n - m * lo if hi > lo else None
     bud = Budget(budget)
-    cnt = [[0] * m for _ in range(v)]
-    hi_rows = [0] * v  # per point: rows at the cap hi
+    fits, put, take = _row_counts(len(pts), m, n)
     sol: list = []
-    # each column's blocks in placing order, and their points as indices
-    col_blocks = [sorted(cls, key=lambda b: (-len(b), b)) for cls in classes]
-    col_ids = [[[index[p] for p in b] for b in blocks] for blocks in col_blocks]
-
-    def rows_ok(xs, r):
-        for x in xs:
-            if cnt[x][r] >= hi:
-                return False
-            if t_hi is not None and cnt[x][r] + 1 == hi and hi_rows[x] + 1 > t_hi:
-                return False
-        return True
-
-    def put(xs, r):
-        for x in xs:
-            c = cnt[x][r] = cnt[x][r] + 1
-            if c == hi:
-                hi_rows[x] += 1
-
-    def unput(xs, r):
-        for x in xs:
-            if cnt[x][r] == hi:
-                hi_rows[x] -= 1
-            cnt[x][r] -= 1
+    # each column's blocks in placing order, as point indices
+    col_ids = [[[index[p] for p in b] for b in sorted(cls, key=lambda b: (-len(b), b))]
+               for cls in classes]
 
     def place_col(ci):
         bud.tick()
         if ci == n:
             yield sol
             return
-        blocks = col_blocks[ci]
+        blocks = col_ids[ci]
         order: list = []
 
         def rec(bi, used):
             bud.tick()
             if bi == len(blocks):
-                # no row-deficiency test: every column partitions the points,
-                # so with at most t_hi rows at the cap (rows_ok) a point always
-                # has enough columns left to reach lo in every row
                 sol.append(list(zip(order, blocks)))
                 yield from place_col(ci + 1)
                 sol.pop()
                 return
-            xs = col_ids[ci][bi]
+            xs = blocks[bi]
             for r in range(m):
-                if (used >> r) & 1 or not rows_ok(xs, r):
+                if (used >> r) & 1 or not fits(xs, r):
                     continue
                 put(xs, r)
                 order.append(r)
                 yield from rec(bi + 1, used | (1 << r))
                 order.pop()
-                unput(xs, r)
+                take(xs, r)
 
         yield from rec(0, 0)
 
@@ -288,14 +313,8 @@ def arrange_resolution(classes, m: int, n: int,
             return None
     except _Exhausted:
         return None
-    rows = tuple(str(r + 1) for r in range(m))
-    cols = tuple(str(c + 1) for c in range(n))
-    cells = {}
-    for ci, col in enumerate(sol):
-        for r, b in col:
-            cells[(rows[r], cols[ci])] = block(b)
     k_set = tuple(sorted({len(b) for cls in classes for b in cls}))
-    return DesignGrid("GBTP", 1, k_set, tuple(pts), rows, cols, cells)
+    return _array_grid("GBTP", 1, k_set, pts, m, sol)
 
 
 # Base parallel classes over (Z_3 x [4]) u {inf1, inf2}: developing each by
@@ -410,66 +429,45 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
 
     kmin, kmax = min(k_set), max(k_set)
     exact = len(k_set) == 1 and v == k_set[0] * m and n * (k_set[0] - 1) == lam * (v - 1)
-    lo, hi = n // m, -(-n // m)
-    # with hi = lo+1 each point ends with exactly t_hi rows at the cap
-    t_hi = n - m * lo if hi > lo else None
     comps = _column_compositions(v, m, k_set, star3)
     if not comps:
         return GbtpSearchResult(None, True, 0)
     min_col_pairs = min(sum(s * (s - 1) // 2 for s in comp) for comp in comps)
     total_pairs = v * (v - 1) // 2
 
-    pair_used = [0] * v
-    cnt = [[0] * m for _ in range(v)]
-    deg = [0] * v  # distinct partners so far
-    hi_rows = [0] * v  # rows already at the cap
-    covered = [0]  # pairs covered so far
+    fits, put, take = _row_counts(v, m, n)
+    pair_used = [0] * v  # per point: a bit per partner so far
     columns: list = []
 
     def place_block(r, b):
-        for x in b:
-            cnt[x][r] += 1
-            if cnt[x][r] == hi:
-                hi_rows[x] += 1
+        put(b, r)
         for x, y in itertools.combinations(b, 2):
             pair_used[x] |= 1 << y
             pair_used[y] |= 1 << x
-            deg[x] += 1
-            deg[y] += 1
-        covered[0] += len(b) * (len(b) - 1) // 2
 
     def unplace_block(r, b):
-        for x in b:
-            if cnt[x][r] == hi:
-                hi_rows[x] -= 1
-            cnt[x][r] -= 1
+        take(b, r)
         for x, y in itertools.combinations(b, 2):
             pair_used[x] &= ~(1 << y)
             pair_used[y] &= ~(1 << x)
-            deg[x] -= 1
-            deg[y] -= 1
-        covered[0] -= len(b) * (len(b) - 1) // 2
 
     def feasible(remaining: int) -> bool:
-        # row equity needs no test here: every column partitions the points
-        # and row_ok holds each point to t_hi capped rows, which leaves
-        # enough columns for every row to reach lo
-        # degree growth: each later column adds at least kmin-1 and at most
-        # kmax-1 new partners to every point, and lambda=1 caps degrees at v-1
-        if covered[0] + remaining * min_col_pairs > total_pairs:
+        # row equity needs no test here (see _row_counts); each later column
+        # adds at least kmin-1 and at most kmax-1 new partners to every point,
+        # and lambda=1 caps degrees at v-1
+        deg = [pu.bit_count() for pu in pair_used]
+        covered = sum(deg) // 2
+        if covered + remaining * min_col_pairs > total_pairs:
             return False
         # final coverage is at least covered + remaining*min_col_pairs, so the
         # total end deficiency sum_x (v-1-deg_end(x)) is bounded by slack
-        slack = 2 * (total_pairs - covered[0] - remaining * min_col_pairs)
-        for x in range(v):
-            if deg[x] + remaining * (kmin - 1) > v - 1:
-                return False
-            if (v - 1) - (deg[x] + remaining * (kmax - 1)) > slack:
-                return False
-        return True
+        slack = 2 * (total_pairs - covered - remaining * min_col_pairs)
+        return (max(deg) + remaining * (kmin - 1) <= v - 1
+                and (v - 1) - (min(deg) + remaining * (kmax - 1)) <= slack)
 
     def extend_column(uncovered, triples, used_rows, col, remaining):
-        """Anchor the least uncovered point, pick its block and row jointly."""
+        """Anchor the most constrained uncovered point (bitmask `uncovered`),
+        pick its block and row jointly."""
         bud.tick()
         if not uncovered:
             if star3 and triples != 1:
@@ -479,49 +477,23 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
                 yield from dfs(len(columns))
                 columns.pop()
             return
-        # most constrained anchor: fewest unused partners, least index on ties
-        p0 = min(uncovered,
-                 key=lambda x: (sum(1 for y in uncovered
-                                    if y != x and not (pair_used[x] >> y) & 1), x))
-        rest = tuple(x for x in uncovered if x != p0)
-        free_rows = [r for r in range(m) if not (used_rows >> r) & 1
-                     and cnt[p0][r] < hi]
+        # fewest unused partners; min keeps the least index on ties
+        p0 = min(_bits(uncovered), key=lambda x: (uncovered & ~pair_used[x]).bit_count())
+        rest = uncovered & ~(1 << p0)
+        free_rows = [r for r in range(m) if not (used_rows >> r) & 1 and fits((p0,), r)]
         if not free_rows:
             return
-
-        def row_ok(x, r):
-            if cnt[x][r] >= hi:
-                return False
-            # landing on the cap is only allowed while the point still needs
-            # capped rows
-            if (t_hi is not None and cnt[x][r] + 1 == hi
-                    and hi_rows[x] + 1 > t_hi):
-                return False
-            return True
-
-        mask0 = pair_used[p0]
+        candidates = _bits(rest & ~pair_used[p0])
         for s in sorted(k_set, reverse=True):
-            if s - 1 > len(rest):
-                continue
             if star3 and s == 3 and triples == 1:
                 continue
-            for others in itertools.combinations(rest, s - 1):
-                ok = True
-                for x in others:
-                    if (mask0 >> x) & 1:
-                        ok = False
-                        break
-                if ok:
-                    for x, y in itertools.combinations(others, 2):
-                        if (pair_used[x] >> y) & 1:
-                            ok = False
-                            break
-                if not ok:
+            for others in itertools.combinations(candidates, s - 1):
+                if any(pair_used[x] >> y & 1 for x, y in itertools.combinations(others, 2)):
                     continue
                 b = (p0,) + others
-                sub = tuple(x for x in rest if x not in others)
+                sub = rest & ~sum(1 << x for x in others)
                 for r in free_rows:
-                    if not all(row_ok(x, r) for x in b):
+                    if not fits(others, r):
                         continue
                     place_block(r, b)
                     col.append((r, b))
@@ -534,7 +506,7 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
         if ci == n:
             yield columns
             return
-        yield from extend_column(tuple(range(v)), 0, 0, [], n - ci - 1)
+        yield from extend_column((1 << v) - 1, 0, 0, [], n - ci - 1)
 
     def solutions():
         for comp in comps:
@@ -558,15 +530,8 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
         return GbtpSearchResult(None, False, bud.used)
     if sol is None:
         return GbtpSearchResult(None, True, bud.used)
-    rows = tuple(str(r + 1) for r in range(m))
-    cols = tuple(str(c + 1) for c in range(n))
-    cells = {}
-    for ci, col in enumerate(sol):
-        for r, b in col:
-            cells[(rows[r], cols[ci])] = block(fpoint(x + 1) for x in b)
-    points = tuple(fpoint(x + 1) for x in range(v))
-    kind = "GBTD" if exact else "GBTP"
-    g = DesignGrid(kind, lam, k_set, points, rows, cols, cells, star=star3)
+    points = [fpoint(x + 1) for x in range(v)]
+    g = _array_grid("GBTD" if exact else "GBTP", lam, k_set, points, m, sol, star=star3)
     return GbtpSearchResult(g, True, bud.used)
 
 

@@ -784,9 +784,6 @@ _STARTER_KEYS = {
 
 
 def starter_from_obj(obj: dict):
-    def fam(lst):
-        return [block(parse_point(x) for x in entry) for entry in lst]
-
     check_keys(obj, ("starter_kind",), "starter", MalformedStarter)
     kind = obj["starter_kind"]
     if not isinstance(kind, str) or kind not in _STARTER_KEYS:
@@ -796,34 +793,49 @@ def starter_from_obj(obj: dict):
     check_keys(obj, top + ("params", "families"), "%s starter" % kind, MalformedStarter)
     check_keys(obj["params"], params, "%s starter params" % kind, MalformedStarter)
     check_keys(obj["families"], families, "%s starter families" % kind, MalformedStarter)
-    fams = obj["families"]
+
+    def fam(name):
+        entries = obj["families"][name]
+        if type(entries) is not list or any(type(e) is not list for e in entries):
+            raise MalformedStarter("%s starter family %r is not a list of blocks" % (kind, name))
+        try:
+            return [block(parse_point(x) for x in entry) for entry in entries]
+        except ValueError as exc:  # a bad label or a point twice in a block
+            raise MalformedStarter("%s starter family %r: %s" % (kind, name, exc)) from None
+
     if kind == "gbtd":
         check_keys(obj["group"], ("factors",), "gbtd starter group", MalformedStarter)
         group = AbelianGroup(tuple(obj["group"]["factors"]))
         elems = sorted(group.elements())
-        blocks_a = dict(zip(elems, fam(fams["A"])))
+        blocks_a = dict(zip(elems, fam("A")))
+        blocks_b = tuple(fam("B"))
         colors_a = None
         colors_b = None
         if obj.get("colors"):
-            check_keys(obj["colors"], ("A", "B"), "gbtd starter colors", MalformedStarter)
-            colors_a = dict(zip(elems, obj["colors"]["A"]))
-            colors_b = tuple(obj["colors"]["B"])
-        return GbtdStarter(group, blocks_a, tuple(fam(fams["B"])),
+            colors = obj["colors"]
+            check_keys(colors, ("A", "B"), "gbtd starter colors", MalformedStarter)
+            for name, size in (("A", len(elems)), ("B", len(blocks_b))):
+                if (type(colors[name]) is not list or len(colors[name]) != size
+                        or any(type(c) is not int for c in colors[name])):
+                    raise MalformedStarter("gbtd starter colors %r is not a list of %d integers"
+                                           % (name, size))
+            colors_a = dict(zip(elems, colors["A"]))
+            colors_b = tuple(colors["B"])
+        return GbtdStarter(group, blocks_a, blocks_b,
                            special=bool(obj["params"].get("special")),
                            colors_a=colors_a, colors_b=colors_b)
     if kind == "igbtp_z2":
         return IgbtpStarterZ2(obj["params"]["m"], obj["params"]["w"],
-                              tuple(fam(fams["A"])), tuple(fam(fams["B"])),
-                              tuple(fam(fams["C"])))
+                              tuple(fam("A")), tuple(fam("B")), tuple(fam("C")))
     if kind == "igbtp_z4":
-        if not isinstance(fams["A"], list) or len(fams["A"]) != 1:
+        a = fam("A")
+        if len(a) != 1:
             raise MalformedStarter("igbtp_z4 starter family 'A' must hold exactly one block")
         return IgbtpStarterZ4(obj["params"]["m"], obj["params"]["x"], obj["params"]["y"],
-                              fam(fams["A"])[0], tuple(fam(fams["B"])),
-                              tuple(fam(fams["C"])), tuple(fam(fams["D"])))
+                              a[0], tuple(fam("B")), tuple(fam("C")), tuple(fam("D")))
     t = obj["params"]["t"]
     keys = [(i, j) for i in range(1, t) for j in (0, 1)]
-    return FrGbtdStarter(t, dict(zip(keys, fam(fams["A"]))))
+    return FrGbtdStarter(t, dict(zip(keys, fam("A"))))
 
 
 def verify_starter(s) -> VerifyReport:

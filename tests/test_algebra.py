@@ -17,7 +17,7 @@ from tforge.algebra import (
     parse_point,
     translate_block,
 )
-from tforge.errors import DegreeZero, NotPrime
+from tforge.errors import DegreeZero, GroupMismatch, NotPrime
 
 
 def brute_multiplicative_order(fld, x):
@@ -112,6 +112,36 @@ def test_difference_list_translation_invariant(blockspecs, gamma):
     blocks = [block(fpoint(e) for e in bs) for bs in blockspecs]
     moved = [translate_block(b, gamma, g) for b in blocks]
     assert difference_list(blocks, g) == difference_list(moved, g)
+
+
+copy_pt_st = st.tuples(st.integers(0, 13), st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(copy_pt_st, min_size=1, max_size=4, unique=True),
+                min_size=1, max_size=3),
+       st.sampled_from([("pure", 0), ("pure", 2), ("mixed", 0, 1), ("mixed", 2, 0)]))
+def test_indexed_difference_list_checks_each_point_once(blockspecs, mode):
+    i, j = mode[1], mode[-1]
+    want, paired = Counter(), 0
+    for bs in blockspecs:
+        pairs = [(p, q) for p in bs for q in bs if p != q and (p[1], q[1]) == (i, j)]
+        want.update(((p[0] - q[0]) % 7,) for p, q in pairs)
+        paired += len({p for pair in pairs for p in pair})
+    calls = []
+    check = AbelianGroup.check
+    blocks = [block([fpoint(x, c) for x, c in bs] + [ipoint(1)]) for bs in blockspecs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AbelianGroup, "check", lambda self, x: calls.append(x) or check(self, x))
+        assert difference_list(blocks, cyclic(7), mode) == want
+    assert len(calls) == paired
+
+
+def test_indexed_difference_list_rejects_wrong_arity():
+    b = block([fpoint(1, 0), fpoint(2, 1), fpoint((1, 2), 1)])
+    for mode in (("pure", 1), ("mixed", 0, 1), ("mixed", 1, 0)):
+        with pytest.raises(GroupMismatch):
+            difference_list([b], cyclic(7), mode)
 
 
 @settings(max_examples=40, deadline=None)

@@ -199,13 +199,20 @@ def test_verify_wrongly_typed_entries_exit_2(tmp_path, fig3):
 
 def test_verify_malformed_starter_files_exit_2(tmp_path):
     from tforge.search import search_starter
-    from tforge.starters import dumps_starter
+    from tforge.starters import build_fq_gbtd_starter, dumps_starter
 
     z4 = json.loads(dumps_starter(search_starter("igbtp_z4", {"m": 5}).starters[0]))
     z4["families"]["A"] = []
+    fq7 = dumps_starter(build_fq_gbtd_starter(7))
+    family_int = json.loads(fq7)
+    family_int["families"]["A"] = 5
+    colors_str = json.loads(fq7)
+    colors_str["colors"]["A"] = "x"
     cases = {"gbtd": ({"starter_kind": "gbtd"}, "'group'"),
              "z4": (z4, "family 'A'"),
-             "kind": ({"starter_kind": "nope", "families": {}}, "starter_kind 'nope'")}
+             "kind": ({"starter_kind": "nope", "families": {}}, "starter_kind 'nope'"),
+             "family-int": (family_int, "family 'A'"),
+             "colors-str": (colors_str, "colors 'A'")}
     for name, (bad, entry) in cases.items():
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps(bad))

@@ -69,6 +69,15 @@ def test_inflate_fig8(fig8):
     assert verify_auto(frame).ok
 
 
+def test_frame_fill_without_final_keeps_the_hole(fig8, fig3):
+    frame = inflate(fig8, drtd_from_td(build_td(5, 4)))
+    out = frame_fill(frame, [fig3] * 6, final=None)
+    assert out.kind == "IGBTP" and len(out.hole[0]) == 3
+    assert verify_auto(out).ok
+    # every block is a triple, so no column is a star's pairs and one triple
+    assert out.k_set == (3,) and not out.star
+
+
 def test_frame_fill_group_count_check(fig8, fig3):
     with pytest.raises(WMismatch):
         frame_fill(build_frgbtd_6_8(), [fig3] * 8)

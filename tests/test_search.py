@@ -65,6 +65,17 @@ def test_plotkin_prune_soundness():
     assert res.M <= plotkin_cap(5, 4, 4)
 
 
+def test_max_eswc_oversized_takes_greedy_witness(monkeypatch):
+    import tforge.search
+
+    # too many candidate words for the clique search: a first-fit code instead
+    monkeypatch.setattr(tforge.search, "MAX_CLIQUE_VERTICES", 10)
+    res = max_eswc(5, 4, 4)
+    assert not res.exact
+    assert is_equitable(res.code) and res.M == res.code.size >= 2
+    assert min_distance(res.code) >= 4
+
+
 def test_budget_zero():
     with pytest.raises(BudgetZero):
         Budget(0)
