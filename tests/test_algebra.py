@@ -121,7 +121,7 @@ copy_pt_st = st.tuples(st.integers(0, 13), st.integers(0, 2))
 @given(st.lists(st.lists(copy_pt_st, min_size=1, max_size=4, unique=True),
                 min_size=1, max_size=3),
        st.sampled_from([("pure", 0), ("pure", 2), ("mixed", 0, 1), ("mixed", 2, 0)]))
-def test_indexed_difference_list_checks_each_point_once(blockspecs, mode):
+def test_indexed_difference_list_checks_each_paired_point_once(blockspecs, mode):
     i, j = mode[1], mode[-1]
     want, paired = Counter(), 0
     for bs in blockspecs:
