@@ -197,6 +197,11 @@ _STARTER_PINS = [
       "dc26eed14888301f4ff81e572cafd0ae255a3c9e8f3ef0d56c0c7e5432d1eeaf",
       "19ae253c90d775a84e404cdb774d4263c8ae4ad628d3269d67368e549b074138",
       "37d638417a050719df1fc983223cb3d08e6a87f159aea9b19514b82e66b68e34"]),
+    # the special starter's index-0 block: its points unused before, cap 1 after
+    ("gbtd", {"m": 7, "special": True}, 5_000_000, 1, 36883, True,
+     ["ba0c30353b1e20e2de491295bb5d771c654419c1d9beb6d8e76e6b74198a38a0"]),
+    ("igbtp_z4", {"m": 7}, 5_000_000, 1, 63, True,
+     ["f3a473ca64f52adda80475785a08d85b6e5618b03703913189b945bd2f28f0c2"]),
 ]
 
 _GBTP_PINS = [
@@ -216,7 +221,7 @@ _GBTP_PINS = [
 
 @pytest.mark.parametrize(
     "kind,params,budget,count,nodes,exhausted,digests", _STARTER_PINS,
-    ids=[c[0] for c in _STARTER_PINS])
+    ids=["gbtd", "frgbtd", "igbtp_z2", "igbtp_z4", "gbtd-special", "igbtp_z4-m7"])
 def test_starter_search_pinned(kind, params, budget, count, nodes, exhausted, digests):
     res = search_starter(kind, params, budget=budget, count=count)
     assert (res.nodes, res.exhausted) == (nodes, exhausted)
