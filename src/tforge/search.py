@@ -427,7 +427,7 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
         raise InconsistentParams("array cannot hold the point set")
     bud = Budget(budget)
 
-    kmin, kmax = min(k_set), max(k_set)
+    kmin = min(k_set)
     exact = len(k_set) == 1 and v == k_set[0] * m and n * (k_set[0] - 1) == lam * (v - 1)
     comps = _column_compositions(v, m, k_set, star3)
     if not comps:
@@ -453,17 +453,11 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
 
     def feasible(remaining: int) -> bool:
         # row equity needs no test here (see _row_counts); each later column
-        # adds at least kmin-1 and at most kmax-1 new partners to every point,
-        # and lambda=1 caps degrees at v-1
+        # covers at least min_col_pairs new pairs and adds at least kmin-1 new
+        # partners to every point, and lambda=1 caps degrees at v-1
         deg = [pu.bit_count() for pu in pair_used]
-        covered = sum(deg) // 2
-        if covered + remaining * min_col_pairs > total_pairs:
-            return False
-        # final coverage is at least covered + remaining*min_col_pairs, so the
-        # total end deficiency sum_x (v-1-deg_end(x)) is bounded by slack
-        slack = 2 * (total_pairs - covered - remaining * min_col_pairs)
-        return (max(deg) + remaining * (kmin - 1) <= v - 1
-                and (v - 1) - (min(deg) + remaining * (kmax - 1)) <= slack)
+        return (sum(deg) // 2 + remaining * min_col_pairs <= total_pairs
+                and max(deg) + remaining * (kmin - 1) <= v - 1)
 
     def extend_column(uncovered, triples, used_rows, col, remaining):
         """Anchor the most constrained uncovered point (bitmask `uncovered`),
@@ -637,6 +631,44 @@ def _ascending(bud: Budget, led: _Ledger, keyed: list, count: int, chosen: list)
     yield from rec(0)
 
 
+def _covers(bud: Budget, led: _Ledger, options, primary: int, chosen: list, prune=None):
+    """Exact covers of the items in the bitmask `primary`, in a fixed order.
+
+    `options[i]` lists the ways to cover item i, each (label, item bits,
+    compiled ledger keys).  Items outside `primary` are secondary: covered at
+    most once, but not necessarily.  Each node ticks once.  A node whose
+    primary items are all covered yields its covered-item bitmask, with the
+    labels of its options at the end of `chosen` and their keys counted while
+    the consumer runs.  Any other node returns if `prune(covered)`, and else
+    branches on its lowest uncovered primary item: each option in list order
+    whose items are all uncovered and whose keys fit the ledger.  An option
+    with no keys, (), leaves the ledger alone.
+    """
+    tick, add, undo, push, pop = bud.tick, led.add, led.undo, chosen.append, chosen.pop
+
+    def rec(covered):
+        tick()
+        rest = primary & ~covered
+        if not rest:
+            yield covered
+            return
+        if prune is not None and prune(covered):
+            return
+        for label, mask, opt in options[(rest & -rest).bit_length() - 1]:
+            if mask & covered:
+                continue
+            taken = opt and add(opt)
+            if taken is None:
+                continue
+            push(label)
+            yield from rec(covered | mask)
+            pop()
+            if taken:
+                undo(taken)
+
+    yield from rec(0)
+
+
 def _class_diffs(pts, mod: int) -> dict:
     """Both differences of each pair of points (x, c) mod `mod`, keyed by the
     list they belong to: ("p", c) inside class c, ("m", (c, c')) across."""
@@ -676,77 +708,50 @@ def _gbtd_starters(m: int, special: bool, bud: Budget):
     mixed = [(("m", pr), d) for pr in itertools.permutations(range(3), 2) for d in range(m)]
     pool = _Ledger(dict.fromkeys(pure + mixed, 1))
     diffs = _class_diffs(pts, m)
-    cover = _anchored_triples(pts, pool, diffs)
+    # the row multiset R: each point at most twice, and in the end at least
+    # once; a special starter's index-0 translate names its points twice, so
+    # they are unused before it and take nothing more after it
+    rows = _Ledger(dict.fromkeys(pts, 2))
+
+    @functools.cache
+    def translates(b):
+        # (alpha, compiled row keys) of A block b at each index alpha
+        return [(alpha, rows.option([((x - alpha) % m, c) for x, c in b]
+                                    * (2 if special and alpha == 0 else 1)))
+                for alpha in range(m)]
 
     a_blocks: list = []
     b_blocks: list = []
+    assign: list = []  # (A block, alpha)
+    placed = (1 << m) - 1  # the item bits of the A blocks
+
+    def starved(covered):
+        return rows.zeros > 3 * (m - (covered & placed).bit_count())
 
     def assign_phase():
+        # the items are the A blocks, then the indices
         r = Counter(p for b in b_blocks for p in b)
-        blocks = sorted(a_blocks)
-        cap = {}
-        assign = {}
-
-        def rec(bi, free):
-            bud.tick()
-            if bi == len(blocks):
-                if all(r[p] in (1, 2) for p in pts):
-                    blocks_a = {(al,): block(fpoint(x, c) for x, c in bl)
-                                for bl, al in assign.items()}
-                    bb = tuple(block(fpoint(x, c) for x, c in bl) for bl in sorted(b_blocks))
-                    yield GbtdStarter(cyclic(m), blocks_a, bb, special=special)
-                return
-            short = sum(1 for p in pts if r[p] == 0)
-            if short > 3 * (len(blocks) - bi):
-                return
-            b = blocks[bi]
-            for alpha in sorted(free):
-                trans = [((x - alpha) % m, c) for x, c in b]
-                limit = 1 if special and alpha == 0 else 2
-                if any(r[p] >= cap.get(p, 2) for p in trans):
-                    continue
-                if limit == 1 and any(r[p] >= 1 for p in trans):
-                    continue
-                for p in trans:
-                    r[p] += 1
-                if special and alpha == 0:
-                    for p in trans:
-                        cap[p] = 1
-                assign[b] = alpha
-                yield from rec(bi + 1, free - {alpha})
-                del assign[b]
-                if special and alpha == 0:
-                    for p in trans:
-                        cap.pop(p, None)
-                for p in trans:
-                    r[p] -= 1
-
-        yield from rec(0, set(range(m)))
+        # a point of B three times is held at 2 and fails at the leaf
+        base = rows.add(rows.option([p for p in pts for _ in range(min(r[p], 2))]))
+        over = any(c > 2 for c in r.values())
+        options = [[((b, alpha), 1 << bi | 1 << (m + alpha), opt)
+                    for alpha, opt in translates(b)]
+                   for bi, b in enumerate(sorted(a_blocks))]
+        for _ in _covers(bud, rows, options, (1 << 2 * m) - 1, assign, starved):
+            if not rows.zeros and not over:
+                blocks_a = {(al,): block(fpoint(x, c) for x, c in bl) for bl, al in assign}
+                bb = tuple(block(fpoint(x, c) for x, c in bl) for bl in sorted(b_blocks))
+                yield GbtdStarter(cyclic(m), blocks_a, bb, special=special)
+        rows.undo(base)
 
     transversals = [((x, 0), (y, 1), (z, 2)) for x in range(m) for y in range(m) for z in range(m)]
     b_keyed = _keyed(pool, transversals, lambda b: _triple_diffs(diffs, b))
-
-    def cover_phase(uncovered):
-        bud.tick()
-        if not uncovered:
-            if all(pool.has(k) for k in pure):
-                for _ in _ascending(bud, pool, b_keyed, (m - 1) // 2, b_blocks):
-                    if not pool.zeros:
-                        yield from assign_phase()
-            return
-        covered = ~uncovered
-        for b, mask, opt in cover[(uncovered & -uncovered).bit_length() - 1]:
-            if mask & covered:
-                continue
-            taken = pool.add(opt)
-            if taken is None:
-                continue
-            a_blocks.append(b)
-            yield from cover_phase(uncovered & ~mask)
-            a_blocks.pop()
-            pool.undo(taken)
-
-    yield from cover_phase((1 << len(pts)) - 1)
+    cover = _anchored_triples(pts, pool, diffs)
+    for _ in _covers(bud, pool, cover, (1 << len(pts)) - 1, a_blocks):
+        if all(pool.has(k) for k in pure):
+            for _ in _ascending(bud, pool, b_keyed, (m - 1) // 2, b_blocks):
+                if not pool.zeros:
+                    yield from assign_phase()
 
 
 def _frgbtd_starters(t: int, bud: Budget):
@@ -757,56 +762,42 @@ def _frgbtd_starters(t: int, bud: Budget):
     hole = {0, t, 2 * t}
     pts = sorted((e, c) for c in range(2) for e in range(n3) if e not in hole)
     lists = (("p", 0), ("p", 1), ("m", (0, 1)), ("m", (1, 0)))
-    pool = _Ledger({(key, d): 1 for key in lists for d in range(n3) if d not in hole})
+    slot_order = sorted((i, j) for i in range(1, t) for j in (0, 1))
+    # one ledger: each difference once, and in the row multiset R_j of each
+    # row class j every nonzero residue mod t of either copy at most twice,
+    # and in the end at least once
+    residues = [[(j, res, c) for res in range(1, t) for c in (0, 1)] for j in (0, 1)]
+    led = _Ledger({(key, d): 1 for key in lists for d in range(n3) if d not in hole}
+                  | dict.fromkeys(residues[0] + residues[1], 2))
+    row_keys = [sum(led.bit[k] for k in keys) for keys in residues]
     diffs = _class_diffs(pts, n3)
 
-    # the row multiset R_j of each row class j: every nonzero residue mod t of
-    # either copy at most twice, and in the end at least once
-    slots = dict.fromkeys(((res, c) for res in range(1, t) for c in (0, 1)), 2)
-    rj = (_Ledger(slots), _Ledger(slots))
-    assign: dict = {}
-    slot_order = sorted((i, j) for i in range(1, t) for j in (0, 1))
-    row0 = sum(1 << s for s, (_i, j) in enumerate(slot_order) if j == 0)
+    # the items are the points, then the slots; an option is a triple placed
+    # in a slot (i, j), whose translate by i lands in R_j
+    first = len(pts)
+    class_slots = [sum(1 << first + s for s, (_i, j) in enumerate(slot_order) if j == jj)
+                   for jj in (0, 1)]
+    options = []
+    for anchored in _anchored_triples(pts, led, diffs):
+        out = []
+        for b, mask, (d1, d2) in anchored:
+            for s, (i, j) in enumerate(slot_order):
+                opt = led.option([(j, (x - i) % t, c) for x, c in b])
+                if opt is not None:
+                    out.append((((i, j), b), mask | 1 << first + s, (d1 | opt[0], d2 | opt[1])))
+        options.append(out)
 
-    def placements(b):
-        # each slot (s, (i, j)) whose row multiset can ever take block b; the
-        # two row ledgers share one layout, so its residues compile once
-        return _keyed(rj[0], enumerate(slot_order),
-                      lambda e: [((x - e[1][0]) % t, c) for x, c in b])
+    def starved(covered):
+        # each free slot of row class j fills at most 3 residues of R_j
+        unused, free = ~led.one, ~covered
+        return ((row_keys[0] & unused).bit_count() > 3 * (class_slots[0] & free).bit_count()
+                or (row_keys[1] & unused).bit_count() > 3 * (class_slots[1] & free).bit_count())
 
-    cover = [[(b, mask, opt, placements(b)) for b, mask, opt in anchored]
-             for anchored in _anchored_triples(pts, pool, diffs)]
-
-    def rec(uncovered, free):
-        bud.tick()
-        if not uncovered:
-            if not rj[0].zeros and not rj[1].zeros:
-                yield FrGbtdStarter(t, {key: block(fpoint(x, c) for x, c in bl)
-                                        for key, bl in assign.items()})
-            return
-        if (rj[0].zeros > 3 * (free & row0).bit_count()
-                or rj[1].zeros > 3 * (free & ~row0).bit_count()):
-            return
-        covered = ~uncovered
-        for b, mask, opt, places in cover[(uncovered & -uncovered).bit_length() - 1]:
-            if mask & covered:
-                continue
-            taken = pool.add(opt)
-            if taken is None:
-                continue
-            for (s, key), ropt in places:
-                if not free >> s & 1:
-                    continue
-                items = rj[key[1]].add(ropt)
-                if items is None:
-                    continue
-                assign[key] = b
-                yield from rec(uncovered & ~mask, free & ~(1 << s))
-                del assign[key]
-                rj[key[1]].undo(items)
-            pool.undo(taken)
-
-    yield from rec((1 << len(pts)) - 1, (1 << len(slot_order)) - 1)
+    assign: list = []  # (slot, triple)
+    for _ in _covers(bud, led, options, (1 << first + len(slot_order)) - 1, assign, starved):
+        if not (row_keys[0] | row_keys[1]) & ~led.one:
+            yield FrGbtdStarter(t, {key: block(fpoint(x, c) for x, c in bl)
+                                    for key, bl in assign})
 
 
 def _block_diffs(b, mods) -> list:
@@ -822,8 +813,9 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
     are independent of the index i; the indices are then an exact cover of
     the point set by first-coordinate translates, with the leftover points
     forming the B pairs on the leftover differences."""
+    if w % 2 == 0 or w < 5:
+        raise InconsistentParams("w must be odd and >= 5")
     n_a = (w - 5) // 2
-    n_b = (w - 1) // 2
     n_cpair = m - w - 1
     if n_cpair < 0 or m % 2 == 0:
         return
@@ -846,6 +838,8 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
 
     a_blocks: list = []
     e_blocks: list = []  # row-anchored C blocks: (points, has_inf)
+    assign: list = []  # (position in e_blocks, translation index)
+    picked: list = []  # B pairs
 
     def row_items(b):
         return [(1, (p[0], (p[1] - j) % 2)) for p in b for j in (0, 1)]
@@ -853,75 +847,52 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
     def keys(b):
         return _block_diffs(b, mods) + row_items(b)
 
+    @functools.cache
+    def index_options(bi, pts):
+        # E block pts at position bi translated by each index i, as (label,
+        # item bits, no ledger keys); the items are the blocks, then the
+        # indices, then the points as secondary items; block 0 takes index 0
+        out = []
+        for i in range(1 if bi == 0 else m):
+            mk = 0
+            for (x, j) in pts:
+                mk |= bit[((x + i) % m, j)]
+            out.append(((bi, i), 1 << bi | 1 << m + i | mk << 2 * m, ()))
+        return out
+
     def assign_phase():
         # R must be exactly once-or-twice everywhere before indexing
         if not all(led.has((1, p)) for p in finite):
             return
-        blocks = list(e_blocks)
-        masks = []
-        for pts, _inf in blocks:
-            per_index = []
-            for i in range(m):
-                mk = 0
-                for (x, j) in pts:
-                    mk |= bit[((x + i) % m, j)]
-                per_index.append(mk)
-            masks.append(per_index)
-        assign = {}
+        options = [index_options(bi, pts) for bi, (pts, _inf) in enumerate(e_blocks)]
+        for covered in _covers(bud, led, options, (1 << 2 * m) - 1, assign):
+            # the points no translate took pair up as B
+            yield from match(full & ~(covered >> 2 * m), all_diffs & ~led.one)
 
-        def rec(bi, used_mask, free):
-            # free: a bit per translation index not yet taken, walked from
-            # the low bit up; the first block takes index 0
-            bud.tick()
-            if bi == len(blocks):
-                yield from finish(dict(assign), used_mask)
-                return
-            rest = 1 if bi == 0 else free
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                i = low.bit_length() - 1
-                mk = masks[bi][i]
-                if used_mask & mk:
-                    continue
-                assign[bi] = i
-                yield from rec(bi + 1, used_mask | mk, free & ~low)
-                del assign[bi]
+    def match(rest, unused):
+        # pair the least leftover point with each later one, in point order,
+        # on two differences both still unused
+        if not rest:
+            yield starter()
+            return
+        low = rest & -rest
+        a = low.bit_length() - 1
+        rest ^= low
+        others = rest
+        while others:
+            high = others & -others
+            others ^= high
+            b = high.bit_length() - 1
+            need = pair_diffs[a][b]
+            if need and unused & need == need:
+                picked.append((finite[a], finite[b]))
+                yield from match(rest ^ high, unused ^ need)
+                picked.pop()
 
-        def finish(assignment, used_mask):
-            leftover = full & ~used_mask
-            if leftover.bit_count() != 2 * n_b:
-                return
-            picked = []
-
-            def match(rest, unused):
-                # pair the least leftover point with each later one, in
-                # point order, on two differences both still unused
-                if not rest:
-                    yield starter(assignment, picked)
-                    return
-                low = rest & -rest
-                a = low.bit_length() - 1
-                rest ^= low
-                others = rest
-                while others:
-                    high = others & -others
-                    others ^= high
-                    b = high.bit_length() - 1
-                    need = pair_diffs[a][b]
-                    if need and unused & need == need:
-                        picked.append((finite[a], finite[b]))
-                        yield from match(rest ^ high, unused ^ need)
-                        picked.pop()
-
-            yield from match(leftover, all_diffs & ~led.one)
-
-        yield from rec(0, 0, (1 << m) - 1)
-
-    def starter(assignment, b_pairs):
+    def starter():
         inf_iter = itertools.count(1)
         cb = [None] * m
-        for bi, i in sorted(assignment.items()):
+        for bi, i in assign:
             pts, has_inf = e_blocks[bi]
             moved = [fpoint(((x + i) % m, j)) for (x, j) in pts]
             if has_inf:
@@ -930,7 +901,7 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
         return IgbtpStarterZ2(
             m, w,
             tuple(block(fpoint(p) for p in b) for b in a_blocks),
-            tuple(block(fpoint(p) for p in b) for b in b_pairs),
+            tuple(block(fpoint(p) for p in b) for b in picked),
             tuple(cb))
 
     a_options = _keyed(led, [((a, 0), (bb, 1)) for a in range(m) for bb in range(m)], keys)
@@ -987,34 +958,20 @@ def _igbtp_z4_starters(m: int, bud: Budget):
         return _keyed(rows, enumerate(slots), lambda e: row_items(blk, *e[1]))
 
     def assign_phase(a_blk, b_blocks, triple, cpairs, singles):
+        # the items are the blocks, then the slots
         blocks = list(cpairs) + [(p,) for p in sorted(singles)]
-        assign = {}
-
-        def rec(bi, free):
-            # free: a bit per slot not yet taken
-            bud.tick()
-            if bi == len(blocks):
-                if not rows.zeros:
-                    yield starter()
-                return
-            blk = blocks[bi]
-            for (s, slot), opt in placements(blk):
-                if not free >> s & 1:
-                    continue
-                taken = rows.add(opt)
-                if taken is None:
-                    continue
-                assign[slot] = blk
-                yield from rec(bi + 1, free & ~(1 << s))
-                del assign[slot]
-                rows.undo(taken)
+        first = len(blocks)
+        options = [[((slot, blk), 1 << bi | 1 << first + s, opt)
+                    for (s, slot), opt in placements(blk)]
+                   for bi, blk in enumerate(blocks)]
+        assign: list = []  # (slot, block)
 
         def starter():
             inf_iter = itertools.count(1)
             cblocks = [None] * m
             dblocks = [None] * m
             cblocks[0] = block(fpoint(p) for p in triple)
-            for (flav, i), blk in sorted(assign.items()):
+            for (flav, i), blk in sorted(assign):
                 pts = [fpoint(p) for p in blk]
                 if len(blk) == 1:
                     pts.append(ipoint(next(inf_iter)))
@@ -1037,7 +994,9 @@ def _igbtp_z4_starters(m: int, bud: Budget):
                 taken = None if fixed is None else rows.add(fixed)
                 if taken is None:
                     continue
-                yield from rec(0, (1 << len(slots)) - 1)
+                for _ in _covers(bud, rows, options, (1 << first + len(slots)) - 1, assign):
+                    if not rows.zeros:
+                        yield starter()
                 rows.undo(taken)
 
     a_options = _keyed(pool, [((a, 0), (bb, 2)) for a in range(m) for bb in range(m)],

@@ -235,6 +235,16 @@ def test_search_missing_parameters_exit_2(tmp_path):
         assert key in res.stderr, (args, res.stderr)
 
 
+def test_search_starter_z2_invalid_w_exit_2():
+    # an even w, or one below 5, has no starter the verifier would accept
+    for w in ("8", "3"):
+        res = run_cli("search", "starter", "--kind", "igbtp_z2", "--m", "11", "--w", w,
+                      "--budget", "2000000")
+        assert res.returncode == 2, (w, res.stdout, res.stderr)
+        assert "Traceback" not in res.stderr and res.stderr.startswith("error: ")
+        assert "w must be odd and >= 5" in res.stderr, (w, res.stderr)
+
+
 def test_verify_starter_wrong_arity_exit_2(tmp_path):
     from tforge.search import search_starter
     from tforge.starters import build_fq_gbtd_starter, dumps_starter

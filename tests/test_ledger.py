@@ -1,16 +1,21 @@
-"""The bitmask `_Ledger` of the starter searches against the dict-count oracle.
+"""The bitmask `_Ledger` of the starter searches against the dict-count oracle,
+and the exact-cover engine `_covers` against brute force.
 
 Both ledgers get the same key sequences, added and undone last-in first-out;
 after every step they must agree on whether the add was taken, on `zeros`
-and on which capped keys are counted.
+and on which capped keys are counted.  The engine must yield exactly the
+option sets that an enumeration of every subset of the options finds, each
+once.
 """
+
+import itertools
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle_ledger import DictLedger
-from tforge.search import _Ledger
+from tforge.search import Budget, _covers, _Ledger
 
 UNCAPPED = "u"  # a key no ledger gives a cap
 
@@ -82,3 +87,71 @@ def test_ledger_option_compiles_caps(keys, fits):
 def test_ledger_rejects_caps_other_than_1_or_2(cap):
     with pytest.raises(ValueError):
         _Ledger({"a": 1, "b": cap})
+
+
+def _brute_covers(n_primary: int, caps: dict, options) -> set:
+    """Every set of option indices whose item masks are disjoint, cover every
+    primary item and together keep each key within its cap."""
+    primary = (1 << n_primary) - 1
+    found = set()
+    for size in range(len(options) + 1):
+        for combo in itertools.combinations(range(len(options)), size):
+            covered = 0
+            for i in combo:
+                if options[i][0] & covered:
+                    break
+                covered |= options[i][0]
+            else:
+                keys = [k for i in combo for k in options[i][1]]
+                if covered & primary == primary and DictLedger(caps).add(keys) is not None:
+                    found.add(frozenset(combo))
+    return found
+
+
+def _engine_covers(n_primary: int, caps: dict, options) -> list:
+    led = _Ledger(caps)
+    # every option is listed under each primary item it covers
+    by_item = [[(i, mask, opt) for i, (mask, keys) in enumerate(options)
+                if mask >> item & 1 and (opt := led.option(keys)) is not None]
+               for item in range(n_primary)]
+    chosen: list = []
+    found = []
+    for covered in _covers(Budget(10**6), led, by_item, (1 << n_primary) - 1, chosen):
+        assert covered == sum(options[i][0] for i in chosen)
+        # the chosen options' keys are counted while the consumer runs
+        ref = DictLedger(caps)
+        assert ref.add([k for i in chosen for k in options[i][1]]) is not None
+        assert led.zeros == ref.zeros
+        found.append(frozenset(chosen))
+    assert not chosen and led.zeros == len(caps)
+    return found
+
+
+@st.composite
+def _cover_instances(draw):
+    n_primary = draw(st.integers(0, 10))
+    n_secondary = draw(st.integers(0, 3))
+    caps = dict(enumerate(draw(st.lists(st.sampled_from([1, 2]), max_size=4))))
+    key = st.sampled_from(list(caps) + [UNCAPPED])
+    options = []
+    if n_primary:
+        # each option covers one to three primary items, so that the engine
+        # can reach it, and maybe some secondary ones
+        secondary = (st.sets(st.integers(n_primary, n_primary + n_secondary - 1))
+                     if n_secondary else st.just(set()))
+        option = st.tuples(st.sets(st.integers(0, n_primary - 1), min_size=1, max_size=3),
+                           secondary, st.lists(key, max_size=3))
+        options = [(sum(1 << x for x in items | extra), keys)
+                   for items, extra, keys in draw(st.lists(option, max_size=12))]
+    return n_primary, caps, options
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cover_instances())
+@example((3, {}, [(0b101, []), (0b110, []), (0b010, [])]))  # items 0 and 1 share item 2
+@example((2, {}, [(0b101, []), (0b110, []), (0b010, [])]))  # ... or a secondary item
+@example((2, {0: 1, 1: 2}, [(0b01, [1, 1]), (0b10, [0]), (0b10, [1]), (0b11, [0, 1])]))
+def test_covers_matches_brute_force(inst):
+    found = _engine_covers(*inst)
+    assert len(found) == len(set(found))
+    assert set(found) == _brute_covers(*inst)

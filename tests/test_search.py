@@ -211,8 +211,8 @@ _GBTP_PINS = [
      "68975f7c2afcf89446542320e982d5a2234bd6f059a3fd2f0cb5f4739bfc4f0f"),
     ({"K": [2, 4], "v": 8, "m": 4, "n": 6}, 5_000_000, 1208, True,
      "2ebcdf14b4d2a5141b94840a47eddfdef6d8623a8cf10e6a4ceb30e07027c4ea"),
-    # at this budget every rule of the column search's `feasible` fires:
-    # coverage, slack and the degree cap, and the empty-row return too
+    # at this budget both rules of the column search's `feasible` fire, the
+    # coverage rule and the degree cap, and the empty-row return too
     ({"K": [2, 3], "v": 9, "m": 4, "n": 6}, 50_000, 50001, False, None),
     # exhausted in fewer nodes with the coverage rule than without it (20,903)
     ({"K": [2, 3, 4], "v": 8, "m": 3, "n": 4}, 5_000_000, 20398, True, None),
