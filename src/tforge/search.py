@@ -723,10 +723,11 @@ def _gbtd_starters(m: int, special: bool, bud: Budget):
     a_blocks: list = []
     b_blocks: list = []
     assign: list = []  # (A block, alpha)
-    placed = (1 << m) - 1  # the item bits of the A blocks
+    a_items = (1 << m) - 1  # the item bits of the A blocks
 
     def starved(covered):
-        return rows.zeros > 3 * (m - (covered & placed).bit_count())
+        # each A block left takes at most 3 points of R off zero
+        return rows.zeros > 3 * (m - (covered & a_items).bit_count())
 
     def assign_phase():
         # the items are the A blocks, then the indices
@@ -851,9 +852,10 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
     def index_options(bi, pts):
         # E block pts at position bi translated by each index i, as (label,
         # item bits, no ledger keys); the items are the blocks, then the
-        # indices, then the points as secondary items; block 0 takes index 0
+        # indices, then the points as secondary items.  Block 0 takes index
+        # 0, so no other block ever does
         out = []
-        for i in range(1 if bi == 0 else m):
+        for i in range(1) if bi == 0 else range(1, m):
             mk = 0
             for (x, j) in pts:
                 mk |= bit[((x + i) % m, j)]
