@@ -684,18 +684,21 @@ def _triple_diffs(table: dict, b) -> tuple:
     return table[(b[0], b[1])] + table[(b[0], b[2])] + table[(b[1], b[2])]
 
 
-def _anchored_triples(pts, led: _Ledger, table: dict) -> list:
+def _anchored_triples(pts, diffs: _Ledger, table: dict) -> list:
     """For each point index a, the triples (pts[a], pts[i], pts[j]) with
-    a < i < j in combination order, as (triple, bitmask of a, i and j, its
-    compiled differences); triples whose differences never fit are left out."""
+    a < i < j in combination order, as `_covers` options (triple, item bits,
+    no keys).  The items are the points, then the differences: each
+    difference is used at most once, so it is a secondary item, at the bit of
+    its key in `diffs` (a ledger of the differences, each cap 1) above the
+    points.  Triples whose differences never fit are left out."""
     out = []
     for a in range(len(pts)):
         anchored = []
         for i, j in itertools.combinations(range(a + 1, len(pts)), 2):
             b = (pts[a], pts[i], pts[j])
-            opt = led.option(_triple_diffs(table, b))
+            opt = diffs.option(_triple_diffs(table, b))
             if opt is not None:
-                anchored.append((b, 1 << a | 1 << i | 1 << j, opt))
+                anchored.append((b, 1 << a | 1 << i | 1 << j | opt[0] << len(pts), ()))
         out.append(anchored)
     return out
 
@@ -747,12 +750,16 @@ def _gbtd_starters(m: int, special: bool, bud: Budget):
 
     transversals = [((x, 0), (y, 1), (z, 2)) for x in range(m) for y in range(m) for z in range(m)]
     b_keyed = _keyed(pool, transversals, lambda b: _triple_diffs(diffs, b))
+    # the A blocks' differences are secondary items of the cover, so the pool
+    # counts them only once the A blocks cover every point
     cover = _anchored_triples(pts, pool, diffs)
-    for _ in _covers(bud, pool, cover, (1 << len(pts)) - 1, a_blocks):
+    for covered in _covers(bud, pool, cover, (1 << len(pts)) - 1, a_blocks):
+        a_diffs = pool.add((covered >> len(pts), 0))
         if all(pool.has(k) for k in pure):
             for _ in _ascending(bud, pool, b_keyed, (m - 1) // 2, b_blocks):
                 if not pool.zeros:
                     yield from assign_phase()
+        pool.undo(a_diffs)
 
 
 def _frgbtd_starters(t: int, bud: Budget):
@@ -764,28 +771,27 @@ def _frgbtd_starters(t: int, bud: Budget):
     pts = sorted((e, c) for c in range(2) for e in range(n3) if e not in hole)
     lists = (("p", 0), ("p", 1), ("m", (0, 1)), ("m", (1, 0)))
     slot_order = sorted((i, j) for i in range(1, t) for j in (0, 1))
-    # one ledger: each difference once, and in the row multiset R_j of each
-    # row class j every nonzero residue mod t of either copy at most twice,
-    # and in the end at least once
+    # the row multiset R_j of each row class j: every nonzero residue mod t of
+    # either copy at most twice, and in the end at least once
     residues = [[(j, res, c) for res in range(1, t) for c in (0, 1)] for j in (0, 1)]
-    led = _Ledger({(key, d): 1 for key in lists for d in range(n3) if d not in hole}
-                  | dict.fromkeys(residues[0] + residues[1], 2))
+    led = _Ledger(dict.fromkeys(residues[0] + residues[1], 2))
     row_keys = [sum(led.bit[k] for k in keys) for keys in residues]
-    diffs = _class_diffs(pts, n3)
 
-    # the items are the points, then the slots; an option is a triple placed
-    # in a slot (i, j), whose translate by i lands in R_j
-    first = len(pts)
+    # the items are the points, the differences (secondary) and the slots;
+    # an option is an anchored triple placed in a slot (i, j), whose
+    # translate by i lands in R_j
+    diffs = _Ledger({(key, d): 1 for key in lists for d in range(n3) if d not in hole})
+    first = len(pts) + len(diffs.bit)
     class_slots = [sum(1 << first + s for s, (_i, j) in enumerate(slot_order) if j == jj)
                    for jj in (0, 1)]
     options = []
-    for anchored in _anchored_triples(pts, led, diffs):
+    for anchored in _anchored_triples(pts, diffs, _class_diffs(pts, n3)):
         out = []
-        for b, mask, (d1, d2) in anchored:
+        for b, mask, _ in anchored:
             for s, (i, j) in enumerate(slot_order):
                 opt = led.option([(j, (x - i) % t, c) for x, c in b])
                 if opt is not None:
-                    out.append((((i, j), b), mask | 1 << first + s, (d1 | opt[0], d2 | opt[1])))
+                    out.append((((i, j), b), mask | 1 << first + s, opt))
         options.append(out)
 
     def starved(covered):
@@ -795,8 +801,9 @@ def _frgbtd_starters(t: int, bud: Budget):
                 or (row_keys[1] & unused).bit_count() > 3 * (class_slots[1] & free).bit_count())
 
     assign: list = []  # (slot, triple)
-    for _ in _covers(bud, led, options, (1 << first + len(slot_order)) - 1, assign, starved):
-        if not (row_keys[0] | row_keys[1]) & ~led.one:
+    primary = (1 << len(pts)) - 1 | class_slots[0] | class_slots[1]
+    for _ in _covers(bud, led, options, primary, assign, starved):
+        if not led.zeros:
             yield FrGbtdStarter(t, {key: block(fpoint(x, c) for x, c in bl)
                                     for key, bl in assign})
 

@@ -89,10 +89,9 @@ def test_ledger_rejects_caps_other_than_1_or_2(cap):
         _Ledger({"a": 1, "b": cap})
 
 
-def _brute_covers(n_primary: int, caps: dict, options) -> set:
+def _brute_covers(primary: int, caps: dict, options) -> set:
     """Every set of option indices whose item masks are disjoint, cover every
-    primary item and together keep each key within its cap."""
-    primary = (1 << n_primary) - 1
+    item of the bitmask `primary` and together keep each key within its cap."""
     found = set()
     for size in range(len(options) + 1):
         for combo in itertools.combinations(range(len(options)), size):
@@ -108,15 +107,17 @@ def _brute_covers(n_primary: int, caps: dict, options) -> set:
     return found
 
 
-def _engine_covers(n_primary: int, caps: dict, options) -> list:
+def _engine_covers(primary: int, caps: dict, options) -> list:
     led = _Ledger(caps)
-    # every option is listed under each primary item it covers
-    by_item = [[(i, mask, opt) for i, (mask, keys) in enumerate(options)
+    # every option is listed under each primary item it covers; keys that
+    # compile to nothing are given as (), which leaves the ledger alone
+    by_item = [[(i, mask, opt if opt != (0, 0) else ())
+                for i, (mask, keys) in enumerate(options)
                 if mask >> item & 1 and (opt := led.option(keys)) is not None]
-               for item in range(n_primary)]
+               for item in range(primary.bit_length())]
     chosen: list = []
     found = []
-    for covered in _covers(Budget(10**6), led, by_item, (1 << n_primary) - 1, chosen):
+    for covered in _covers(Budget(10**6), led, by_item, primary, chosen):
         assert covered == sum(options[i][0] for i in chosen)
         # the chosen options' keys are counted while the consumer runs
         ref = DictLedger(caps)
@@ -129,28 +130,31 @@ def _engine_covers(n_primary: int, caps: dict, options) -> list:
 
 @st.composite
 def _cover_instances(draw):
-    n_primary = draw(st.integers(0, 10))
-    n_secondary = draw(st.integers(0, 3))
+    # up to 10 primary items and 3 secondary ones, in any bit positions
+    n_items = draw(st.integers(0, 13))
+    primary_items = draw(st.sets(st.integers(0, n_items - 1), max_size=10)) if n_items else set()
+    secondary_items = sorted(set(range(n_items)) - primary_items)[:3]
     caps = dict(enumerate(draw(st.lists(st.sampled_from([1, 2]), max_size=4))))
     key = st.sampled_from(list(caps) + [UNCAPPED])
     options = []
-    if n_primary:
+    if primary_items:
         # each option covers one to three primary items, so that the engine
         # can reach it, and maybe some secondary ones
-        secondary = (st.sets(st.integers(n_primary, n_primary + n_secondary - 1))
-                     if n_secondary else st.just(set()))
-        option = st.tuples(st.sets(st.integers(0, n_primary - 1), min_size=1, max_size=3),
+        secondary = (st.sets(st.sampled_from(secondary_items)) if secondary_items
+                     else st.just(set()))
+        option = st.tuples(st.sets(st.sampled_from(sorted(primary_items)), min_size=1, max_size=3),
                            secondary, st.lists(key, max_size=3))
         options = [(sum(1 << x for x in items | extra), keys)
                    for items, extra, keys in draw(st.lists(option, max_size=12))]
-    return n_primary, caps, options
+    return sum(1 << x for x in primary_items), caps, options
 
 
 @settings(max_examples=300, deadline=None)
 @given(_cover_instances())
-@example((3, {}, [(0b101, []), (0b110, []), (0b010, [])]))  # items 0 and 1 share item 2
-@example((2, {}, [(0b101, []), (0b110, []), (0b010, [])]))  # ... or a secondary item
-@example((2, {0: 1, 1: 2}, [(0b01, [1, 1]), (0b10, [0]), (0b10, [1]), (0b11, [0, 1])]))
+@example((0b111, {}, [(0b101, []), (0b110, []), (0b010, [])]))  # items 0 and 1 share item 2
+@example((0b011, {}, [(0b101, []), (0b110, []), (0b010, [])]))  # ... or a secondary item
+@example((0b101, {}, [(0b011, []), (0b110, []), (0b100, [])]))  # ... below a primary one
+@example((0b11, {0: 1, 1: 2}, [(0b01, [1, 1]), (0b10, [0]), (0b10, [1]), (0b11, [0, 1])]))
 def test_covers_matches_brute_force(inst):
     found = _engine_covers(*inst)
     assert len(found) == len(set(found))
