@@ -684,19 +684,19 @@ def _triple_diffs(table: dict, b) -> tuple:
     return table[(b[0], b[1])] + table[(b[0], b[2])] + table[(b[1], b[2])]
 
 
-def _anchored_triples(pts, diffs: _Ledger, table: dict) -> list:
+def _anchored_triples(pts, pool: _Ledger, table: dict) -> list:
     """For each point index a, the triples (pts[a], pts[i], pts[j]) with
     a < i < j in combination order, as `_covers` options (triple, item bits,
     no keys).  The items are the points, then the differences: each
     difference is used at most once, so it is a secondary item, at the bit of
-    its key in `diffs` (a ledger of the differences, each cap 1) above the
-    points.  Triples whose differences never fit are left out."""
+    its key in `pool` (a ledger of the differences alone, each cap 1) above
+    the points.  Triples whose differences never fit are left out."""
     out = []
     for a in range(len(pts)):
         anchored = []
         for i, j in itertools.combinations(range(a + 1, len(pts)), 2):
             b = (pts[a], pts[i], pts[j])
-            opt = diffs.option(_triple_diffs(table, b))
+            opt = pool.option(_triple_diffs(table, b))
             if opt is not None:
                 anchored.append((b, 1 << a | 1 << i | 1 << j | opt[0] << len(pts), ()))
         out.append(anchored)
@@ -780,12 +780,12 @@ def _frgbtd_starters(t: int, bud: Budget):
     # the items are the points, the differences (secondary) and the slots;
     # an option is an anchored triple placed in a slot (i, j), whose
     # translate by i lands in R_j
-    diffs = _Ledger({(key, d): 1 for key in lists for d in range(n3) if d not in hole})
-    first = len(pts) + len(diffs.bit)
+    pool = _Ledger({(key, d): 1 for key in lists for d in range(n3) if d not in hole})
+    first = len(pts) + len(pool.bit)
     class_slots = [sum(1 << first + s for s, (_i, j) in enumerate(slot_order) if j == jj)
                    for jj in (0, 1)]
     options = []
-    for anchored in _anchored_triples(pts, diffs, _class_diffs(pts, n3)):
+    for anchored in _anchored_triples(pts, pool, _class_diffs(pts, n3)):
         out = []
         for b, mask, _ in anchored:
             for s, (i, j) in enumerate(slot_order):
