@@ -4,11 +4,10 @@ Budgets are node counts, not wall time, so results reproduce across machines.
 Exact answers are only claimed when the search space was exhausted within
 budget; otherwise the best object found so far is returned with exact=False.
 
-The searches that stop at a first result are generators: they yield each
-candidate in their fixed exploration order and leave verifying, counting and
-stopping to the one function that calls them (`search_starter`,
-`search_gbtp`, `arrange_resolution`).  A budget running out raises
-`_Exhausted` through the generator into that caller.
+The starter searches are generators: they yield each candidate in a fixed
+order and leave verifying, counting and stopping to `search_starter`.
+`search_gbtp` and `arrange_resolution` are plain recursions that return at
+their first grid.  A budget running out raises `_Exhausted` to its owner.
 """
 
 from __future__ import annotations
@@ -57,11 +56,6 @@ class Budget:
         self.used += n
         if self.used > self.limit:
             raise _Exhausted()
-
-
-def _bits(mask: int) -> list:
-    """The indices of the set bits of mask, in increasing order."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 # ---------------------------------------------------------------------------
@@ -216,40 +210,49 @@ def max_eswc(n: int, d: int, q: int, budget: int | None = None) -> EswcResult:
     return EswcResult(n, d, q, len(best), code, exact, bud.used)
 
 
-def _row_counts(v: int, m: int, n: int):
+def _row_masks(v: int, m: int, n: int):
     """Row equity of an m x n array in which every column partitions the v
     points: each point ends with floor(n/m) or hi = ceil(n/m) cells in every
-    row, so with exactly t_hi = n - m*(hi-1) rows at hi.  Returns closures
-    over the counts so far: `fits(xs, r)`, whether every point of xs can take
-    one more cell in row r, and `put(xs, r)` and `take(xs, r)`, which add
-    that cell and take it back.  No row-deficiency test is needed: a point
-    holding at most t_hi rows at hi always has columns enough left to reach
-    the floor in every row."""
+    row, so with exactly t_hi = n - m*(hi-1) rows at hi.  Per point x, the
+    row masks `cap[x]` (rows at hi) and `near[x]` (rows at hi - 1) give
+    `shut[x]`: cap[x], and near[x] too once t_hi rows are at hi.  The rows
+    closed to a block are the OR of `shut` over its points.  Returns `shut`,
+    and `put(xs, r)` and `take(xs, r)`, which add a cell of row r to each
+    point of xs and take it back.  No row-deficiency test is needed: a point
+    with at most t_hi rows at hi always has columns enough left to reach the
+    floor in every row."""
     hi = -(-n // m)
     t_hi = n - m * (hi - 1)
     cnt = [[0] * m for _ in range(v)]
-    hi_rows = [0] * v  # per point: rows at the cap hi
-
-    def fits(xs, r):
-        for x in xs:
-            c = cnt[x][r]
-            if c >= hi or c + 1 == hi and hi_rows[x] >= t_hi:
-                return False
-        return True
+    cap, shut, near = [0] * v, [0] * v, [(1 << m) - 1 if hi == 1 else 0] * v
 
     def put(xs, r):
+        bit = 1 << r
         for x in xs:
-            c = cnt[x][r] = cnt[x][r] + 1
+            row = cnt[x]
+            c = row[r] = row[r] + 1
             if c == hi:
-                hi_rows[x] += 1
+                cap[x] |= bit
+                near[x] ^= bit
+            elif c == hi - 1:
+                near[x] |= bit
+            cx = cap[x]
+            shut[x] = (cx | near[x]) if cx.bit_count() == t_hi else cx
 
     def take(xs, r):
+        bit = 1 << r
         for x in xs:
-            if cnt[x][r] == hi:
-                hi_rows[x] -= 1
-            cnt[x][r] -= 1
+            row = cnt[x]
+            c = row[r] = row[r] - 1
+            if c == hi - 1:
+                cap[x] ^= bit
+                near[x] |= bit
+            elif c == hi - 2:
+                near[x] ^= bit
+            cx = cap[x]
+            shut[x] = (cx | near[x]) if cx.bit_count() == t_hi else cx
 
-    return fits, put, take
+    return shut, put, take
 
 
 def _array_grid(kind: str, lam: int, k_set, points, m: int, columns,
@@ -274,47 +277,45 @@ def arrange_resolution(classes, m: int, n: int,
         raise InconsistentParams("need one class per column")
     pts = sorted({p for cls in classes for b in cls for p in b})
     index = {p: i for i, p in enumerate(pts)}
-    bud = Budget(budget)
-    fits, put, take = _row_counts(len(pts), m, n)
-    sol: list = []
-    # each column's blocks in placing order, as point indices
+    tick = Budget(budget).tick
+    shut, put, take = _row_masks(len(pts), m, n)
+    allrows = (1 << m) - 1
+    # each column's blocks in placing order, as point indices, and their rows
     col_ids = [[[index[p] for p in b] for b in sorted(cls, key=lambda b: (-len(b), b))]
                for cls in classes]
+    rows = [[0] * len(blocks) for blocks in col_ids]
 
-    def place_col(ci):
-        bud.tick()
-        if ci == n:
-            yield sol
-            return
+    def rec(ci, bi, used):
+        # one tick per node; a full column ticks once more before the next
+        tick()
         blocks = col_ids[ci]
-        order: list = []
-
-        def rec(bi, used):
-            bud.tick()
-            if bi == len(blocks):
-                sol.append(list(zip(order, blocks)))
-                yield from place_col(ci + 1)
-                sol.pop()
-                return
-            xs = blocks[bi]
-            for r in range(m):
-                if (used >> r) & 1 or not fits(xs, r):
-                    continue
-                put(xs, r)
-                order.append(r)
-                yield from rec(bi + 1, used | (1 << r))
-                order.pop()
-                take(xs, r)
-
-        yield from rec(0, 0)
+        if bi == len(blocks):
+            tick()
+            return ci + 1 == n or rec(ci + 1, 0, 0)
+        xs = blocks[bi]
+        free = allrows & ~used
+        for x in xs:
+            free &= ~shut[x]
+        while free:
+            low = free & -free
+            free ^= low
+            r = low.bit_length() - 1
+            put(xs, r)
+            rows[ci][bi] = r
+            if rec(ci, bi + 1, used | low):
+                return True
+            take(xs, r)
+        return False
 
     try:
-        if next(place_col(0), None) is None:
+        tick()
+        if n and not rec(0, 0, 0):
             return None
     except _Exhausted:
         return None
     k_set = tuple(sorted({len(b) for cls in classes for b in cls}))
-    return _array_grid("GBTP", 1, k_set, pts, m, sol)
+    return _array_grid("GBTP", 1, k_set, pts, m,
+                       [list(zip(r, blocks)) for r, blocks in zip(rows, col_ids)])
 
 
 # Base parallel classes over (Z_3 x [4]) u {inf1, inf2}: developing each by
@@ -426,6 +427,7 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
     if v > m * max(k_set) or m < 1 or n < 1:
         raise InconsistentParams("array cannot hold the point set")
     bud = Budget(budget)
+    tick = bud.tick
 
     kmin = min(k_set)
     exact = len(k_set) == 1 and v == k_set[0] * m and n * (k_set[0] - 1) == lam * (v - 1)
@@ -434,98 +436,107 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
         return GbtpSearchResult(None, True, 0)
     min_col_pairs = min(sum(s * (s - 1) // 2 for s in comp) for comp in comps)
     total_pairs = v * (v - 1) // 2
+    sizes, allrows, allpts = k_set[::-1], (1 << m) - 1, (1 << v) - 1
 
-    fits, put, take = _row_counts(v, m, n)
+    shut, put, take = _row_masks(v, m, n)
     pair_used = [0] * v  # per point: a bit per partner so far
-    columns: list = []
+    placed: list = []  # (column, row, block, its points' bits) of every block so far
 
-    def place_block(r, b):
-        put(b, r)
-        for x, y in itertools.combinations(b, 2):
-            pair_used[x] |= 1 << y
-            pair_used[y] |= 1 << x
+    def toggle_pairs(b, mask):
+        # mark or unmark every pair of block b (its points' bits are mask)
+        for x in b:
+            pair_used[x] ^= mask ^ 1 << x
 
-    def unplace_block(r, b):
-        take(b, r)
-        for x, y in itertools.combinations(b, 2):
-            pair_used[x] &= ~(1 << y)
-            pair_used[y] &= ~(1 << x)
-
-    def feasible(remaining: int) -> bool:
-        # row equity needs no test here (see _row_counts); each later column
+    def next_column(remaining: int) -> bool:
+        # the columns so far are complete: done, or a new column's root node.
+        # Row equity needs no test here (see _row_masks); each later column
         # covers at least min_col_pairs new pairs and adds at least kmin-1 new
         # partners to every point, and lambda=1 caps degrees at v-1
         deg = [pu.bit_count() for pu in pair_used]
         return (sum(deg) // 2 + remaining * min_col_pairs <= total_pairs
-                and max(deg) + remaining * (kmin - 1) <= v - 1)
+                and max(deg) + remaining * (kmin - 1) <= v - 1
+                and (not remaining or extend_column(allpts, 0, 0, remaining - 1)))
 
-    def extend_column(uncovered, triples, used_rows, col, remaining):
-        """Anchor the most constrained uncovered point (bitmask `uncovered`),
-        pick its block and row jointly."""
-        bud.tick()
+    def extend_column(uncovered, triples, used_rows, remaining):
+        # anchor the most constrained uncovered point, pick its block and row
+        tick()
         if not uncovered:
-            if star3 and triples != 1:
-                return
-            if feasible(remaining):
-                columns.append(list(col))
-                yield from dfs(len(columns))
-                columns.pop()
-            return
-        # fewest unused partners; min keeps the least index on ties
-        p0 = min(_bits(uncovered), key=lambda x: (uncovered & ~pair_used[x]).bit_count())
+            return (not star3 or triples == 1) and next_column(remaining)
+        # fewest unused partners, the least index on ties
+        p0, fewest, scan = 0, v + 1, uncovered
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            x = low.bit_length() - 1
+            k = (uncovered & ~pair_used[x]).bit_count()
+            if k < fewest:
+                p0, fewest = x, k
+        free = allrows & ~(used_rows | shut[p0])
+        if not free:
+            return False
         rest = uncovered & ~(1 << p0)
-        free_rows = [r for r in range(m) if not (used_rows >> r) & 1 and fits((p0,), r)]
-        if not free_rows:
-            return
-        candidates = _bits(rest & ~pair_used[p0])
-        for s in sorted(k_set, reverse=True):
+        for s in sizes:
             if star3 and s == 3 and triples == 1:
                 continue
-            for others in itertools.combinations(candidates, s - 1):
-                if any(pair_used[x] >> y & 1 for x, y in itertools.combinations(others, 2)):
-                    continue
-                b = (p0,) + others
-                sub = rest & ~sum(1 << x for x in others)
-                for r in free_rows:
-                    if not fits(others, r):
-                        continue
-                    place_block(r, b)
-                    col.append((r, b))
-                    yield from extend_column(sub, triples + (s == 3),
-                                             used_rows | (1 << r), col, remaining)
-                    col.pop()
-                    unplace_block(r, b)
+            if grow(rest & ~pair_used[p0], s - 1, (p0,), 1 << p0, free,
+                    rest, triples + (s == 3), used_rows, remaining):
+                return True
+        return False
 
-    def dfs(ci):
-        if ci == n:
-            yield columns
-            return
-        yield from extend_column((1 << v) - 1, 0, 0, [], n - ci - 1)
+    def grow(cands, need, b, mask, rows, rest, triples, used_rows, remaining):
+        # add the partners of b[0] in increasing order, each unused with those
+        # before it, while some row (rows) is open to every point of b; then
+        # place the block in each of those rows
+        if need:
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                x = low.bit_length() - 1
+                open_rows = rows & ~shut[x]
+                if open_rows and grow(cands & ~pair_used[x], need - 1, b + (x,), mask | low,
+                                      open_rows, rest, triples, used_rows, remaining):
+                    return True
+            return False
+        while rows:
+            low = rows & -rows
+            rows ^= low
+            r = low.bit_length() - 1
+            put(b, r)
+            toggle_pairs(b, mask)
+            placed.append((n - 1 - remaining, r, b, mask))
+            if extend_column(rest & ~mask, triples, used_rows | low, remaining):
+                return True
+            placed.pop()
+            toggle_pairs(b, mask)
+            take(b, r)
+        return False
 
-    def solutions():
+    def search():
+        # the first column canonical: points in order, blocks sized by comp
         for comp in comps:
-            col0 = []
             x = 0
             for r, s in enumerate(comp):
-                b = tuple(range(x, x + s))
-                col0.append((r, b))
-                place_block(r, b)
+                placed.append((0, r, tuple(range(x, x + s)), ((1 << s) - 1) << x))
                 x += s
-            if feasible(n - 1):
-                columns.append(col0)
-                yield from dfs(1)
-                columns.pop()
-            for r, b in col0:
-                unplace_block(r, b)
+            for _c, r, b, mask in placed:
+                put(b, r)
+                toggle_pairs(b, mask)
+            if next_column(n - 1):
+                return True
+            for _c, r, b, mask in placed:
+                take(b, r)
+                toggle_pairs(b, mask)
+            placed.clear()
+        return False
 
     try:
-        sol = next(solutions(), None)
+        if not search():
+            return GbtpSearchResult(None, True, bud.used)
     except _Exhausted:
         return GbtpSearchResult(None, False, bud.used)
-    if sol is None:
-        return GbtpSearchResult(None, True, bud.used)
     points = [fpoint(x + 1) for x in range(v)]
-    g = _array_grid("GBTD" if exact else "GBTP", lam, k_set, points, m, sol, star=star3)
+    columns = [[(r, b) for c, r, b, _mask in placed if c == ci] for ci in range(n)]
+    g = _array_grid("GBTD" if exact else "GBTP", lam, k_set, points, m, columns, star=star3)
     return GbtpSearchResult(g, True, bud.used)
 
 
@@ -706,6 +717,8 @@ def _anchored_triples(pts, pool: _Ledger, table: dict) -> list:
 def _gbtd_starters(m: int, special: bool, bud: Budget):
     """Cover Gamma x {0,1,2} by m triples plus transversal extras with exact
     difference lists, then choose translation indices satisfying the row rule."""
+    if m % 2 == 0:
+        raise InconsistentParams("m must be odd")
     pts = sorted((e, c) for e in range(m) for c in range(3))
     pure = [(("p", c), d) for c in range(3) for d in range(1, m)]
     mixed = [(("m", pr), d) for pr in itertools.permutations(range(3), 2) for d in range(m)]
@@ -823,9 +836,11 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
     forming the B pairs on the leftover differences."""
     if w % 2 == 0 or w < 5:
         raise InconsistentParams("w must be odd and >= 5")
+    if m % 2 == 0:
+        raise InconsistentParams("m must be odd")
     n_a = (w - 5) // 2
     n_cpair = m - w - 1
-    if n_cpair < 0 or m % 2 == 0:
+    if n_cpair < 0:
         return
     mods = (m, 2)
     finite = [(x, j) for x in range(m) for j in (0, 1)]  # point p has bit 2x + j
@@ -932,10 +947,10 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
 def _igbtp_z4_starters(m: int, bud: Budget):
     """Forced structure: A on parities {0,2}, four finite B pairs, finite
     triple C_0, all nine infinite points as partner blocks in C or D."""
+    if m % 2 == 0 or m < 5:
+        raise InconsistentParams("m must be odd and >= 5")
     finite = [(x, j) for x in range(m) for j in range(4)]
     n_pair = 2 * m - 10
-    if n_pair < 0 or m % 2 == 0:
-        return
     mods = (m, 4)
     # (0, d) each nonzero difference once, (1, p) each finite point in at
     # most one of the B, C and D blocks

@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -243,6 +245,21 @@ def test_search_starter_z2_invalid_w_exit_2():
         assert res.returncode == 2, (w, res.stdout, res.stderr)
         assert "Traceback" not in res.stderr and res.stderr.startswith("error: ")
         assert "w must be odd and >= 5" in res.stderr, (w, res.stderr)
+
+
+@pytest.mark.parametrize("kind,params,message", [
+    ("gbtd", ("--m", "6"), "m must be odd"),
+    ("gbtd", ("--m", "4", "--special"), "m must be odd"),
+    ("igbtp_z2", ("--m", "12", "--w", "9"), "m must be odd"),
+    ("igbtp_z4", ("--m", "6"), "m must be odd and >= 5"),
+    ("igbtp_z4", ("--m", "3"), "m must be odd and >= 5"),
+])
+def test_search_starter_invalid_m_exit_2(kind, params, message):
+    # the verifiers reject these orders by shape, so no search is run
+    res = run_cli("search", "starter", "--kind", kind, *params, "--budget", "300000")
+    assert res.returncode == 2, (params, res.stdout, res.stderr)
+    assert "Traceback" not in res.stderr and res.stderr.startswith("error: ")
+    assert message in res.stderr, (params, res.stderr)
 
 
 def test_verify_starter_wrong_arity_exit_2(tmp_path):
