@@ -478,38 +478,36 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
         for s in sizes:
             if star3 and s == 3 and triples == 1:
                 continue
-            if grow(rest & ~pair_used[p0], s - 1, (p0,), 1 << p0, free,
-                    rest, triples + (s == 3), used_rows, remaining):
-                return True
+            for b, mask, rows in blocks(rest & ~pair_used[p0], s - 1, (p0,), 1 << p0, free, []):
+                while rows:
+                    low = rows & -rows
+                    rows ^= low
+                    r = low.bit_length() - 1
+                    put(b, r)
+                    toggle_pairs(b, mask)
+                    placed.append((n - 1 - remaining, r, b, mask))
+                    if extend_column(rest & ~mask, triples + (s == 3), used_rows | low, remaining):
+                        return True
+                    placed.pop()
+                    toggle_pairs(b, mask)
+                    take(b, r)
         return False
 
-    def grow(cands, need, b, mask, rows, rest, triples, used_rows, remaining):
-        # add the partners of b[0] in increasing order, each unused with those
-        # before it, while some row (rows) is open to every point of b; then
-        # place the block in each of those rows
-        if need:
-            while cands:
-                low = cands & -cands
-                cands ^= low
-                x = low.bit_length() - 1
-                open_rows = rows & ~shut[x]
-                if open_rows and grow(cands & ~pair_used[x], need - 1, b + (x,), mask | low,
-                                      open_rows, rest, triples, used_rows, remaining):
-                    return True
-            return False
-        while rows:
-            low = rows & -rows
-            rows ^= low
-            r = low.bit_length() - 1
-            put(b, r)
-            toggle_pairs(b, mask)
-            placed.append((n - 1 - remaining, r, b, mask))
-            if extend_column(rest & ~mask, triples, used_rows | low, remaining):
-                return True
-            placed.pop()
-            toggle_pairs(b, mask)
-            take(b, r)
-        return False
+    def blocks(cands, need, b, mask, rows, out):
+        # each block b + (`need` more points of cands) in lexicographic order,
+        # every point unused with those before it and some row open to all,
+        # as (block, its points' bits, its open rows)
+        if not need:
+            out.append((b, mask, rows))
+            return out
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            x = low.bit_length() - 1
+            opened = rows & ~shut[x]
+            if opened:
+                blocks(cands & ~pair_used[x], need - 1, b + (x,), mask | low, opened, out)
+        return out
 
     def search():
         # the first column canonical: points in order, blocks sized by comp

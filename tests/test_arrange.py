@@ -44,13 +44,23 @@ def test_search_gbtp_matches_oracle(k_set):
     assert searched == K_SETS[k_set]
 
 
+def test_search_gbtp_recursion_depth_matches_oracle():
+    # 33 columns of 17 pairs: the search dives past 350 blocks within this
+    # budget, so it must recurse no deeper per block than the oracle does
+    params = {"K": [2], "v": 34, "m": 17, "n": 33}
+    res, want = search_gbtp(params, budget=10_000), oracle.search_gbtp(params, budget=10_000)
+    assert (res.nodes, res.exhausted) == (want.nodes, want.exhausted) == (10_001, False)
+
+
 def _ag23_classes():
-    # the four parallel classes of lines of AG(2,3)
+    # the four parallel classes of lines of AG(2,3), one per direction
     pts = list(itertools.product(range(3), repeat=2))
-    return [[block(fpoint(((x + t * dx) % 3, (y + t * dy) % 3)) for t in range(3))
-             for x, y in pts if (x, y) == min(((x + t * dx) % 3, (y + t * dy) % 3)
-                                              for t in range(3))]
-            for dx, dy in ((1, 0), (0, 1), (1, 1), (1, 2))]
+    classes = []
+    for dx, dy in ((1, 0), (0, 1), (1, 1), (1, 2)):
+        lines = {tuple(sorted(((x + t * dx) % 3, (y + t * dy) % 3) for t in range(3)))
+                 for x, y in pts}
+        classes.append([block(fpoint(p) for p in line) for line in sorted(lines)])
+    return classes
 
 
 def _k4_factors():
