@@ -214,13 +214,11 @@ def _row_masks(v: int, m: int, n: int):
     """Row equity of an m x n array in which every column partitions the v
     points: each point ends with floor(n/m) or hi = ceil(n/m) cells in every
     row, so with exactly t_hi = n - m*(hi-1) rows at hi.  Per point x, the
-    row masks `cap[x]` (rows at hi) and `near[x]` (rows at hi - 1) give
-    `shut[x]`: cap[x], and near[x] too once t_hi rows are at hi.  The rows
-    closed to a block are the OR of `shut` over its points.  Returns `shut`,
-    and `put(xs, r)` and `take(xs, r)`, which add a cell of row r to each
+    rows `cap[x]` at hi and `near[x]` at hi - 1 give `shut[x]`, the rows x is
+    closed to: cap[x], and near[x] too once t_hi rows are at hi.  Returns
+    `shut`, `put(xs, r)` and `take(xs, r)`, which add a cell of row r to each
     point of xs and take it back.  No row-deficiency test is needed: a point
-    with at most t_hi rows at hi always has columns enough left to reach the
-    floor in every row."""
+    with at most t_hi rows at hi always has columns enough left."""
     hi = -(-n // m)
     t_hi = n - m * (hi - 1)
     cnt = [[0] * m for _ in range(v)]
@@ -280,42 +278,51 @@ def arrange_resolution(classes, m: int, n: int,
     tick = Budget(budget).tick
     shut, put, take = _row_masks(len(pts), m, n)
     allrows = (1 << m) - 1
-    # each column's blocks in placing order, as point indices, and their rows
+    # each column's blocks in placing order as point indices, then all in one
+    # sequence; after[k]: the ticks due at k blocks placed, 2 per column end
     col_ids = [[[index[p] for p in b] for b in sorted(cls, key=lambda b: (-len(b), b))]
                for cls in classes]
-    rows = [[0] * len(blocks) for blocks in col_ids]
-
-    def rec(ci, bi, used):
-        # one tick per node; a full column ticks once more before the next
-        tick()
-        blocks = col_ids[ci]
-        if bi == len(blocks):
-            tick()
-            return ci + 1 == n or rec(ci + 1, 0, 0)
-        xs = blocks[bi]
-        free = allrows & ~used
-        for x in xs:
-            free &= ~shut[x]
-        while free:
-            low = free & -free
-            free ^= low
-            r = low.bit_length() - 1
-            put(xs, r)
-            rows[ci][bi] = r
-            if rec(ci, bi + 1, used | low):
-                return True
-            take(xs, r)
-        return False
-
+    seq = [xs for blocks in col_ids for xs in blocks]
+    after = [0] * (len(seq) + 1)
+    for k in itertools.accumulate(map(len, col_ids)):
+        after[k] += 2
+    # a loop, as frames one per block would cross a Python data-stack chunk
+    # to and fro; per block its row, its column's rows before it, rows to try
+    rows, before, todo = [0] * len(seq), [0] * len(seq), [0] * len(seq)
     try:
-        tick()
-        if n and not rec(0, 0, 0):
-            return None
+        for _ in range(1 + after[0]):
+            tick()
+        p, used, fresh = 0, 0, True
+        while p < len(seq):
+            xs = seq[p]
+            if fresh:  # a node: the rows open to every point of xs
+                tick()
+                free = allrows & ~used
+                for x in xs:
+                    free &= ~shut[x]
+                before[p] = used
+            else:  # back from a failed child: take the row tried last
+                take(xs, rows[p])
+                free = todo[p]
+            if not free:
+                if not p:
+                    return None
+                p, fresh = p - 1, False
+                continue
+            low = free & -free
+            todo[p] = free ^ low
+            rows[p] = r = low.bit_length() - 1
+            put(xs, r)
+            p, fresh = p + 1, True
+            for _ in range(after[p]):
+                tick()
+            used = 0 if after[p] else before[p - 1] | low
     except _Exhausted:
         return None
     k_set = tuple(sorted({len(b) for cls in classes for b in cls}))
+    placed = iter(zip(rows, seq))
     return _array_grid("GBTP", 1, k_set, pts, m,
-                       [list(zip(r, blocks)) for r, blocks in zip(rows, col_ids)])
+                       [[next(placed) for _ in blocks] for blocks in col_ids])
 
 
 # Base parallel classes over (Z_3 x [4]) u {inf1, inf2}: developing each by
@@ -429,7 +436,6 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
     bud = Budget(budget)
     tick = bud.tick
 
-    kmin = min(k_set)
     exact = len(k_set) == 1 and v == k_set[0] * m and n * (k_set[0] - 1) == lam * (v - 1)
     comps = _column_compositions(v, m, k_set, star3)
     if not comps:
@@ -449,12 +455,11 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
 
     def next_column(remaining: int) -> bool:
         # the columns so far are complete: done, or a new column's root node.
-        # Row equity needs no test here (see _row_masks); each later column
-        # covers at least min_col_pairs new pairs and adds at least kmin-1 new
-        # partners to every point, and lambda=1 caps degrees at v-1
+        # Each later column covers min_col_pairs new pairs or more and gives
+        # every point min(K)-1 new partners or more; lambda=1 caps degrees
         deg = [pu.bit_count() for pu in pair_used]
         return (sum(deg) // 2 + remaining * min_col_pairs <= total_pairs
-                and max(deg) + remaining * (kmin - 1) <= v - 1
+                and max(deg) + remaining * (k_set[0] - 1) <= v - 1
                 and (not remaining or extend_column(allpts, 0, 0, remaining - 1)))
 
     def extend_column(uncovered, triples, used_rows, remaining):
@@ -494,9 +499,8 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
         return False
 
     def blocks(cands, need, b, mask, rows, out):
-        # each block b + (`need` more points of cands) in lexicographic order,
-        # every point unused with those before it and some row open to all,
-        # as (block, its points' bits, its open rows)
+        # each block b + (`need` points of cands), lexicographic, its points
+        # pairwise unused and some row open to all: (block, bits, open rows)
         if not need:
             out.append((b, mask, rows))
             return out
@@ -512,11 +516,9 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
     def search():
         # the first column canonical: points in order, blocks sized by comp
         for comp in comps:
-            x = 0
-            for r, s in enumerate(comp):
-                placed.append((0, r, tuple(range(x, x + s)), ((1 << s) - 1) << x))
-                x += s
-            for _c, r, b, mask in placed:
+            for r, (x, s) in enumerate(zip(itertools.accumulate(comp, initial=0), comp)):
+                b, mask = tuple(range(x, x + s)), ((1 << s) - 1) << x
+                placed.append((0, r, b, mask))
                 put(b, r)
                 toggle_pairs(b, mask)
             if next_column(n - 1):

@@ -9,6 +9,7 @@ tick, of the witness classes, AG(2,3) and fig2's deletion.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -108,3 +109,21 @@ def test_arrange_resolution_matches_oracle(monkeypatch, fig2, case, m, n, ticks,
     got = _arrangement(monkeypatch, arrange_resolution, classes, m, n, budget)
     assert got == _arrangement(monkeypatch, oracle.arrange_resolution, classes, m, n, budget)
     assert (got[0] is not None, got[1]) == (found, ticks)
+
+
+def test_arrange_resolution_matches_oracle_on_random_classes(monkeypatch):
+    # small classes that need not partition one point set, empty ones among
+    # them, at budgets that stop the search and at one that does not
+    rng = random.Random(9)
+    for _ in range(400):
+        n, m, pts = rng.randint(0, 5), rng.randint(1, 4), list(range(rng.randint(0, 7)))
+        classes = []
+        for _ in range(n):
+            rng.shuffle(pts)
+            cuts = sorted(rng.sample(range(1, len(pts)), min(3, len(pts) - 1))) if pts else []
+            cls = [pts[a:b] for a, b in zip([0] + cuts, cuts + [len(pts)])]
+            classes.append([block(fpoint(x) for x in b) for b in cls if rng.random() < 0.9])
+        for budget in (rng.randint(1, 60), 100_000):
+            assert (_arrangement(monkeypatch, arrange_resolution, classes, m, n, budget)
+                    == _arrangement(monkeypatch, oracle.arrange_resolution, classes, m, n,
+                                    budget)), (classes, m, n, budget)
