@@ -6,8 +6,10 @@ budget; otherwise the best object found so far is returned with exact=False.
 
 The starter searches are generators: they yield each candidate in a fixed
 order and leave verifying, counting and stopping to `search_starter`.
-`search_gbtp` and `arrange_resolution` are plain recursions that return at
-their first grid.  A budget running out raises `_Exhausted` to its owner.
+`search_gbtp` and `arrange_resolution` search depth first in a loop, not a
+recursion (frames one per block would cross a Python data-stack chunk to
+and fro), and return at their first grid.  A budget running out raises
+`_Exhausted` to its owner.
 """
 
 from __future__ import annotations
@@ -211,46 +213,33 @@ def max_eswc(n: int, d: int, q: int, budget: int | None = None) -> EswcResult:
 
 
 def _row_masks(v: int, m: int, n: int):
-    """Row equity of an m x n array in which every column partitions the v
-    points: each point ends with floor(n/m) or hi = ceil(n/m) cells in every
-    row, so with exactly t_hi = n - m*(hi-1) rows at hi.  Per point x, the
-    rows `cap[x]` at hi and `near[x]` at hi - 1 give `shut[x]`, the rows x is
-    closed to: cap[x], and near[x] too once t_hi rows are at hi.  Returns
-    `shut`, `put(xs, r)` and `take(xs, r)`, which add a cell of row r to each
-    point of xs and take it back.  No row-deficiency test is needed: a point
-    with at most t_hi rows at hi always has columns enough left."""
+    """Row equity of an m x n array whose columns each partition the v points:
+    each point ends with floor(n/m) or hi = ceil(n/m) cells in every row, so
+    with t_hi = n - m*(hi-1) rows at hi.  Per point x, the rows `cap[x]` at hi
+    and `near[x]` at hi - 1 give `shut[x]`, the rows closed to x: cap[x], and
+    near[x] too once t_hi rows are at hi.  Returns `shut` and `shift(xs, r,
+    d)`, which gives each point of xs d = 1 or -1 cells of row r.  No deficiency
+    test is needed: with at most t_hi rows at hi, enough columns remain."""
     hi = -(-n // m)
     t_hi = n - m * (hi - 1)
     cnt = [[0] * m for _ in range(v)]
     cap, shut, near = [0] * v, [0] * v, [(1 << m) - 1 if hi == 1 else 0] * v
 
-    def put(xs, r):
+    def shift(xs, r, d):
         bit = 1 << r
         for x in xs:
             row = cnt[x]
-            c = row[r] = row[r] + 1
-            if c == hi:
-                cap[x] |= bit
-                near[x] ^= bit
-            elif c == hi - 1:
-                near[x] |= bit
-            cx = cap[x]
-            shut[x] = (cx | near[x]) if cx.bit_count() == t_hi else cx
-
-    def take(xs, r):
-        bit = 1 << r
-        for x in xs:
-            row = cnt[x]
-            c = row[r] = row[r] - 1
-            if c == hi - 1:
+            top = row[r] + (d > 0)  # the higher of the old and new counts
+            row[r] += d
+            if top == hi:  # row r moves between near and cap
                 cap[x] ^= bit
-                near[x] |= bit
-            elif c == hi - 2:
+                near[x] ^= bit
+            elif top == hi - 1:  # row r moves into or out of near
                 near[x] ^= bit
             cx = cap[x]
             shut[x] = (cx | near[x]) if cx.bit_count() == t_hi else cx
 
-    return shut, put, take
+    return shut, shift
 
 
 def _array_grid(kind: str, lam: int, k_set, points, m: int, columns,
@@ -275,19 +264,16 @@ def arrange_resolution(classes, m: int, n: int,
         raise InconsistentParams("need one class per column")
     pts = sorted({p for cls in classes for b in cls for p in b})
     index = {p: i for i, p in enumerate(pts)}
-    tick = Budget(budget).tick
-    shut, put, take = _row_masks(len(pts), m, n)
-    allrows = (1 << m) - 1
-    # each column's blocks in placing order as point indices, then all in one
-    # sequence; after[k]: the ticks due at k blocks placed, 2 per column end
+    tick, allrows = Budget(budget).tick, (1 << m) - 1
+    shut, shift = _row_masks(len(pts), m, n)
+    # each column's blocks in placing order as point indices, then in one run
     col_ids = [[[index[p] for p in b] for b in sorted(cls, key=lambda b: (-len(b), b))]
                for cls in classes]
     seq = [xs for blocks in col_ids for xs in blocks]
-    after = [0] * (len(seq) + 1)
+    after = [0] * (len(seq) + 1)  # ticks due at k blocks placed: 2 per column end
     for k in itertools.accumulate(map(len, col_ids)):
         after[k] += 2
-    # a loop, as frames one per block would cross a Python data-stack chunk
-    # to and fro; per block its row, its column's rows before it, rows to try
+    # per block: its row, its column's rows before it, its rows left to try
     rows, before, todo = [0] * len(seq), [0] * len(seq), [0] * len(seq)
     try:
         for _ in range(1 + after[0]):
@@ -302,7 +288,7 @@ def arrange_resolution(classes, m: int, n: int,
                     free &= ~shut[x]
                 before[p] = used
             else:  # back from a failed child: take the row tried last
-                take(xs, rows[p])
+                shift(xs, rows[p], -1)
                 free = todo[p]
             if not free:
                 if not p:
@@ -312,16 +298,15 @@ def arrange_resolution(classes, m: int, n: int,
             low = free & -free
             todo[p] = free ^ low
             rows[p] = r = low.bit_length() - 1
-            put(xs, r)
+            shift(xs, r, 1)
             p, fresh = p + 1, True
             for _ in range(after[p]):
                 tick()
             used = 0 if after[p] else before[p - 1] | low
     except _Exhausted:
         return None
-    k_set = tuple(sorted({len(b) for cls in classes for b in cls}))
     placed = iter(zip(rows, seq))
-    return _array_grid("GBTP", 1, k_set, pts, m,
+    return _array_grid("GBTP", 1, tuple(sorted({len(xs) for xs in seq})), pts, m,
                        [[next(placed) for _ in blocks] for blocks in col_ids])
 
 
@@ -444,29 +429,40 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
     total_pairs = v * (v - 1) // 2
     sizes, allrows, allpts = k_set[::-1], (1 << m) - 1, (1 << v) - 1
 
-    shut, put, take = _row_masks(v, m, n)
+    shut, shift = _row_masks(v, m, n)
     pair_used = [0] * v  # per point: a bit per partner so far
     placed: list = []  # (column, row, block, its points' bits) of every block so far
 
-    def toggle_pairs(b, mask):
-        # mark or unmark every pair of block b (its points' bits are mask)
+    def place(c, r, b, mask):
+        # block b (its points' bits are mask) into row r of column c
+        shift(b, r, 1)
+        for x in b:
+            pair_used[x] |= mask ^ 1 << x
+        placed.append((c, r, b, mask))
+
+    def unplace():
+        _c, r, b, mask = placed.pop()
+        shift(b, r, -1)
         for x in b:
             pair_used[x] ^= mask ^ 1 << x
 
-    def next_column(remaining: int) -> bool:
-        # the columns so far are complete: done, or a new column's root node.
-        # Each later column covers min_col_pairs new pairs or more and gives
-        # every point min(K)-1 new partners or more; lambda=1 caps degrees
+    def next_column(remaining: int):
+        # the columns so far are complete: True if they are all, else the next
+        # column's root as the one child (no block placed), or none: a later
+        # column covers min_col_pairs new pairs and min(K)-1 partners a point
         deg = [pu.bit_count() for pu in pair_used]
-        return (sum(deg) // 2 + remaining * min_col_pairs <= total_pairs
-                and max(deg) + remaining * (k_set[0] - 1) <= v - 1
-                and (not remaining or extend_column(allpts, 0, 0, remaining - 1)))
+        if (sum(deg) // 2 + remaining * min_col_pairs > total_pairs
+                or max(deg) + remaining * (k_set[0] - 1) > v - 1):
+            return []
+        return not remaining or [(None, 0, 0, allpts, 0, 0, remaining - 1)]
 
-    def extend_column(uncovered, triples, used_rows, remaining):
-        # anchor the most constrained uncovered point, pick its block and row
+    def expand(uncovered, triples, used_rows, remaining):
+        # a node: its tick, then True at a grid, or its children in order as
+        # (block, its points' bits, its row, the child node); a column grows
+        # from its most constrained uncovered point
         tick()
         if not uncovered:
-            return (not star3 or triples == 1) and next_column(remaining)
+            return next_column(remaining) if not star3 or triples == 1 else []
         # fewest unused partners, the least index on ties
         p0, fewest, scan = 0, v + 1, uncovered
         while scan:
@@ -477,25 +473,37 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
             if k < fewest:
                 p0, fewest = x, k
         free = allrows & ~(used_rows | shut[p0])
-        if not free:
-            return False
         rest = uncovered & ~(1 << p0)
-        for s in sizes:
+        kids: list = []
+        for s in sizes if free else ():
             if star3 and s == 3 and triples == 1:
                 continue
             for b, mask, rows in blocks(rest & ~pair_used[p0], s - 1, (p0,), 1 << p0, free, []):
                 while rows:
                     low = rows & -rows
                     rows ^= low
-                    r = low.bit_length() - 1
-                    put(b, r)
-                    toggle_pairs(b, mask)
-                    placed.append((n - 1 - remaining, r, b, mask))
-                    if extend_column(rest & ~mask, triples + (s == 3), used_rows | low, remaining):
-                        return True
-                    placed.pop()
-                    toggle_pairs(b, mask)
-                    take(b, r)
+                    kids.append((b, mask, low.bit_length() - 1, rest & ~mask,
+                                 triples + (s == 3), used_rows | low, remaining))
+        return kids
+
+    def dfs(kids) -> bool:
+        # depth first below a node with these children
+        stack = [(iter(kids), len(placed))]
+        while stack:
+            kids, base = stack[-1]
+            if len(placed) > base:  # undo the child tried last
+                unplace()
+            kid = next(kids, None)
+            if kid is None:
+                stack.pop()
+                continue
+            b, mask, r, *node = kid
+            if b:
+                place(n - 1 - node[3], r, b, mask)
+            got = expand(*node)
+            if got is True:
+                return True
+            stack.append((iter(got), len(placed)))
         return False
 
     def blocks(cands, need, b, mask, rows, out):
@@ -503,8 +511,7 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
         # pairwise unused and some row open to all: (block, bits, open rows)
         if not need:
             out.append((b, mask, rows))
-            return out
-        while cands:
+        while need and cands:
             low = cands & -cands
             cands ^= low
             x = low.bit_length() - 1
@@ -513,24 +520,17 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
                 blocks(cands & ~pair_used[x], need - 1, b + (x,), mask | low, opened, out)
         return out
 
-    def search():
+    try:
         # the first column canonical: points in order, blocks sized by comp
         for comp in comps:
             for r, (x, s) in enumerate(zip(itertools.accumulate(comp, initial=0), comp)):
-                b, mask = tuple(range(x, x + s)), ((1 << s) - 1) << x
-                placed.append((0, r, b, mask))
-                put(b, r)
-                toggle_pairs(b, mask)
-            if next_column(n - 1):
-                return True
-            for _c, r, b, mask in placed:
-                take(b, r)
-                toggle_pairs(b, mask)
-            placed.clear()
-        return False
-
-    try:
-        if not search():
+                place(0, r, tuple(range(x, x + s)), ((1 << s) - 1) << x)
+            kids = next_column(n - 1)
+            if kids is True or dfs(kids):
+                break
+            while placed:
+                unplace()
+        else:  # no grid
             return GbtpSearchResult(None, True, bud.used)
     except _Exhausted:
         return GbtpSearchResult(None, False, bud.used)
