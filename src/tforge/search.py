@@ -476,14 +476,9 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
         rest = uncovered & ~(1 << p0)
         kids: list = []
         for s in sizes if free else ():
-            if star3 and s == 3 and triples == 1:
-                continue
-            for b, mask, rows in blocks(rest & ~pair_used[p0], s - 1, (p0,), 1 << p0, free, []):
-                while rows:
-                    low = rows & -rows
-                    rows ^= low
-                    kids.append((b, mask, low.bit_length() - 1, rest & ~mask,
-                                 triples + (s == 3), used_rows | low, remaining))
+            if not (star3 and s == 3 and triples == 1):
+                blocks(rest & ~pair_used[p0], s - 1, (p0,), 1 << p0, free, kids,
+                       (rest, triples + (s == 3), used_rows, remaining))
         return kids
 
     def dfs(kids) -> bool:
@@ -497,28 +492,33 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
             if kid is None:
                 stack.pop()
                 continue
-            b, mask, r, *node = kid
+            b, mask, r, uncovered, triples, used_rows, remaining = kid
             if b:
-                place(n - 1 - node[3], r, b, mask)
-            got = expand(*node)
+                place(n - 1 - remaining, r, b, mask)
+            got = expand(uncovered, triples, used_rows, remaining)
             if got is True:
                 return True
             stack.append((iter(got), len(placed)))
         return False
 
-    def blocks(cands, need, b, mask, rows, out):
+    def blocks(cands, need, b, mask, rows, kids, node):
         # each block b + (`need` points of cands), lexicographic, its points
-        # pairwise unused and some row open to all: (block, bits, open rows)
+        # pairwise unused, in each row open to all: children of the node
+        # (rest, triples, used_rows, remaining) that anchored b[0]
         if not need:
-            out.append((b, mask, rows))
+            rest, triples, used_rows, remaining = node
+            while rows:
+                low = rows & -rows
+                rows ^= low
+                kids.append((b, mask, low.bit_length() - 1, rest & ~mask, triples,
+                             used_rows | low, remaining))
         while need and cands:
             low = cands & -cands
             cands ^= low
             x = low.bit_length() - 1
             opened = rows & ~shut[x]
             if opened:
-                blocks(cands & ~pair_used[x], need - 1, b + (x,), mask | low, opened, out)
-        return out
+                blocks(cands & ~pair_used[x], need - 1, b + (x,), mask | low, opened, kids, node)
 
     try:
         # the first column canonical: points in order, blocks sized by comp
