@@ -447,9 +447,9 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
             pair_used[x] ^= mask ^ 1 << x
 
     def next_column(remaining: int):
-        # the columns so far are complete: True if they are all, else the next
-        # column's root as the one child (no block placed), or none: a later
-        # column covers min_col_pairs new pairs and min(K)-1 partners a point
+        # the columns so far are complete: True if all are, else the next
+        # column's root as the one child, or none if the later columns' new
+        # pairs (min_col_pairs each, min(K)-1 per point) cannot fit lambda = 1
         deg = [pu.bit_count() for pu in pair_used]
         if (sum(deg) // 2 + remaining * min_col_pairs > total_pairs
                 or max(deg) + remaining * (k_set[0] - 1) > v - 1):
