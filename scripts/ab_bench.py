@@ -6,6 +6,9 @@
 Each pair runs the benchmark once in each checkout, one process at a time,
 alternating which side goes first.  Both checkouts run their own copy of
 perfbench/ and src/; the benchmark settings are the same on both sides.
+Before the first pair, src/ and perfbench/ are byte-compiled in both
+checkouts with the interpreter that runs the pairs, so neither side's
+set-up imports from source while the other's reads cached bytecode.
 Untraced pairs (--trace 0) give the end-to-end metrics, traced pairs
 (--trace 1) the per-layer ones.  The output holds, per workload and metric,
 every run, each side's median and quartiles, and how many pairs the change
@@ -35,6 +38,12 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
         cwd=checkout, capture_output=True, text=True, check=True)
     report, result = (json.loads(line) for line in out.stdout.strip().splitlines()[-2:])
     return dict(result, env=report["env"], op_seconds=report["op_seconds"])
+
+
+def compile_tree(checkout: Path) -> None:
+    """Byte-compile the checkout's src/ and perfbench/ with this interpreter."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=checkout, check=True)
 
 
 def quartiles(xs: list) -> tuple:
@@ -110,6 +119,8 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     report = {"seed": args.seed, "seconds": args.seconds, "workloads": {}}
+    for checkout in (args.parent, args.change):
+        compile_tree(checkout)
     for workload in args.workload:
         entry = report["workloads"][workload] = {}
         for key, count, trace in (("end_to_end", args.pairs, 0),

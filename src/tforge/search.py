@@ -9,7 +9,8 @@ order and leave verifying, counting and stopping to `search_starter`.
 `search_gbtp` and `arrange_resolution` search depth first in a loop, not a
 recursion (frames one per block would cross a Python data-stack chunk to
 and fro), and return at their first grid.  A budget running out raises
-`_Exhausted` to its owner.
+`_Exhausted` to its owner, except in `arrange_resolution`, which counts its
+ticks itself and leaves the count on its Budget.
 """
 
 from __future__ import annotations
@@ -215,31 +216,27 @@ def max_eswc(n: int, d: int, q: int, budget: int | None = None) -> EswcResult:
 def _row_masks(v: int, m: int, n: int):
     """Row equity of an m x n array whose columns each partition the v points:
     each point ends with floor(n/m) or hi = ceil(n/m) cells in every row, so
-    with t_hi = n - m*(hi-1) rows at hi.  Per point x, the rows `cap[x]` at hi
-    and `near[x]` at hi - 1 give `shut[x]`, the rows closed to x: cap[x], and
-    near[x] too once t_hi rows are at hi.  Returns `shut` and `shift(xs, r,
-    d)`, which gives each point of xs d = 1 or -1 cells of row r.  No deficiency
+    with t_hi = n - m*(hi-1) rows at hi.  Returns `(st, shut, inc)`: `st[x]`
+    packs point x's count in row r at bits b*r, b = hi.bit_length(), so a
+    cell of row r is `st[x] += inc[r]` and taking it back `st[x] -= inc[r]`;
+    `shut[s]` (worked out once per state s) is the rows closed at s: the rows
+    at hi, and the rows at hi - 1 too once t_hi rows are at hi.  No deficiency
     test is needed: with at most t_hi rows at hi, enough columns remain."""
     hi = -(-n // m)
     t_hi = n - m * (hi - 1)
-    cnt = [[0] * m for _ in range(v)]
-    cap, shut, near = [0] * v, [0] * v, [(1 << m) - 1 if hi == 1 else 0] * v
+    b = hi.bit_length()
 
-    def shift(xs, r, d):
-        bit = 1 << r
-        for x in xs:
-            row = cnt[x]
-            top = row[r] + (d > 0)  # the higher of the old and new counts
-            row[r] += d
-            if top == hi:  # row r moves between near and cap
-                cap[x] ^= bit
-                near[x] ^= bit
-            elif top == hi - 1:  # row r moves into or out of near
-                near[x] ^= bit
-            cx = cap[x]
-            shut[x] = (cx | near[x]) if cx.bit_count() == t_hi else cx
+    class Shut(dict):
+        def __missing__(self, s):
+            cap = near = 0
+            for r in range(m):
+                c = s >> b * r & ((1 << b) - 1)
+                cap |= (c == hi) << r
+                near |= (c == hi - 1) << r
+            self[s] = rows = (cap | near) if cap.bit_count() == t_hi else cap
+            return rows
 
-    return shut, shift
+    return [0] * v, Shut(), [1 << b * r for r in range(m)]
 
 
 def _array_grid(kind: str, lam: int, k_set, points, m: int, columns,
@@ -264,8 +261,8 @@ def arrange_resolution(classes, m: int, n: int,
         raise InconsistentParams("need one class per column")
     pts = sorted({p for cls in classes for b in cls for p in b})
     index = {p: i for i, p in enumerate(pts)}
-    tick, allrows = Budget(budget).tick, (1 << m) - 1
-    shut, shift = _row_masks(len(pts), m, n)
+    bud, allrows = Budget(budget), (1 << m) - 1
+    st, shut, inc = _row_masks(len(pts), m, n)
     # each column's blocks in placing order as point indices, then in one run
     col_ids = [[[index[p] for p in b] for b in sorted(cls, key=lambda b: (-len(b), b))]
                for cls in classes]
@@ -274,36 +271,43 @@ def arrange_resolution(classes, m: int, n: int,
     for k in itertools.accumulate(map(len, col_ids)):
         after[k] += 2
     # per block: its row, its column's rows before it, its rows left to try
-    rows, before, todo = [0] * len(seq), [0] * len(seq), [0] * len(seq)
-    try:
-        for _ in range(1 + after[0]):
-            tick()
-        p, used, fresh = 0, 0, True
-        while p < len(seq):
-            xs = seq[p]
-            if fresh:  # a node: the rows open to every point of xs
-                tick()
-                free = allrows & ~used
-                for x in xs:
-                    free &= ~shut[x]
-                before[p] = used
-            else:  # back from a failed child: take the row tried last
-                shift(xs, rows[p], -1)
-                free = todo[p]
-            if not free:
-                if not p:
-                    return None
-                p, fresh = p - 1, False
-                continue
-            low = free & -free
-            todo[p] = free ^ low
-            rows[p] = r = low.bit_length() - 1
-            shift(xs, r, 1)
-            p, fresh = p + 1, True
-            for _ in range(after[p]):
-                tick()
-            used = 0 if after[p] else before[p - 1] | low
-    except _Exhausted:
+    end = len(seq)
+    rows, before, todo = [0] * end, [0] * end, [0] * end
+    # ticks counted here, as Budget.tick would count them up to the limit
+    ticks, limit = 1 + after[0], bud.limit
+    p, used, fresh = 0, 0, True
+    while ticks <= limit and p < end:
+        xs = seq[p]
+        if fresh:  # a node: the rows open to every point of xs
+            ticks += 1
+            free = allrows & ~used
+            for x in xs:
+                free &= ~shut[st[x]]
+            before[p] = used
+        else:  # back from a failed child: take the row tried last
+            d = inc[rows[p]]
+            for x in xs:
+                st[x] -= d
+            free = todo[p]
+        if not free:
+            if not p:
+                break
+            p, fresh = p - 1, False
+            continue
+        low = free & -free
+        todo[p] = free ^ low
+        rows[p] = r = low.bit_length() - 1
+        d = inc[r]
+        for x in xs:
+            st[x] += d
+        p, fresh = p + 1, True
+        if after[p]:
+            ticks += after[p]
+            used = 0
+        else:
+            used = before[p - 1] | low
+    bud.used = min(ticks, limit + 1)
+    if ticks > limit or p < end:
         return None
     placed = iter(zip(rows, seq))
     return _array_grid("GBTP", 1, tuple(sorted({len(xs) for xs in seq})), pts, m,
@@ -429,21 +433,23 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
     total_pairs = v * (v - 1) // 2
     sizes, allrows, allpts = k_set[::-1], (1 << m) - 1, (1 << v) - 1
 
-    shut, shift = _row_masks(v, m, n)
+    st, shut, inc = _row_masks(v, m, n)
     pair_used = [0] * v  # per point: a bit per partner so far
     placed: list = []  # (column, row, block, its points' bits) of every block so far
 
     def place(c, r, b, mask):
         # block b (its points' bits are mask) into row r of column c
-        shift(b, r, 1)
+        d = inc[r]
         for x in b:
+            st[x] += d
             pair_used[x] |= mask ^ 1 << x
         placed.append((c, r, b, mask))
 
     def unplace():
         _c, r, b, mask = placed.pop()
-        shift(b, r, -1)
+        d = inc[r]
         for x in b:
+            st[x] -= d
             pair_used[x] ^= mask ^ 1 << x
 
     def next_column(remaining: int):
@@ -472,7 +478,7 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
             k = (uncovered & ~pair_used[x]).bit_count()
             if k < fewest:
                 p0, fewest = x, k
-        free = allrows & ~(used_rows | shut[p0])
+        free = allrows & ~(used_rows | shut[st[p0]])
         rest = uncovered & ~(1 << p0)
         kids: list = []
         for s in sizes if free else ():
@@ -516,7 +522,7 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
             low = cands & -cands
             cands ^= low
             x = low.bit_length() - 1
-            opened = rows & ~shut[x]
+            opened = rows & ~shut[st[x]]
             if opened:
                 blocks(cands & ~pair_used[x], need - 1, b + (x,), mask | low, opened, kids, node)
 
@@ -841,7 +847,7 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
     n_a = (w - 5) // 2
     n_cpair = m - w - 1
     if n_cpair < 0:
-        return
+        raise InconsistentParams("m must be > w")
     mods = (m, 2)
     finite = [(x, j) for x in range(m) for j in (0, 1)]  # point p has bit 2x + j
     bit = {p: 1 << (p[0] * 2 + p[1]) for p in finite}

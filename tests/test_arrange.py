@@ -1,15 +1,18 @@
 """The row-arrangement searches against their generator-based oracle.
 
-`search_gbtp` and `arrange_resolution` keep their row state as per-point row
-masks and recurse without generators; tests/oracle_arrange.py keeps the
-searches they replaced.  Both must explore in the same order: the same node
-counts, stop flags and grid bytes on a grid of `search_gbtp` parameter sets
-(row caps hi = 1, 2, 3 and 4 among them), and the same arrangement, tick for
-tick, of the witness classes, AG(2,3) and fig2's deletion.
+`search_gbtp` and `arrange_resolution` keep their row state as one packed
+count per point (`_row_masks`) and search without generators;
+tests/oracle_arrange.py keeps the searches they replaced.  Both must explore
+in the same order: the same node counts, stop flags and grid bytes on a grid
+of `search_gbtp` parameter sets (row caps hi = 1, 2, 3 and 4 among them), and
+the same arrangement, tick for tick, of the witness classes, AG(2,3) and
+fig2's deletion.  The packed state itself is checked against plain per-row
+counts.
 """
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -18,11 +21,50 @@ import tforge.search
 from tforge.algebra import block, fpoint, ipoint
 from tforge.designs import dumps_grid
 from tforge.errors import InconsistentParams
-from tforge.search import _z3_witness_classes, arrange_resolution, search_gbtp
+from tforge.search import _row_masks, _z3_witness_classes, arrange_resolution, search_gbtp
 
 # each K with the number of its parameter sets that pass the search's checks
 # (1,836 in all)
 K_SETS = {(2,): 192, (3,): 300, (2, 3): 300, (2, 4): 348, (3, 4): 348, (2, 3, 4): 348}
+
+
+@pytest.mark.parametrize("m,n", [(4, 3), (5, 2), (3, 5), (4, 7), (2, 5), (3, 8), (3, 7),
+                                 (2, 7), (3, 10), (3, 11)])
+def test_row_masks_match_plain_counts(m, n):
+    # random cells put into rows open to their points and taken back in any
+    # order; after every step each point's closed rows are the rule's, worked
+    # out from plain per-row counts (hi = 1, 2, 3 and 4 among these sizes)
+    hi = -(-n // m)
+    t_hi = n - m * (hi - 1)
+    v, rng = 3, random.Random(m * 100 + n)
+    st, shut, inc = _row_masks(v, m, n)
+    cnt = [[0] * m for _ in range(v)]
+
+    def closed(x):
+        cap = sum(1 << r for r, c in enumerate(cnt[x]) if c == hi)
+        near = sum(1 << r for r, c in enumerate(cnt[x]) if c == hi - 1)
+        return cap | near if cap.bit_count() == t_hi else cap
+
+    puts, near_shut = [], 0
+    for _ in range(3_000):
+        if puts and rng.random() < 0.4:
+            xs, r = puts.pop(rng.randrange(len(puts)))
+            for x in xs:
+                cnt[x][r] -= 1
+                st[x] -= inc[r]
+        else:
+            xs, r = rng.sample(range(v), rng.randint(1, v)), rng.randrange(m)
+            if any(closed(x) >> r & 1 for x in xs):
+                continue
+            puts.append((xs, r))
+            for x in xs:
+                cnt[x][r] += 1
+                st[x] += inc[r]
+        for x in range(v):
+            assert shut[st[x]] == closed(x), (m, n, cnt[x])
+            near_shut += closed(x) != sum(1 << r for r, c in enumerate(cnt[x]) if c == hi)
+    # the rows at hi - 1 were closed by the t_hi rule in some of the steps
+    assert near_shut
 
 
 def _gbtp_outcome(search, params):
@@ -127,3 +169,34 @@ def test_arrange_resolution_matches_oracle_on_random_classes(monkeypatch):
             assert (_arrangement(monkeypatch, arrange_resolution, classes, m, n, budget)
                     == _arrangement(monkeypatch, oracle.arrange_resolution, classes, m, n,
                                     budget)), (classes, m, n, budget)
+
+
+class _ColumnEnds(_Counting):
+    """A budget that also keeps, per column ci, the ticks at the first time
+    the oracle's place_col(ci) ticks: the second of ci's column-end ticks."""
+
+    ends: dict = {}
+
+    def tick(self, n=1):
+        super().tick(n)
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "place_col":
+            _ColumnEnds.ends.setdefault(frame.f_locals["ci"], self.used)
+
+
+def test_arrange_resolution_budget_at_column_ends(monkeypatch):
+    # arrange_resolution adds a column end's two ticks at once: at budgets
+    # b - 1, b and b + 1 around the first three column ends of the witness,
+    # b the first of the two ticks, it stops where Budget.tick stops the
+    # oracle and leaves the same count
+    classes = _z3_witness_classes()
+    _ColumnEnds.ends = {}
+    monkeypatch.setattr(oracle, "Budget", _ColumnEnds)
+    assert oracle.arrange_resolution(classes, 6, 9, budget=20_000) is None
+    ends = [_ColumnEnds.ends[ci] - 1 for ci in (1, 2, 3)]
+    assert ends[0] == 8  # after the root and one node per block of six
+    for b in ends:
+        for budget in (b - 1, b, b + 1):
+            got = _arrangement(monkeypatch, arrange_resolution, classes, 6, 9, budget)
+            want = _arrangement(monkeypatch, oracle.arrange_resolution, classes, 6, 9, budget)
+            assert got == want == (None, budget + 1), (ends, budget)
