@@ -40,10 +40,12 @@ def test_row_masks_match_plain_counts(m, n):
     st, shut, inc = _row_masks(v, m, n)
     cnt = [[0] * m for _ in range(v)]
 
+    def rows_at(x, count):
+        return sum(1 << r for r, c in enumerate(cnt[x]) if c == count)
+
     def closed(x):
-        cap = sum(1 << r for r, c in enumerate(cnt[x]) if c == hi)
-        near = sum(1 << r for r, c in enumerate(cnt[x]) if c == hi - 1)
-        return cap | near if cap.bit_count() == t_hi else cap
+        cap = rows_at(x, hi)
+        return cap | rows_at(x, hi - 1) if cap.bit_count() == t_hi else cap
 
     puts, near_shut = [], 0
     for _ in range(3_000):
@@ -62,7 +64,7 @@ def test_row_masks_match_plain_counts(m, n):
                 st[x] += inc[r]
         for x in range(v):
             assert shut[st[x]] == closed(x), (m, n, cnt[x])
-            near_shut += closed(x) != sum(1 << r for r, c in enumerate(cnt[x]) if c == hi)
+            near_shut += closed(x) != rows_at(x, hi)
     # the rows at hi - 1 were closed by the t_hi rule in some of the steps
     assert near_shut
 
