@@ -251,10 +251,10 @@ def test_search_starter_z2_invalid_w_exit_2():
     ("gbtd", ("--m", "6"), "m must be odd"),
     ("gbtd", ("--m", "4", "--special"), "m must be odd"),
     ("igbtp_z2", ("--m", "12", "--w", "9"), "m must be odd"),
-    ("igbtp_z2", ("--m", "7", "--w", "9"), "m must be > w"),  # no room for the C pairs
-    ("igbtp_z2", ("--m", "9", "--w", "9"), "m must be > w"),
     ("igbtp_z4", ("--m", "6"), "m must be odd and >= 5"),
     ("igbtp_z4", ("--m", "3"), "m must be odd and >= 5"),
+    ("igbtp_z2", ("--m", "7", "--w", "9"), "m must be > w"),  # no room for the C pairs
+    ("igbtp_z2", ("--m", "9", "--w", "9"), "m must be > w"),
 ])
 def test_search_starter_invalid_m_exit_2(kind, params, message):
     # the verifiers reject these orders by shape, so no search is run
