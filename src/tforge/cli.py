@@ -211,8 +211,10 @@ def search_group():
 def search_eswc(n, d, q, budget, out):
     """Maximum equitable-weight code size (exact when exhausted)."""
     res = search.max_eswc(n, d, q, budget=budget)
-    click.echo("M=%d exact=%s nodes=%d plotkin_cap=%d"
-               % (res.M, res.exact, res.nodes, search.plotkin_cap(n, d, q)))
+    cap = search.plotkin_cap(n, d, q)
+    # at the search limit the bound has excluded no size at all
+    click.echo("M=%d exact=%s nodes=%d plotkin_cap=%s"
+               % (res.M, res.exact, res.nodes, "none" if cap >= search.PLOTKIN_LIMIT else cap))
     if out:
         _write(out, dumps_code(res.code))
 

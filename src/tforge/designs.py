@@ -140,8 +140,8 @@ class Incidence:
 
     In a GBTP the rows of W are the code words and ``pairs`` holds their
     agreement counts, so "no pair covered more than λ times" and "distance at
-    least n - λ" are one check.  The counts are plain lists: importing numpy
-    would double the package's start-up time, which every command pays.
+    least n - λ" are one check.  The counts are plain lists; tforge does not
+    use numpy, whose import alone would double every command's start-up.
     The grid is mutable, so an Incidence is built per call and never cached.
     """
 

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import block, cyclic, fpoint, ipoint
-from .codes import Code, hamming, plotkin_check
+from .codes import Code, hamming
 from .designs import DesignGrid
 from .errors import BadKind, BudgetZero, InconsistentParams
 from .starters import (
@@ -35,6 +35,7 @@ from .starters import (
 
 DEFAULT_BUDGET = 20_000_000
 MAX_CLIQUE_VERTICES = 60_000
+PLOTKIN_LIMIT = 10_000
 
 
 class _Exhausted(Exception):
@@ -69,30 +70,36 @@ def equitable_words(n: int, q: int):
     """All equitable words of length n over 0..q-1, in lexicographic order."""
     lo, hi = n // q, -(-n // q)
 
-    def rec(prefix, counts):
-        if len(prefix) == n:
+    def rec(prefix, counts, short):
+        # short: how far the symbols' counts fall below lo in total
+        left = n - len(prefix)
+        if not left:
             yield tuple(prefix)
             return
-        left = n - len(prefix)
         for s in range(q):
-            if counts[s] == hi:
-                continue
-            counts[s] += 1
-            if sum(max(lo - c, 0) for c in counts) <= left - 1:
+            c = counts[s]
+            rest = short - (c < lo)
+            if c < hi and rest < left:
+                counts[s] = c + 1
                 prefix.append(s)
-                yield from rec(prefix, counts)
+                yield from rec(prefix, counts, rest)
                 prefix.pop()
-            counts[s] -= 1
+                counts[s] = c
 
-    yield from rec([], [0] * q)
+    yield from rec([], [0] * q, q * lo)
 
 
-def plotkin_cap(n: int, d: int, q: int, limit: int = 10_000) -> int:
-    """Largest size not excluded by the generalized Plotkin bound."""
-    m = 1
-    while m < limit and plotkin_check(n, d, q, m + 1).holds:
-        m += 1
-    return m
+def plotkin_cap(n: int, d: int, q: int, limit: int = PLOTKIN_LIMIT) -> int:
+    """Largest size not excluded by the generalized Plotkin bound, or `limit`.
+
+    `plotkin_check` in closed form: for M = aq + r the symbol counts M_i sum
+    to M and their squares to (q - r)a^2 + r(a + 1)^2.
+    """
+    for m in range(2, limit + 1):
+        a, r = divmod(m, q)
+        if m * (m - 1) // 2 * d > n * (m * m - (q - r) * a * a - r * (a + 1) ** 2) // 2:
+            return m - 1
+    return limit
 
 
 @dataclass
@@ -107,25 +114,60 @@ class EswcResult:
 
 
 def _adjacency(words, d):
-    """Per-vertex bitmask of words at distance >= d."""
-    import numpy as np  # imported here so importing the package stays cheap
+    """Per word, the bitmask of the words at distance >= d from it.
 
-    mat = np.array(words, dtype=np.int16)
-    thresh = mat.shape[1] - d
+    With the words bucketed by (coordinate, symbol), near[k] gathers those
+    that agree with the word in at least k coordinates so far, up to
+    k = n - d + 1; its neighbours are the words outside near[n - d + 1].
+    """
+    n = len(words[0])
+    t = n - d + 1
+    full = (1 << len(words)) - 1
+    buckets = [{} for _ in range(n)]
+    for j, w in enumerate(words):
+        for i, s in enumerate(w):
+            buckets[i][s] = buckets[i].get(s, 0) | 1 << j
     adj = []
-    for i in range(len(words)):
-        ok = (mat == mat[i]).sum(axis=1) <= thresh
-        ok[i] = False
-        adj.append(int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little"))
+    for w in words:
+        near = [full] + [0] * t
+        for i, s in enumerate(w):
+            b = buckets[i][s]
+            for k in range(min(i + 1, t), 0, -1):
+                near[k] |= near[k - 1] & b
+        adj.append(full & ~near[t])
     return adj
 
 
-def _greedy_extend(words_iter, d, seed):
-    """First-fit chain: cheap witness when the vertex set is too big to search."""
+def _colour_bound(cand_mask: int, apart) -> int:
+    """Colours that first fit in vertex order gives the vertices of `cand_mask`.
+
+    Classes are filled one at a time (San Segundo et al. 2011): the lowest
+    vertex left joins the class and takes itself and its neighbours out of the
+    class's free set, until that set is empty.  `apart[v]` holds the vertices
+    that are neither v nor its neighbours.
+    """
+    k = 0
+    while cand_mask:
+        k += 1
+        free = cand_mask
+        while free:
+            v = (free & -free).bit_length() - 1
+            cand_mask ^= 1 << v
+            free &= apart[v]
+    return k
+
+
+def _greedy_extend(words_iter, d, seed, bud: Budget):
+    """First-fit chain, one tick a word, ending where the budget does: a cheap
+    witness when the vertex set is too big to search."""
     chosen = list(seed)
-    for w in words_iter:
-        if all(hamming(w, u) >= d for u in chosen):
-            chosen.append(w)
+    try:
+        for w in words_iter:
+            bud.tick()
+            if all(hamming(w, u) >= d for u in chosen):
+                chosen.append(w)
+    except _Exhausted:
+        pass
     return chosen
 
 
@@ -145,40 +187,27 @@ def max_eswc(n: int, d: int, q: int, budget: int | None = None) -> EswcResult:
     gen = equitable_words(n, q)
     w0 = next(gen)
     cand_words = []
-    oversized = False
     for w in gen:
         if hamming(w, w0) >= d:
             cand_words.append(w)
             if len(cand_words) > MAX_CLIQUE_VERTICES:
-                oversized = True
-                break
-    if oversized:
-        best = _greedy_extend(itertools.chain(cand_words, gen), d, [w0])
-        code = Code(q, n, tuple(sorted(best)))
-        return EswcResult(n, d, q, len(best), code, False, bud.used)
+                best = _greedy_extend(itertools.chain(cand_words, gen), d, [w0], bud)
+                code = Code(q, n, tuple(sorted(best)))
+                return EswcResult(n, d, q, len(best), code, False, bud.used)
 
     nv = len(cand_words)
     best_set: list = []
     exact = True
     if nv:
-        adj = _adjacency(cand_words, d)
+        full = (1 << nv) - 1
+        # one list, made in place: a child's candidates m & adj[v] are
+        # m & ~apart[v], as m never holds v
+        apart = _adjacency(cand_words, d)
+        for v, a in enumerate(apart):
+            apart[v] = full ^ a ^ 1 << v
 
         class _CapReached(Exception):
             pass
-
-        def color_bound(cand_mask: int) -> int:
-            classes = []
-            m = cand_mask
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                for i, blocked in enumerate(classes):
-                    if not (blocked >> v) & 1:
-                        classes[i] |= adj[v]
-                        break
-                else:
-                    classes.append(adj[v])
-            return len(classes)
 
         def expand(cur: list, cand_mask: int):
             bud.tick()
@@ -189,7 +218,7 @@ def max_eswc(n: int, d: int, q: int, budget: int | None = None) -> EswcResult:
             k = cand_mask.bit_count()
             if len(cur) + k <= len(best_set):
                 return
-            if k > 2 and len(cur) + color_bound(cand_mask) <= len(best_set):
+            if k > 2 and len(cur) + _colour_bound(cand_mask, apart) <= len(best_set):
                 return
             m = cand_mask
             while m:
@@ -198,11 +227,11 @@ def max_eswc(n: int, d: int, q: int, budget: int | None = None) -> EswcResult:
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
                 cur.append(v)
-                expand(cur, m & adj[v])
+                expand(cur, m & ~apart[v])
                 cur.pop()
 
         try:
-            expand([], (1 << nv) - 1)
+            expand([], full)
         except _Exhausted:
             exact = False
         except _CapReached:

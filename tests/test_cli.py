@@ -81,6 +81,27 @@ def test_code_bound_equality_and_violation():
     assert res.returncode == 1 and "violated" in res.stdout
 
 
+def test_search_eswc_cli(tmp_path):
+    out = tmp_path / "code.json"
+    res = run_cli("search", "eswc", "--n", "4", "--d", "3", "--q", "3", "-o", str(out))
+    assert res.returncode == 0
+    assert res.stdout.strip() == "M=6 exact=True nodes=33 plotkin_cap=9"
+    assert run_cli("verify", str(out)).returncode == 0
+
+
+def test_search_eswc_cli_cap_none():
+    # the bound excludes no size of a (3, 2) code over three symbols
+    res = run_cli("search", "eswc", "--n", "3", "--d", "2", "--q", "3")
+    assert res.returncode == 0
+    assert res.stdout.strip().endswith(" plotkin_cap=none")
+
+
+@pytest.mark.parametrize("args", [("--n", "0", "--d", "3", "--q", "3"),
+                                  ("--n", "4", "--d", "3", "--q", "3", "--budget", "0")])
+def test_search_eswc_cli_bad_args_exit_2(args):
+    assert run_cli("search", "eswc", *args).returncode == 2
+
+
 def test_search_starter_cli(tmp_path):
     out = tmp_path / "starter.json"
     res = run_cli("search", "starter", "--kind", "gbtd", "--m", "7",

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracle_eswc as oracle
 from tforge.codes import dumps_code
-from tforge.search import _adjacency, equitable_words, max_eswc, plotkin_cap
+from tforge.search import _adjacency, _colour_bound, equitable_words, max_eswc, plotkin_cap
 
 PINS = [
     ((3, 2, 2), 5_000_000, 3, 3, True,
@@ -59,6 +59,28 @@ def test_adjacency_matches_pairwise_hamming(nw, data):
     n, words = nw
     d = data.draw(st.integers(1, n))
     assert _adjacency(words, d) == oracle.adjacency(words, d)
+
+
+@st.composite
+def graphs(draw):
+    nv = draw(st.integers(1, 40))
+    edges = draw(st.sets(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))
+                         .filter(lambda e: e[0] != e[1]), max_size=nv * nv // 2))
+    adj = [0] * nv
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.data())
+def test_colour_bound_matches_first_fit(adj, data):
+    nv = len(adj)
+    full = (1 << nv) - 1
+    mask = data.draw(st.integers(0, full))
+    apart = [full ^ a ^ 1 << v for v, a in enumerate(adj)]
+    assert _colour_bound(mask, apart) == oracle.first_fit_colours(adj, mask)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

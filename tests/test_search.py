@@ -74,6 +74,12 @@ def test_max_eswc_oversized_takes_greedy_witness(monkeypatch):
     assert not res.exact
     assert is_equitable(res.code) and res.M == res.code.size >= 2
     assert min_distance(res.code) >= 4
+    # one tick per word the first-fit pass examines, and it stops at the budget
+    assert 0 < res.nodes < 240
+    res = max_eswc(5, 4, 4, budget=5)
+    assert not res.exact and res.nodes == 6
+    assert is_equitable(res.code) and res.M == res.code.size >= 2
+    assert min_distance(res.code) >= 4
 
 
 def test_budget_zero():
