@@ -212,7 +212,7 @@ def search_eswc(n, d, q, budget, out):
     """Maximum equitable-weight code size (exact when exhausted)."""
     res = search.max_eswc(n, d, q, budget=budget)
     cap = search.plotkin_cap(n, d, q)
-    # at the search limit the bound has excluded no size at all
+    # plotkin_cap returns its limit when the bound excludes no size up to it
     click.echo("M=%d exact=%s nodes=%d plotkin_cap=%s"
                % (res.M, res.exact, res.nodes, "none" if cap >= search.PLOTKIN_LIMIT else cap))
     if out:
