@@ -6,17 +6,20 @@ budget; otherwise the best object found so far is returned with exact=False.
 
 The starter searches are generators: they yield each candidate in a fixed
 order and leave verifying, counting and stopping to `search_starter`.
-`search_gbtp` and `arrange_resolution` search depth first in a loop, not a
-recursion (frames one per block would cross a Python data-stack chunk to
-and fro), and return at their first grid.  A budget running out raises
-`_Exhausted` to its owner, except in `arrange_resolution`, which counts its
-ticks itself and leaves the count on its Budget.
+`search_gbtp`, `arrange_resolution` and the exact-cover engine `_covers`
+(every cover and assign phase of the starter searches) search depth first
+in a loop, not a recursion (frames one per block would cross a Python
+data-stack chunk to and fro); the first two return at their first grid.
+A budget running out raises `_Exhausted` to its owner, except in
+`arrange_resolution`, which counts its ticks itself and leaves the count on
+its Budget.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -689,30 +692,81 @@ def _covers(bud: Budget, led: _Ledger, options, primary: int, chosen: list, prun
     branches on its lowest uncovered primary item: each option in list order
     whose items are all uncovered and whose keys fit the ledger.  An option
     with no keys, (), leaves the ledger alone.
-    """
-    tick, add, undo, push, pop = bud.tick, led.add, led.undo, chosen.append, chosen.pop
 
-    def rec(covered):
-        tick()
+    The options are compiled once per call into one flat list, anchor by
+    anchor.  A node carries `alive`, the bitset of the options disjoint from
+    everything chosen, so its candidates are its anchor's slice of `alive`,
+    walked low bit first, which is list order.  Choosing option g is one AND
+    with `keep[g]`, the options that share no item with g (the bitset form
+    of unlinking in Knuth's dancing links); `keep[g]` is built from the
+    per-item option masks when g is first chosen.  The search runs depth
+    first in one loop: the node in hand sits in locals, and each of its
+    ancestors is a frame on a stack, (candidates left, anchor offset,
+    covered, alive, ledger token of the child it entered).
+    """
+    flat = [o for anchored in options for o in anchored]
+    start = list(itertools.accumulate(map(len, options), initial=0))
+    full = [(1 << len(anchored)) - 1 for anchored in options]
+    # holders[bit]: the flat options that name the item at that bit, read off
+    # the columns of the option masks written out in binary, one row each
+    width = functools.reduce(operator.or_, (mask for _l, mask, _o in flat), 0).bit_length()
+    rows = [format(mask, "0%db" % width) for _label, mask, _opt in flat]
+    holders = {1 << width - 1 - j: int("".join(col)[::-1], 2)
+               for j, col in enumerate(zip(*rows)) if "1" in col}
+    everything = (1 << len(flat)) - 1
+    keep: list = [None] * len(flat)  # each filled when its option is first chosen
+
+    def unlinked(mask):
+        # the options that name none of the items of mask
+        out = everything
+        while mask:
+            low = mask & -mask
+            out &= ~holders[low]
+            mask ^= low
+        return out
+
+    tick, add, undo, push, pop = bud.tick, led.add, led.undo, chosen.append, chosen.pop
+    frames: list = []  # the ancestors of the node in hand
+    covered, alive = 0, everything
+    tick()
+    while True:
         rest = primary & ~covered
         if not rest:
             yield covered
-            return
-        if prune is not None and prune(covered):
-            return
-        for label, mask, opt in options[(rest & -rest).bit_length() - 1]:
-            if mask & covered:
-                continue
-            taken = opt and add(opt)
-            if taken is None:
+            live = 0
+        elif prune is not None and prune(covered):
+            live = 0
+        else:
+            a = (rest & -rest).bit_length() - 1
+            base = start[a]
+            live = (alive >> base) & full[a]
+        # enter the next child of the deepest frame that has one left
+        while True:
+            while live:
+                low = live & -live
+                live ^= low
+                g = base + low.bit_length() - 1
+                label, mask, opt = flat[g]
+                taken = opt and add(opt)
+                if taken is not None:
+                    break
+            else:
+                if not frames:
+                    return
+                live, base, covered, alive, taken = frames.pop()
+                pop()
+                if taken:
+                    undo(taken)
                 continue
             push(label)
-            yield from rec(covered | mask)
-            pop()
-            if taken:
-                undo(taken)
-
-    yield from rec(0)
+            frames.append((live, base, covered, alive, taken))
+            covered |= mask
+            k = keep[g]
+            if k is None:
+                k = keep[g] = unlinked(mask)
+            alive &= k
+            break
+        tick()
 
 
 def _class_diffs(pts, mod: int) -> dict:
@@ -752,6 +806,8 @@ def _anchored_triples(pts, pool: _Ledger, table: dict) -> list:
 def _gbtd_starters(m: int, special: bool, bud: Budget):
     """Cover Gamma x {0,1,2} by m triples plus transversal extras with exact
     difference lists, then choose translation indices satisfying the row rule."""
+    if m < 1:
+        raise InconsistentParams("m must be >= 1")
     if m % 2 == 0:
         raise InconsistentParams("m must be odd")
     pts = sorted((e, c) for e in range(m) for c in range(3))
@@ -814,6 +870,8 @@ def _frgbtd_starters(t: int, bud: Budget):
     """Exact cover of the punctured point set by triples, with the (i, j)
     placement chosen as each block is formed so the row-multiset caps prune
     during the cover, not after it."""
+    if t < 1:
+        raise InconsistentParams("t must be >= 1")
     n3 = 3 * t
     hole = {0, t, 2 * t}
     pts = sorted((e, c) for c in range(2) for e in range(n3) if e not in hole)

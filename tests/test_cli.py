@@ -276,6 +276,11 @@ def test_search_starter_z2_invalid_w_exit_2():
     ("igbtp_z4", ("--m", "3"), "m must be odd and >= 5"),
     ("igbtp_z2", ("--m", "7", "--w", "9"), "m must be > w"),  # no room for the C pairs
     ("igbtp_z2", ("--m", "9", "--w", "9"), "m must be > w"),
+    # an order below 1 names its parameter, not a failure deeper in the search
+    ("gbtd", ("--m", "-1"), "m must be >= 1"),
+    ("gbtd", ("--m", "-3", "--special"), "m must be >= 1"),
+    ("frgbtd", ("--t", "0"), "t must be >= 1"),
+    ("frgbtd", ("--t", "-2"), "t must be >= 1"),
 ])
 def test_search_starter_invalid_m_exit_2(kind, params, message):
     # the verifiers reject these orders by shape, so no search is run

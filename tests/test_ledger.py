@@ -1,11 +1,14 @@
 """The bitmask `_Ledger` of the starter searches against the dict-count oracle,
-and the exact-cover engine `_covers` against brute force.
+and the exact-cover engine `_covers` against brute force and against the
+scan-based engine it replaced (tests/oracle_covers.py).
 
 Both ledgers get the same key sequences, added and undone last-in first-out;
 after every step they must agree on whether the add was taken, on `zeros`
 and on which capped keys are counted.  The engine must yield exactly the
 option sets that an enumeration of every subset of the options finds, each
-once.
+once, and must walk the same search as the scan engine: the same yields in
+the same order, the same chosen labels and ledger words at each yield, with
+or without a prune, and the same budget stop at every limit.
 """
 
 import itertools
@@ -14,8 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle_covers import covers as scan_covers
 from oracle_ledger import DictLedger
-from tforge.search import Budget, _covers, _Ledger
+from tforge.search import Budget, _covers, _Exhausted, _Ledger
 
 UNCAPPED = "u"  # a key no ledger gives a cap
 
@@ -159,3 +163,67 @@ def test_covers_matches_brute_force(inst):
     found = _engine_covers(*inst)
     assert len(found) == len(set(found))
     assert set(found) == _brute_covers(*inst)
+
+
+def _walk(engine, inst, limit):
+    """Each yield of `engine` on `inst` as (covered, chosen labels, ledger
+    words), then how the run ended: the ticks used, whether the budget
+    stopped it, and the labels and ledger words it stopped with."""
+    primary, caps, anchored, mod = inst
+    led = _Ledger(caps)
+    # keys that never fit leave their option out, as the searches' own
+    # compilers do; None stands for no keys at all, ()
+    options = [[(label, mask, () if keys is None else opt)
+                for label, mask, keys in opts
+                if keys is None or (opt := led.option(keys)) is not None]
+               for opts in anchored]
+
+    def prune(covered):
+        # a rule that reads both the covered items and the ledger
+        return (covered + 3 * led.one + 5 * led.two) % mod == 0
+
+    bud, chosen, seen = Budget(limit), [], []
+    try:
+        for covered in engine(bud, led, options, primary, chosen, prune if mod else None):
+            seen.append((covered, tuple(chosen), led.one, led.two))
+    except _Exhausted:
+        return seen, (bud.used, True, tuple(chosen), led.one, led.two)
+    return seen, (bud.used, False, tuple(chosen), led.one, led.two)
+
+
+@st.composite
+def _anchored_instances(draw):
+    # up to 8 primary items and 3 secondary ones; each primary item gets its
+    # own option list, whose options mostly name that item and up to two
+    # others, but need not name it (every option names some item, so each
+    # choice covers something new)
+    n_items = draw(st.integers(1, 11))
+    primary = draw(st.integers(1, (1 << min(n_items, 8)) - 1))
+    caps = dict(enumerate(draw(st.lists(st.sampled_from([1, 2]), max_size=4))))
+    keys = st.one_of(st.none(), st.lists(st.sampled_from(list(caps) + [UNCAPPED]), max_size=3))
+    option = st.tuples(st.sampled_from([True, True, True, False]),
+                       st.sets(st.integers(0, n_items - 1), max_size=2), keys)
+    anchored = []
+    for item in range(primary.bit_length()):
+        opts = []
+        for i, (own, others, k) in enumerate(draw(st.lists(option, max_size=6))):
+            mask = sum(1 << x for x in others) | (own or not others) << item
+            opts.append(((item, i), mask, k))
+        anchored.append(opts)
+    return primary, caps, anchored, draw(st.sampled_from([0, 0, 2, 3, 5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_anchored_instances())
+@example((0b111, {}, [[(0, 0b101, None), (1, 0b001, None)], [(2, 0b010, None)],
+                      [(3, 0b100, None)]], 0))
+@example((0b11, {0: 1, 1: 2}, [[(0, 0b01, [1, 1]), (1, 0b11, [0, 1]), (2, 0b01, [])],
+                               [(3, 0b10, [0]), (4, 0b10, [1]), (5, 0b110, None)]], 3))
+def test_covers_matches_scan_engine(inst):
+    seen, end = _walk(scan_covers, inst, 10**6)
+    assert _walk(_covers, inst, 10**6) == (seen, end)
+    assert not end[1] and not end[2]
+    # a budget of `limit` ticks stops both at the same node, after the same
+    # yields, with the same labels chosen and the same ledger words
+    for limit in range(1, end[0] + 1):
+        assert _walk(_covers, inst, limit) == _walk(scan_covers, inst, limit), limit
