@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -709,7 +708,7 @@ def _covers(bud: Budget, led: _Ledger, options, primary: int, chosen: list, prun
     full = [(1 << len(anchored)) - 1 for anchored in options]
     # holders[bit]: the flat options that name the item at that bit, read off
     # the columns of the option masks written out in binary, one row each
-    width = functools.reduce(operator.or_, (mask for _l, mask, _o in flat), 0).bit_length()
+    width = max((mask.bit_length() for _label, mask, _opt in flat), default=0)
     rows = [format(mask, "0%db" % width) for _label, mask, _opt in flat]
     holders = {1 << width - 1 - j: int("".join(col)[::-1], 2)
                for j, col in enumerate(zip(*rows)) if "1" in col}

@@ -179,8 +179,9 @@ def _walk(engine, inst, limit):
                for opts in anchored]
 
     def prune(covered):
-        # a rule that reads both the covered items and the ledger
-        return (covered + 3 * led.one + 5 * led.two) % mod == 0
+        # a rule that reads both the covered items and the ledger; it never
+        # prunes the root, where all three are 0
+        return (covered + 3 * led.one + 5 * led.two) % mod == 1
 
     bud, chosen, seen = Budget(limit), [], []
     try:
@@ -193,10 +194,11 @@ def _walk(engine, inst, limit):
 
 @st.composite
 def _anchored_instances(draw):
-    # up to 8 primary items and 3 secondary ones; each primary item gets its
-    # own option list, whose options mostly name that item and up to two
-    # others, but need not name it (every option names some item, so each
-    # choice covers something new)
+    # up to 11 items, the primary ones among the lowest 8 and the rest
+    # secondary; each item up to the highest primary one gets its own option
+    # list, whose options mostly name that item and up to two others, but
+    # need not name it (every option names some item, so each choice covers
+    # something new)
     n_items = draw(st.integers(1, 11))
     primary = draw(st.integers(1, (1 << min(n_items, 8)) - 1))
     caps = dict(enumerate(draw(st.lists(st.sampled_from([1, 2]), max_size=4))))
