@@ -208,6 +208,20 @@ _STARTER_PINS = [
      ["ba0c30353b1e20e2de491295bb5d771c654419c1d9beb6d8e76e6b74198a38a0"]),
     ("igbtp_z4", {"m": 7}, 5_000_000, 1, 63, True,
      ["f3a473ca64f52adda80475785a08d85b6e5618b03703913189b945bd2f28f0c2"]),
+    # igbtp_z2 at other orders and w, to the end of the search and to a
+    # budget stop: covers that leave the same points over for the B pairs
+    ("igbtp_z2", {"m": 11, "w": 7}, 5_000_000, 3, 94670, True,
+     ["23c1a4f0b8b0e99e8a15e0b792012566f16ab40330b9211fe84561280807e803",
+      "df7e023e1ed44b85de436eae1c13807f175b54f797304d323eb78d34521f1bde",
+      "bb16fd9abd16e70ec9f099840a40ee57e4c7fd4b0164b3552aca2b618f9cb841"]),
+    ("igbtp_z2", {"m": 9, "w": 7}, 5_000_000, 3, 6664, True,
+     ["d73d1b282ccda3db52678f0c4f1f17b410beaa5304b387160e43f351039ad3ef",
+      "ff20a0092786f005c35a5534a642ad07a72ba99a122eafafd521af888192838b",
+      "59cdc72d0db314604aa92341fd2172b39ab67b8cc0a7f39686886f0d4735de64"]),
+    ("igbtp_z2", {"m": 9, "w": 5}, 5_000_000, 2, 789, True,
+     ["83bb45f4983af1a0a52bebbb82c940c3c1a2ed183774c074c96137b0f8de7503",
+      "82f724e8c12ded837cbb8694d2675bc665ba705eae0e3bbbcbea9fc5c89d616a"]),
+    ("igbtp_z2", {"m": 13, "w": 9}, 200_000, 2, 200001, False, []),
 ]
 
 _GBTP_PINS = [
@@ -227,7 +241,8 @@ _GBTP_PINS = [
 
 @pytest.mark.parametrize(
     "kind,params,budget,count,nodes,exhausted,digests", _STARTER_PINS,
-    ids=["gbtd", "frgbtd", "igbtp_z2", "igbtp_z4", "gbtd-special", "igbtp_z4-m7"])
+    ids=["gbtd", "frgbtd", "igbtp_z2", "igbtp_z4", "gbtd-special", "igbtp_z4-m7",
+         "igbtp_z2-m11-w7", "igbtp_z2-m9-w7", "igbtp_z2-m9-w5", "igbtp_z2-m13-budget"])
 def test_starter_search_pinned(kind, params, budget, count, nodes, exhausted, digests):
     res = search_starter(kind, params, budget=budget, count=count)
     assert (res.nodes, res.exhausted) == (nodes, exhausted)
