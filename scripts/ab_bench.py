@@ -15,7 +15,8 @@ every run, each side's median and quartiles, and how many pairs the change
 won (ties count for neither side), with the direction that counts as better
 read from the change's BENCHMARK.json.  Each op's mean time from the report
 line (`op_seconds`, untraced pairs only) is summarized the same way under
-`op_seconds`, lower being better.
+`op_seconds`, lower being better.  At the end it prints the same summary
+as text, one line per workload and end-to-end metric and then per op.
 """
 
 from __future__ import annotations
@@ -90,6 +91,24 @@ def compare(parent: list, change: list, better: str) -> dict:
     }
 
 
+def summary_lines(report: dict) -> list:
+    """One line per workload and end-to-end metric, then one per workload and
+    op: each side's median and interquartile range, the change in percent,
+    the change's wins out of the pairs, and "gain" where the gain rule holds."""
+    lines = []
+    for section in ("end_to_end", "op_seconds"):
+        for workload, entry in report["workloads"].items():
+            for name, s in entry.get(section, {}).items():
+                p, c = s["parent"], s["change"]
+                pct = 100 * (c["median"] / p["median"] - 1) if p["median"] else float("nan")
+                lines.append("%s %s %s: parent %.4g (IQR %.3g)  change %.4g (IQR %.3g)  "
+                             "%+.1f%%  wins %d/%d%s" % (
+                                 workload, section, name, p["median"], p["q3"] - p["q1"],
+                                 c["median"], c["q3"] - c["q1"], pct, s["change_wins"],
+                                 s["pairs"], "  gain" if s["gain"] else ""))
+    return lines
+
+
 def run_pairs(args, workload: str, count: int, trace: int) -> list:
     pairs = []
     for i in range(count):
@@ -135,6 +154,7 @@ def main(argv=None) -> int:
                 entry["correct"] &= all(p["correct"] and c["correct"] for p, c in pairs)
         # written after each workload, so a long run keeps what it finished
         args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    print("\n".join(summary_lines(report)))
     return 0
 
 

@@ -12,7 +12,12 @@ in a loop, not a recursion (frames one per block would cross a Python
 data-stack chunk to and fro); the first two return at their first grid.
 A budget running out raises `_Exhausted` to its owner, except in
 `arrange_resolution`, which counts its ticks itself and leaves the count on
-its Budget.
+its Budget, and `search_gbtp`, which counts them in a local.
+
+`search_gbtp` compiles its candidate blocks into bits once per call and
+carries its state as a few words per frame; each column memoises, per
+uncovered set, the anchor and its candidate blocks, so a node is one dict
+lookup.  igbtp_z2's assign phase pairs each leftover point set once.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -432,6 +438,55 @@ def _column_compositions(v: int, m: int, k_set, star3: bool):
     return out
 
 
+def _positive(x) -> bool:
+    """Whether x is an integer >= 1; a bool is not."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
+def _gbtp_params(params) -> tuple:
+    """(K sorted, v, m, n) of a `search_gbtp` spec; InconsistentParams names
+    the key that is missing or not a positive integer (K: a non-empty list
+    of them)."""
+    if not isinstance(params, dict):
+        raise InconsistentParams("search parameters must be a JSON object, not %s"
+                                 % type(params).__name__)
+    try:
+        k_list, v, m, n = params["K"], params["v"], params["m"], params["n"]
+    except KeyError as exc:
+        raise InconsistentParams("missing search parameter %r" % exc.args[0]) from None
+    if not isinstance(k_list, (list, tuple)) or not k_list or not all(map(_positive, k_list)):
+        raise InconsistentParams("search parameter 'K' must be a non-empty list of "
+                                 "integers >= 1, not %r" % (k_list,))
+    for key, val in (("v", v), ("m", m), ("n", n)):
+        if not _positive(val):
+            raise InconsistentParams("search parameter %r must be an integer >= 1, not %r"
+                                     % (key, val))
+    return tuple(sorted(k_list)), v, m, n
+
+
+def _unpack(word: int, count: int, nbytes: int):
+    """The `count` fields of `nbytes` bytes each packed in word, lowest
+    first, as ints: one pass in C for a field of 1, 2, 4 or 8 bytes."""
+    raw = word.to_bytes(count * nbytes, sys.byteorder)
+    if nbytes in (1, 2, 4, 8):
+        return memoryview(raw).cast("BHIQ"[nbytes.bit_length() - 1])
+    return [int.from_bytes(raw[i:i + nbytes], sys.byteorder)
+            for i in range(0, len(raw), nbytes)]
+
+
+def _compile_blocks(v: int, sizes) -> tuple:
+    """Every block of the given sizes on points 0..v-1, sizes in the order
+    given and then lexicographic, block g at bit g, and per point x the bits
+    `with_pt[x]` of the blocks through it: (blocks, with_pt)."""
+    blocks = [b for s in sizes for b in itertools.combinations(range(v), s)]
+    marks = [bytearray(len(blocks) // 8 + 1) for _ in range(v)]
+    for g, b in enumerate(blocks):
+        i, bit = g >> 3, 1 << (g & 7)
+        for x in b:
+            marks[x][i] |= bit
+    return blocks, [int.from_bytes(mk, "little") for mk in marks]
+
+
 def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
     """Column-by-column parallel-class search with pair and row-equity pruning.
 
@@ -439,22 +494,26 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
     canonically, which is sound: any solution can be relabeled (points and
     rows) so one of its columns takes that form.  Exhaustion therefore proves
     nonexistence.  The hole variant is not supported.
+
+    Each later column grows from its uncovered point with the fewest unused
+    partners, least index on ties: its children are the blocks through that
+    point whose points are all uncovered and whose pairs are all unused,
+    sizes descending and then lexicographic, each in every row open to all
+    its points, low row first.  Placing a block leaves the uncovered points'
+    pairs and rows alone, so within one column a node's anchor and candidate
+    blocks depend on its uncovered set only, and each column keeps them in a
+    memo keyed by that set.
     """
-    try:
-        k_set = tuple(sorted(params["K"]))
-        v, m, n = params["v"], params["m"], params["n"]
-    except KeyError as exc:
-        raise InconsistentParams("missing search parameter %r" % exc.args[0]) from None
+    k_set, v, m, n = _gbtp_params(params)
     lam = params.get("lambda", 1)
     star3 = bool(params.get("star3", False))
     if lam != 1:
         raise InconsistentParams("only index 1 is supported")
     if params.get("hole"):
         raise InconsistentParams("hole search is not supported")
-    if v > m * max(k_set) or m < 1 or n < 1:
+    if v > m * k_set[-1]:
         raise InconsistentParams("array cannot hold the point set")
-    bud = Budget(budget)
-    tick = bud.tick
+    limit = Budget(budget).limit
 
     exact = len(k_set) == 1 and v == k_set[0] * m and n * (k_set[0] - 1) == lam * (v - 1)
     comps = _column_compositions(v, m, k_set, star3)
@@ -462,119 +521,185 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
         return GbtpSearchResult(None, True, 0)
     min_col_pairs = min(sum(s * (s - 1) // 2 for s in comp) for comp in comps)
     total_pairs = v * (v - 1) // 2
-    sizes, allrows, allpts = k_set[::-1], (1 << m) - 1, (1 << v) - 1
+    allrows, allpts = (1 << m) - 1, (1 << v) - 1
+    _st, shut, inc = _row_masks(v, m, n)
+    # the words of a node: ST packs every point's `_row_masks` state, point
+    # x's in bytes x*sb.., and PU has bit x*8*pb + y for each used pair (x, y),
+    # so that each unpacks to per-point ints in one pass (`_unpack`)
+    sb, pb = -(-m * (-(-n // m)).bit_length() // 8), -(-v // 8)
+    # compiled once a first column passes `feasible`; info[g] holds block g's
+    # words, made the first time it is a child
+    blocks = with_pt = info = None
+    everything = 0
 
-    st, shut, inc = _row_masks(v, m, n)
-    pair_used = [0] * v  # per point: a bit per partner so far
-    placed: list = []  # (column, row, block, its points' bits) of every block so far
+    def pair_bits(b):
+        out = 0
+        for x, y in itertools.permutations(b, 2):
+            out |= 1 << 8 * pb * x + y
+        return out
 
-    def place(c, r, b, mask):
-        # block b (its points' bits are mask) into row r of column c
-        d = inc[r]
+    def spread(b):
+        return sum(1 << 8 * sb * x for x in b)
+
+    def block_words(g):
+        # (points, 1 if a triple, the blocks sharing no point with it,
+        # spread, pairs, the blocks sharing no pair with it)
+        b = blocks[g]
+        pts = near = shared = 0
         for x in b:
-            st[x] += d
-            pair_used[x] |= mask ^ 1 << x
-        placed.append((c, r, b, mask))
+            pts |= 1 << x
+            near |= with_pt[x]
+        for x, y in itertools.combinations(b, 2):
+            shared |= with_pt[x] & with_pt[y]
+        info[g] = words = (pts, int(len(b) == 3), everything ^ near,
+                           spread(b), pair_bits(b), everything ^ shared)
+        return words
 
-    def unplace():
-        _c, r, b, mask = placed.pop()
-        d = inc[r]
-        for x in b:
-            st[x] -= d
-            pair_used[x] ^= mask ^ 1 << x
+    def feasible(pu, remaining):
+        # the columns so far are complete, their pairs in pu: each point's
+        # partners, unpacked, or None if the later columns' new pairs
+        # (min_col_pairs each, min(K)-1 per point) cannot fit lambda = 1
+        if pu.bit_count() // 2 + remaining * min_col_pairs > total_pairs:
+            return None
+        partners = _unpack(pu, v, pb)
+        if max(map(int.bit_count, partners)) + remaining * (k_set[0] - 1) > v - 1:
+            return None
+        return partners
 
-    def next_column(remaining: int):
-        # the columns so far are complete: True if all are, else the next
-        # column's root as the one child, or none if the later columns' new
-        # pairs (min_col_pairs each, min(K)-1 per point) cannot fit lambda = 1
-        deg = [pu.bit_count() for pu in pair_used]
-        if (sum(deg) // 2 + remaining * min_col_pairs > total_pairs
-                or max(deg) + remaining * (k_set[0] - 1) > v - 1):
-            return []
-        return not remaining or [(None, 0, 0, allpts, 0, 0, remaining - 1)]
+    def column(st, partners):
+        # a column instance: each point's closed rows, read off ST once, and
+        # partners; the memo from an uncovered set to its children
+        return list(map(shut.__getitem__, _unpack(st, v, sb))), partners, {}
 
-    def expand(uncovered, triples, used_rows, remaining):
-        # a node: its tick, then True at a grid, or its children in order as
-        # (block, its points' bits, its row, the child node); a column grows
-        # from its most constrained uncovered point
-        tick()
-        if not uncovered:
-            return next_column(remaining) if not star3 or triples == 1 else []
-        # fewest unused partners, the least index on ties
-        p0, fewest, scan = 0, v + 1, uncovered
+    def children(unc, colalive, col):
+        # the anchor's closed rows and its candidate blocks as (closed rows,
+        # g), all of them and the non-triples
+        shut_pt, partners, _memo = col
+        p0, fewest, scan = 0, v + 1, unc
         while scan:
             low = scan & -scan
             scan ^= low
             x = low.bit_length() - 1
-            k = (uncovered & ~pair_used[x]).bit_count()
+            k = (unc & ~partners[x]).bit_count()
             if k < fewest:
                 p0, fewest = x, k
-        free = allrows & ~(used_rows | shut[st[p0]])
-        rest = uncovered & ~(1 << p0)
-        kids: list = []
-        for s in sizes if free else ():
-            if not (star3 and s == 3 and triples == 1):
-                blocks(rest & ~pair_used[p0], s - 1, (p0,), 1 << p0, free, kids,
-                       (rest, triples + (s == 3), used_rows, remaining))
-        return kids
-
-    def dfs(kids) -> bool:
-        # depth first below a node with these children
-        stack = [(iter(kids), len(placed))]
-        while stack:
-            kids, base = stack[-1]
-            if len(placed) > base:  # undo the child tried last
-                unplace()
-            kid = next(kids, None)
-            if kid is None:
-                stack.pop()
-                continue
-            b, mask, r, uncovered, triples, used_rows, remaining = kid
-            if b:
-                place(n - 1 - remaining, r, b, mask)
-            got = expand(uncovered, triples, used_rows, remaining)
-            if got is True:
-                return True
-            stack.append((iter(got), len(placed)))
-        return False
-
-    def blocks(cands, need, b, mask, rows, kids, node):
-        # each block b + (`need` points of cands), lexicographic, its points
-        # pairwise unused, in each row open to all: children of the node
-        # (rest, triples, used_rows, remaining) that anchored b[0]
-        if not need:
-            rest, triples, used_rows, remaining = node
-            while rows:
-                low = rows & -rows
-                rows ^= low
-                kids.append((b, mask, low.bit_length() - 1, rest & ~mask, triples,
-                             used_rows | low, remaining))
-        while need and cands:
+        cands, out = colalive & with_pt[p0], []
+        while cands:
             low = cands & -cands
             cands ^= low
-            x = low.bit_length() - 1
-            opened = rows & ~shut[st[x]]
-            if opened:
-                blocks(cands & ~pair_used[x], need - 1, b + (x,), mask | low, opened, kids, node)
+            g = low.bit_length() - 1
+            closed = 0
+            for x in blocks[g]:
+                closed |= shut_pt[x]
+            out.append((closed, g))
+        return shut_pt[p0], out, [c for c in out if len(blocks[c[1]]) != 3] if star3 else out
 
+    def dive(ST, PU, partners, pairalive, ticks):
+        # depth first from the second column's root: (ticks, the frames at
+        # the first grid, or None).  The node in hand sits in locals; each
+        # ancestor is a frame of its words, its column, its children left
+        # (candidate list and index, the rows left to the block in hand, the
+        # rows free) and the row bit and block of the child it entered
+        frames: list = []
+        unc, triples, used, rem, colalive = allpts, 0, 0, n - 2, pairalive
+        col = column(ST, partners)
+        ticks += 1
+        if ticks > limit:
+            raise _Exhausted()
+        while True:
+            if unc:
+                got = col[2].get(unc)
+                if got is None:
+                    got = col[2][unc] = children(unc, colalive, col)
+                shut0, cands, cands_nt = got
+                free = allrows & ~(used | shut0)
+                if not free:
+                    cands = ()
+                elif star3 and triples == 1:
+                    cands = cands_nt
+                i = rows = 0
+            else:
+                cands, i, rows = (), 0, 0
+                partners = None if star3 and triples != 1 else feasible(PU, rem)
+                if partners is not None:
+                    if not rem:
+                        return ticks, frames
+                    # a complete column: the next column's root is the one child
+                    frames.append((ST, PU, pairalive, colalive, unc, triples, used, rem, col,
+                                   cands, i, rows, 0, 0, -1))
+                    unc, triples, used, rem, colalive = allpts, 0, 0, rem - 1, pairalive
+                    col = column(ST, partners)
+                    ticks += 1
+                    if ticks > limit:
+                        raise _Exhausted()
+                    continue
+            # enter the next child of the deepest node that has one left
+            while True:
+                if rows:
+                    low = rows & -rows
+                    rows ^= low
+                    break
+                if i < len(cands):
+                    closed, g = cands[i]
+                    i += 1
+                    rows = free & ~closed
+                    continue
+                if not frames:
+                    return ticks, None
+                (ST, PU, pairalive, colalive, unc, triples, used, rem, col,
+                 cands, i, rows, free, low, g) = frames.pop()
+            frames.append((ST, PU, pairalive, colalive, unc, triples, used, rem, col,
+                           cands, i, rows, free, low, g))
+            pts, tri, apart, spr, pairs, pair_apart = info[g] or block_words(g)
+            ST += inc[low.bit_length() - 1] * spr
+            PU |= pairs
+            pairalive &= pair_apart
+            colalive &= apart
+            unc ^= pts
+            triples += tri
+            used |= low
+            ticks += 1
+            if ticks > limit:
+                raise _Exhausted()
+
+    ticks = 0
     try:
-        # the first column canonical: points in order, blocks sized by comp
         for comp in comps:
-            for r, (x, s) in enumerate(zip(itertools.accumulate(comp, initial=0), comp)):
-                place(0, r, tuple(range(x, x + s)), ((1 << s) - 1) << x)
-            kids = next_column(n - 1)
-            if kids is True or dfs(kids):
+            # the first column canonical: points in order, blocks sized by comp
+            first = [(r, tuple(range(x, x + s)))
+                     for r, (x, s) in enumerate(zip(itertools.accumulate(comp, initial=0), comp))]
+            ST = sum(inc[r] * spread(b) for r, b in first)
+            PU = 0
+            for _r, b in first:
+                PU |= pair_bits(b)
+            partners = feasible(PU, n - 1)
+            if partners is None:
+                continue
+            if n == 1:
+                found = []
                 break
-            while placed:
-                unplace()
+            if blocks is None:
+                blocks, with_pt = _compile_blocks(v, k_set[::-1])
+                info = [None] * len(blocks)
+                everything = (1 << len(blocks)) - 1
+            pairalive = everything
+            for _r, b in first:
+                pairalive &= block_words(blocks.index(b))[5]
+            ticks, found = dive(ST, PU, partners, pairalive, ticks)
+            if found is not None:
+                break
         else:  # no grid
-            return GbtpSearchResult(None, True, bud.used)
+            return GbtpSearchResult(None, True, ticks)
     except _Exhausted:
-        return GbtpSearchResult(None, False, bud.used)
+        return GbtpSearchResult(None, False, limit + 1)
+    columns = [first] + [[] for _ in range(n - 1)]
+    for frame in found:
+        rem, low, g = frame[7], frame[13], frame[14]
+        if g >= 0:
+            columns[n - 1 - rem].append((low.bit_length() - 1, blocks[g]))
     points = [fpoint(x + 1) for x in range(v)]
-    columns = [[(r, b) for c, r, b, _mask in placed if c == ci] for ci in range(n)]
     g = _array_grid("GBTD" if exact else "GBTP", lam, k_set, points, m, columns, star=star3)
-    return GbtpSearchResult(g, True, bud.used)
+    return GbtpSearchResult(g, True, ticks)
 
 
 # ---------------------------------------------------------------------------
@@ -954,7 +1079,6 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
     a_blocks: list = []
     e_blocks: list = []  # row-anchored C blocks: (points, has_inf)
     assign: list = []  # (position in e_blocks, translation index)
-    picked: list = []  # B pairs
 
     def row_items(b):
         return [(1, (p[0], (p[1] - j) % 2)) for p in b for j in (0, 1)]
@@ -981,31 +1105,39 @@ def _igbtp_z2_starters(m: int, w: int, bud: Budget):
         if not all(led.has((1, p)) for p in finite):
             return
         options = [index_options(bi, pts) for bi, (pts, _inf) in enumerate(e_blocks)]
+        # the options count no ledger keys, so the differences left unused
+        # are the same at every cover, and the B pairings depend only on
+        # the points no translate took: each such set is paired once
+        unused, pairings = all_diffs & ~led.one, {}
         for covered in _covers(bud, led, options, (1 << 2 * m) - 1, assign):
-            # the points no translate took pair up as B
-            yield from match(full & ~(covered >> 2 * m), all_diffs & ~led.one)
+            rest = full & ~(covered >> 2 * m)
+            found = pairings.get(rest)
+            if found is None:
+                found = pairings[rest] = match(rest, unused)
+            for picked in found:
+                yield starter(picked)
 
-    def match(rest, unused):
-        # pair the least leftover point with each later one, in point order,
-        # on two differences both still unused
+    def match(rest, unused) -> list:
+        # every pairing of the points of rest, each a tuple of B pairs:
+        # the least point with each later one, in point order, on two
+        # differences both still unused
         if not rest:
-            yield starter()
-            return
+            return [()]
         low = rest & -rest
         a = low.bit_length() - 1
         rest ^= low
-        others = rest
+        others, out = rest, []
         while others:
             high = others & -others
             others ^= high
             b = high.bit_length() - 1
             need = pair_diffs[a][b]
             if need and unused & need == need:
-                picked.append((finite[a], finite[b]))
-                yield from match(rest ^ high, unused ^ need)
-                picked.pop()
+                pair = (finite[a], finite[b])
+                out += [(pair,) + tail for tail in match(rest ^ high, unused ^ need)]
+        return out
 
-    def starter():
+    def starter(picked):
         inf_iter = itertools.count(1)
         cb = [None] * m
         for bi, i in assign:

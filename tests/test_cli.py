@@ -258,6 +258,32 @@ def test_search_missing_parameters_exit_2(tmp_path):
         assert key in res.stderr, (args, res.stderr)
 
 
+_SPEC = {"K": [2, 3], "v": 9, "m": 4, "n": 5}
+
+
+@pytest.mark.parametrize("spec,key", [
+    (dict(_SPEC, K=3), "'K'"),
+    (dict(_SPEC, K=["3"]), "'K'"),
+    (dict(_SPEC, K=[]), "'K'"),
+    (dict(_SPEC, K=[0, 2]), "'K'"),
+    (dict(_SPEC, K=[True, 2]), "'K'"),
+    (dict(_SPEC, v="9"), "'v'"),
+    (dict(_SPEC, v=0), "'v'"),
+    (dict(_SPEC, m=True), "'m'"),
+    (dict(_SPEC, n=2.5), "'n'"),
+    ([_SPEC], "must be a JSON object"),
+], ids=["K-int", "K-str", "K-empty", "K-zero", "K-bool", "v-str", "v-zero", "m-bool",
+        "n-float", "list"])
+def test_search_design_bad_spec_exit_2(tmp_path, spec, key):
+    # a spec of the wrong shape names its key, and no search is run
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    res = run_cli("search", "design", "--spec", str(path))
+    assert res.returncode == 2, (spec, res.stdout, res.stderr)
+    assert "Traceback" not in res.stderr and res.stderr.startswith("error: ")
+    assert key in res.stderr, (spec, res.stderr)
+
+
 def test_search_starter_z2_invalid_w_exit_2():
     # an even w, or one below 5, has no starter the verifier would accept
     for w in ("8", "3"):
