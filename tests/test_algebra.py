@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from tforge.algebra import (
     AbelianGroup,
     CapExceeded,
+    _poly_mulmod,
     block,
     cyclic,
     difference_list,
+    factor_prime_power,
     format_point,
     fpoint,
     gf_build,
@@ -172,3 +174,26 @@ def test_label_examples():
     assert format_point(fpoint(3, 1)) == "3_1"
     assert parse_point("2.7") == fpoint((2, 7))
     assert parse_point("inf4") == ipoint(4)
+
+
+@pytest.mark.parametrize("q", (4, 7, 8, 9, 25, 27, 49))
+def test_field_arithmetic_matches_polynomial_path(q):
+    # the polynomial product mod the modulus is the definition
+    p, e = factor_prime_power(q)
+    fld = gf_build(p, e)
+
+    def mul(x, y):
+        r = _poly_mulmod(x, y, fld.modulus, p)
+        return (0,) * (e - len(r)) + r
+
+    elems = fld.elements()
+    for x in elems:
+        assert [fld.mul(x, y) for y in elems] == [mul(x, y) for y in elems]
+        acc = fld.one()
+        for n in range(2 * q):
+            assert fld.pow(x, n) == acc, (x, n)
+            acc = mul(acc, x)
+        if x != fld.zero():
+            assert mul(x, fld.inv(x)) == fld.one()
+    with pytest.raises(ZeroDivisionError):
+        fld.inv(fld.zero())

@@ -1,14 +1,17 @@
 """The program against its test oracles.
 
 Every base array and every mutant must give a byte-identical ``describe()``
-(or raise the same error) under tforge.designs and tests/oracle_verify.py.
-The template emitters must print the bytes of json.dumps, and the indexed
-develops the cells and colors of the translate_block develops, of
-tests/oracle_develop.py.
+(or raise the same error) under tforge.designs and tests/oracle_verify.py,
+and every fq, found and mutant starter under tforge.starters and
+tests/oracle_starters.py.  An Incidence must hold the counts of a plain
+per-cell recount.  The template emitters must print the bytes of
+json.dumps, and the indexed develops the cells and colors of the
+translate_block develops, of tests/oracle_develop.py.
 """
 
 import dataclasses
 import functools
+import itertools
 import pathlib
 import random
 
@@ -17,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_develop
+import oracle_starters
 import oracle_verify as oracle
-from tforge import designs
-from tforge.algebra import block, fpoint, ipoint
+from tforge import designs, starters
+from tforge.algebra import block, cyclic, factor_prime_power, fpoint, gf_build, ipoint
 from tforge.codes import Code, dumps_code, gbtp_to_code
 from tforge.constructions import build_td, drtd_from_td, load_recipe, run_recipe
 from tforge.errors import TforgeError
@@ -245,3 +249,168 @@ def test_generated_codes_dump_as_json_dumps(q, n, data):
     labels = data.draw(st.none() | st.lists(LABELS, min_size=q, max_size=q).map(tuple))
     code = Code(q, n, words, labels)
     assert dumps_code(code) == oracle_develop.dumps_code(code)
+
+
+# ---------------------------------------------------------------------------
+# starter verifiers against the difference_list verifiers
+
+FQ_STARTERS = (7, 13, 19, 25, 31, 37, 43, 49)
+FOUND_GBTD = (("gbtd", {"m": 7}), ("gbtd", {"m": 7, "special": True}))
+
+
+@functools.cache
+def found_starters(kind, special):
+    params = {"m": 7, "special": True} if special else {"m": 7}
+    return tuple(search_starter(kind, params, budget=2_000_000, count=2).starters)
+
+
+def starter_outcome(verify, s):
+    try:
+        return verify(s).describe()
+    except TforgeError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def assert_same_starter(s):
+    assert (starter_outcome(starters.verify_starter, s)
+            == starter_outcome(oracle_starters.verify_starter, s))
+
+
+def move_point(s, rng):
+    """s with one point of one block moved to another element or copy; now
+    and then to a copy outside the range, which fails the shape."""
+    copies = 3 if isinstance(s, starters.GbtdStarter) else 2
+    if isinstance(s, starters.GbtdStarter):
+        keys = [("A", k) for k in sorted(s.blocks_a)] + [("B", t) for t in range(len(s.blocks_b))]
+        fam, key = rng.choice(keys)
+        b = s.blocks_a[key] if fam == "A" else s.blocks_b[key]
+    else:
+        fam, key = "A", rng.choice(sorted(s.blocks))
+        b = s.blocks[key]
+    elems = s.group.elements()
+    while True:
+        new = fpoint(rng.choice(elems), copies if rng.random() < 0.1 else rng.randrange(copies))
+        if new not in b:
+            break
+    pts = list(b)
+    pts[rng.randrange(len(pts))] = new
+    moved = block(pts)
+    if isinstance(s, starters.FrGbtdStarter):
+        return dataclasses.replace(s, blocks={**s.blocks, key: moved})
+    if fam == "A":
+        return dataclasses.replace(s, blocks_a={**s.blocks_a, key: moved})
+    blocks_b = list(s.blocks_b)
+    blocks_b[key] = moved
+    return dataclasses.replace(s, blocks_b=tuple(blocks_b))
+
+
+def starter_base(name, frgbtd_t5):
+    if name.startswith("fq"):
+        return build_fq_gbtd_starter(int(name[2:]))
+    if name == "frgbtd-t5":
+        return frgbtd_t5.starters[0]
+    kind, special, i = name.split("-")
+    return found_starters(kind, special == "special")[int(i)]
+
+
+STARTER_BASES = (["fq%d" % q for q in FQ_STARTERS] + ["frgbtd-t5"]
+                 + ["gbtd-plain-0", "gbtd-plain-1", "gbtd-special-0", "gbtd-special-1"])
+
+
+@pytest.mark.parametrize("name", STARTER_BASES)
+def test_starters_verify_as_oracle(name, frgbtd_t5):
+    s = starter_base(name, frgbtd_t5)
+    assert starters.verify_starter(s).ok
+    assert_same_starter(s)
+
+
+@pytest.mark.parametrize("name", STARTER_BASES)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), moves=st.integers(1, 3))
+def test_starter_mutants_verify_as_oracle(name, frgbtd_t5, seed, moves):
+    rng = random.Random(seed)
+    s = starter_base(name, frgbtd_t5)
+    for _ in range(moves):
+        s = move_point(s, rng)
+    assert_same_starter(s)
+
+
+# the additive groups of the fq starters, and the cyclic groups of the frame starters
+STARTER_GROUPS = ([gf_build(*factor_prime_power(q)).additive_group() for q in FQ_STARTERS]
+                  + [cyclic(3 * t) for t in range(2, 8)] + [cyclic(48)])
+
+
+@pytest.mark.parametrize("g", STARTER_GROUPS, ids=lambda g: "x".join(map(str, g.factors)))
+def test_addition_table_agrees_with_add_and_neg(g):
+    elems, index, table = g.addition[:3]
+    assert elems == sorted(g.elements())
+    assert index == {e: x for x, e in enumerate(elems)}
+    zero = index[g.zero()]
+    for x, ex in enumerate(elems):
+        assert table[x] == [index[g.add(ex, ey)] for ey in elems]
+        assert table[x][index[g.neg(ex)]] == zero
+
+
+# ---------------------------------------------------------------------------
+# Incidence against a plain per-cell recount
+
+INC_POINTS = [fpoint(x) for x in range(7)] + [fpoint(x, 1) for x in range(2)] + [ipoint(1)]
+
+
+@st.composite
+def incidence_grids(draw):
+    """Grids whose cells hold blocks of 1 to 4 points, shared between cells,
+    drawn from more points than the grid lists."""
+    rows = ["r%d" % i for i in range(draw(st.integers(1, 4)))]
+    cols = ["c%d" % j for j in range(draw(st.integers(1, 4)))]
+    listed = draw(st.lists(st.sampled_from(INC_POINTS), unique=True))
+    cells = {}
+    for rc in draw(st.lists(st.sampled_from([(r, c) for r in rows for c in cols]),
+                            unique=True)):
+        cells[rc] = block(draw(st.lists(st.sampled_from(INC_POINTS), min_size=1,
+                                        max_size=4, unique=True)))
+    return designs.DesignGrid("raw", 1, (1, 2, 3, 4), listed, rows, cols, cells)
+
+
+def recount(g, dropped=None):
+    """(points, W, rowf, colf, pairs) as Incidence documents them, cell by cell:
+    W holds the row of the last cell of a column holding the point, and a
+    dropped cell's points leave its column."""
+    index = {p: x for x, p in enumerate(g.points)}
+    for b in g.cells.values():
+        for p in b:
+            index.setdefault(p, len(index))
+    V = len(index)
+    ri = {r: i for i, r in enumerate(g.rows)}
+    ci = {c: j for j, c in enumerate(g.cols)}
+    W = [[-1] * len(g.cols) for _ in range(V)]
+    rowf, colf, pairs = [0] * (len(g.rows) * V), [0] * (len(g.cols) * V), [0] * (V * V)
+    for (r, c), b in g.cells.items():
+        if (r, c) == dropped:
+            continue
+        for p in b:
+            W[index[p]][ci[c]] = ri[r]
+            rowf[ri[r] * V + index[p]] += 1
+            colf[ci[c] * V + index[p]] += 1
+        for p, q in itertools.combinations(b, 2):
+            pairs[index[p] * V + index[q]] += 1
+    if dropped is not None:
+        for p in g.cells[dropped]:
+            W[index[p]][ci[dropped[1]]] = -1
+    return list(index), W, rowf, colf, pairs
+
+
+def incidence_counts(inc):
+    return inc.points, inc.W, inc.rowf, inc.colf, inc.pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(incidence_grids(), st.data())
+def test_incidence_matches_recount(g, data):
+    inc = designs.Incidence(g)
+    assert (inc.v, inc.V) == (len(g.points), len(recount(g)[0]))
+    assert incidence_counts(inc) == recount(g)
+    if g.cells:
+        rc = data.draw(st.sampled_from(sorted(g.cells)))
+        inc.drop(rc)
+        assert incidence_counts(inc) == recount(g, rc)
