@@ -121,8 +121,10 @@ class AbelianGroup:
 
     @functools.cached_property
     def addition(self) -> tuple:
-        """(elements in sorted order, element -> position, table), built once:
-        table[x][y] is the position of the sum of the elements at x and y."""
+        """(elements in sorted order, element -> position, table, negation),
+        built once: table[x][y] is the position of the sum of the elements at
+        x and y, and negation[x] that of minus the element at x, so the
+        difference of the elements at x and y sits at table[x][negation[y]]."""
         elems = list(itertools.product(*map(range, self.factors)))
         table = [[0]]
         for m in self.factors:
@@ -130,7 +132,8 @@ class AbelianGroup:
             # position (x + y) * m + (a + b) % m
             shifts = [[(a + b) % m for b in range(m)] for a in range(m)]
             table = [[s * m + t for s in row for t in shift] for row in table for shift in shifts]
-        return elems, {e: x for x, e in enumerate(elems)}, table
+        # zero is the least element, at position 0
+        return elems, {e: x for x, e in enumerate(elems)}, table, [row.index(0) for row in table]
 
 
 def cyclic(m: int) -> AbelianGroup:
@@ -230,7 +233,9 @@ class FieldGF:
     """GF(p^e) with a fixed monic irreducible modulus and primitive element.
 
     Elements are length-e coefficient tuples, most significant first, so the
-    canonical order is plain tuple order.
+    canonical order is plain tuple order.  Products, powers and inverses are
+    read off log and antilog tables of omega, built on first use by the
+    polynomial product mod the modulus, which stays the definition.
     """
 
     p: int
@@ -267,30 +272,44 @@ class FieldGF:
     def neg(self, x):
         return tuple((-a) % self.p for a in x)
 
-    def mul(self, x, y):
+    def _poly_mul(self, x, y):
         r = _poly_mulmod(x, y, self.modulus, self.p)
         return (0,) * (self.e - len(r)) + r
 
+    @functools.cached_property
+    def _logs(self) -> tuple:
+        """(antilog, log): antilog[k] = omega^k for 0 <= k < q - 1, and log
+        the position of each nonzero element in it."""
+        antilog = [self.one()]
+        for _ in range(self.q - 2):
+            antilog.append(self._poly_mul(antilog[-1], self.omega))
+        return antilog, {x: k for k, x in enumerate(antilog)}
+
+    def mul(self, x, y):
+        if not any(x) or not any(y):
+            return self.zero()
+        antilog, log = self._logs
+        return antilog[(log[x] + log[y]) % (self.q - 1)]
+
     def pow(self, x, n: int):
-        r, b = self.one(), x
-        while n:
-            if n & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return r
+        if not any(x):
+            return self.zero() if n else self.one()
+        antilog, log = self._logs
+        return antilog[log[x] * n % (self.q - 1)]
 
     def inv(self, x):
-        if x == self.zero():
+        if not any(x):
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(x, self.q - 2)
+        antilog, log = self._logs
+        return antilog[-log[x] % (self.q - 1)]
 
     def mult_order(self, x) -> int:
+        """By the polynomial product, so that it serves before omega is known."""
         if x == self.zero():
             return 0
         k, acc = 1, x
         while acc != self.one():
-            acc = self.mul(acc, x)
+            acc = self._poly_mul(acc, x)
             k += 1
         return k
 
@@ -330,8 +349,7 @@ def gf_build(p: int, e: int) -> FieldGF:
 
 def translate_block(b: Block, gamma: tuple, g: AbelianGroup) -> Block:
     """Shift finite points by gamma, fix infinite points.  Neither is checked
-    against g: every starter verifier checks its points (`difference_list`)
-    before any shift."""
+    against g: every starter verifier checks its points before any shift."""
     return block(p if p[0] == 1 else (0, g.add(p[1], gamma), p[2]) for p in b)
 
 

@@ -74,23 +74,23 @@ def hamming(u, v) -> int:
 def min_distance(c: Code) -> int:
     """n minus the most coordinates two words agree on.
 
-    Words are bucketed by (coordinate, symbol).  Each word counts its
-    agreements over its own n buckets, so the work is the number of agreeing
-    (word, word, coordinate) triples, not C(M,2)·n symbol comparisons.
+    Column by column, the words are bucketed by their symbol there, and
+    every pair within a bucket gains one agreement in a flat M x M list, so
+    the work is the number of agreeing (word, word, coordinate) triples, not
+    C(M,2)·n symbol comparisons.
     """
     if c.size < 2:
         raise TooFewWords("need at least two words")
-    buckets = [defaultdict(list) for _ in range(c.n)]
-    for i, w in enumerate(c.words):
-        for bucket, s in zip(buckets, w):
-            bucket[s].append(i)
-    most = 0
-    for i, w in enumerate(c.words):
-        agree = Counter(itertools.chain.from_iterable(
-            bucket[s] for bucket, s in zip(buckets, w)))
-        del agree[i]
-        most = max(most, max(agree.values(), default=0))
-    return c.n - most
+    M = c.size
+    agree = [0] * (M * M)  # agree[a * M + b] for words a < b
+    for column in zip(*c.words):
+        buckets = [[] for _ in range(c.q)]
+        for a, s in enumerate(column):
+            buckets[s].append(a)
+        for bucket in buckets:
+            for a, b in itertools.combinations(bucket, 2):
+                agree[a * M + b] += 1
+    return c.n - max(agree)
 
 
 def ec_table(c: Code) -> tuple:
@@ -99,11 +99,9 @@ def ec_table(c: Code) -> tuple:
     For a fixed word the best e symbols are its e most frequent ones, so the
     table is the max over words of sorted-frequency prefix sums.
     """
-    best = [0] * c.q
-    for w in c.words:
-        for e, acc in enumerate(itertools.accumulate(sorted(symbol_weights(w, c.q), reverse=True))):
-            best[e] = max(best[e], acc)
-    return tuple(best)
+    prefix = [itertools.accumulate(sorted(symbol_weights(w, c.q), reverse=True))
+              for w in c.words]
+    return tuple(map(max, zip([0] * c.q, *prefix)))
 
 
 def ec_table_exhaustive(c: Code) -> tuple:
@@ -278,8 +276,15 @@ def dumps_code(c: Code) -> str:
     head = {"q": c.q, "n": c.n}
     if c.labels is not None:
         head["labels"] = list(c.labels)
-    words = ["  [\n   %s\n  ]" % ",\n   ".join([json_value(s, 3) for s in w]) if w else "  []"
-             for w in sorted(c.words)]
+    words = sorted(c.words)
+    # int symbols print as int.__repr__; a bool or any other type through json_value
+    if set(map(type, itertools.chain.from_iterable(words))) <= {int}:
+        symbol = int.__repr__
+    else:
+        def symbol(s):
+            return json_value(s, 3)
+    words = ["  [\n   %s\n  ]" % ",\n   ".join(map(symbol, w)) if w else "  []"
+             for w in words]
     text = "[\n%s\n ]" % ",\n".join(words) if words else "[]"
     return '%s,\n "words": %s\n}\n' % (json.dumps(head, sort_keys=True, indent=1)[:-2], text)
 

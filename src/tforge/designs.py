@@ -137,6 +137,11 @@ class Incidence:
       rowf[i * V + x]   occurrences of x in row i
       colf[j * V + x]   occurrences of x in column j
       pairs[x * V + y]  blocks holding both x and y, x before y in point order
+      sizes[k]          cells holding a block of k points
+
+    One pass indexes every cell and counts it, with the size-3 case
+    unrolled; a point missing from the list restarts the pass once every
+    such point is indexed.
 
     In a GBTP the rows of W are the code words and ``pairs`` holds their
     agreement counts, so "no pair covered more than λ times" and "distance at
@@ -150,35 +155,84 @@ class Incidence:
         self.col_index = ci = {c: j for j, c in enumerate(g.cols)}
         self.index = ix = {p: x for x, p in enumerate(g.points)}
         self.v = len(ix)
-        # (row, col) label -> (row index, column index, point indices), in g.cells order
-        self.cells = {}
-        for rc, b in g.cells.items():
-            xs = tuple(map(ix.get, b))
-            if None in xs:
-                xs = tuple(ix.setdefault(p, len(ix)) for p in b)
-            self.cells[rc] = (ri[rc[0]], ci[rc[1]], xs)
+        while not self._count(g.cells, ri, ci, ix):
+            # a point outside the list: index every one in cell order, count again
+            for b in g.cells.values():
+                for p in b:
+                    ix.setdefault(p, len(ix))
         self.points = list(ix)
-        V = self.V = len(ix)
-        self.W = [[-1] * len(ci) for _ in range(V)]
-        self.rowf = [0] * (len(ri) * V)
-        self.colf = [0] * (len(ci) * V)
-        self.pairs = [0] * (V * V)
-        self._count(self.cells.values(), 1)
 
-    def _count(self, entries, d: int) -> None:
-        V, W, rowf, colf, pairs = self.V, self.W, self.rowf, self.colf, self.pairs
-        for i, j, xs in entries:
+    def _count(self, grid_cells, ri, ci, ix) -> bool:
+        """Index and count every cell in one pass; False, with the counts
+        unfinished, at the first point that ix does not index."""
+        V = self.V = len(ix)
+        W = self.W = [[-1] * len(ci) for _ in range(V)]
+        rowf = self.rowf = [0] * (len(ri) * V)
+        colf = self.colf = [0] * (len(ci) * V)
+        pairs = self.pairs = [0] * (V * V)
+        sizes = self.sizes = Counter()  # block size -> cells
+        # (row, col) label -> (row index, column index, point indices), in g.cells order
+        cells = self.cells = {}
+        get = ix.get
+        triples = 0
+        for rc, b in grid_cells.items():
+            i, j = ri[rc[0]], ci[rc[1]]
             ro, co = i * V, j * V
+            if len(b) == 3:
+                p, q, r = b
+                x, y, z = get(p), get(q), get(r)
+                if x is None or y is None or z is None:
+                    return False
+                cells[rc] = (i, j, (x, y, z))
+                W[x][j] = W[y][j] = W[z][j] = i
+                rowf[ro + x] += 1
+                rowf[ro + y] += 1
+                rowf[ro + z] += 1
+                colf[co + x] += 1
+                colf[co + y] += 1
+                colf[co + z] += 1
+                pairs[x * V + y] += 1
+                pairs[x * V + z] += 1
+                pairs[y * V + z] += 1
+                triples += 1
+                continue
+            xs = tuple(map(get, b))
+            if None in xs:
+                return False
+            cells[rc] = (i, j, xs)
+            sizes[len(xs)] += 1
             for x in xs:
-                W[x][j] = i if d > 0 else -1
-                rowf[ro + x] += d
-                colf[co + x] += d
+                W[x][j] = i
+                rowf[ro + x] += 1
+                colf[co + x] += 1
             for x, y in itertools.combinations(xs, 2):
-                pairs[x * V + y] += d
+                pairs[x * V + y] += 1
+        if triples:
+            sizes[3] = triples
+        return True
 
     def drop(self, rc) -> None:
         """Take one cell's block out of every count."""
-        self._count([self.cells.pop(rc)], -1)
+        i, j, xs = self.cells.pop(rc)
+        V, W, rowf, colf, pairs = self.V, self.W, self.rowf, self.colf, self.pairs
+        for x in xs:
+            W[x][j] = -1
+            rowf[i * V + x] -= 1
+            colf[j * V + x] -= 1
+        for x, y in itertools.combinations(xs, 2):
+            pairs[x * V + y] -= 1
+        self.sizes[len(xs)] -= 1
+        if not self.sizes[len(xs)]:
+            del self.sizes[len(xs)]
+
+    def sized_outside(self, k_set) -> list:
+        """(cell, point indices) of the cells whose block size is not in
+        k_set, row-major; the cells are scanned only when the size tally
+        holds such a size."""
+        k_set = set(k_set)
+        if set(self.sizes) <= k_set:
+            return []
+        return self.cells_where(lambda xs: len(xs) not in k_set)
 
     def cells_where(self, keep) -> list:
         """(cell, point indices) of the cells whose indices pass keep, row-major."""
@@ -291,9 +345,8 @@ def verify_packing(g: DesignGrid, exact: bool | None = None,
         exact = g.kind in ("GBTD", "RBIBD", "TD", "DRTD")
     inc = inc or Incidence(g)
     rep = VerifyReport()
-    k_set = set(g.k_set)
     rep.add("k-uniform", ["cell (%s,%s) size %d" % (rc + (len(xs),))
-                          for rc, xs in inc.cells_where(lambda xs: len(xs) not in k_set)])
+                          for rc, xs in inc.sized_outside(g.k_set)])
     V, v, pts, lam = inc.V, inc.v, inc.points, g.lam
     strays = [] if V == v else inc.cells_where(lambda xs: any(x >= v for x in xs))
     rep.add("points-known", ["cell (%s,%s) point %s" % (rc + (format_point(pts[x]),))
@@ -424,7 +477,7 @@ def verify_frgbtd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
                              for x in inc.column_misses(c, grp)))
     rep.add("gdd-pairs", _gdd_pairs(inc, inc.group_ids(grp for grp, _, _ in meta)))
     rep.add("k-uniform", ["cell (%s,%s) size %d" % (rc + (len(xs),))
-                          for rc, xs in inc.cells_where(lambda xs: len(xs) != k)])
+                          for rc, xs in inc.sized_outside((k,))])
     return rep
 
 
@@ -447,9 +500,8 @@ def verify_gdd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
                      for gi, c in Counter(gid[x] for x in xs).items() if c > 1]
     rep.add("block-meets-group-once", meet_bad)
     rep.add("gdd-pairs", _gdd_pairs(inc, gid))
-    k_set = set(g.k_set)
     rep.add("k-uniform", ["block size %d not in K" % len(xs)
-                          for _, xs in inc.cells_where(lambda xs: len(xs) not in k_set)])
+                          for _, xs in inc.sized_outside(g.k_set)])
     return rep
 
 
@@ -558,10 +610,12 @@ def demote_special(g: DesignGrid) -> DesignGrid:
     if (r, c) not in g.cells:
         raise BadParameters("special cell is empty")
     w = g.cells[(r, c)]
-    cells = {rc: b for rc, b in g.cells.items() if rc != (r, c)}
+    cells = dict(g.cells)
+    del cells[(r, c)]
     colors = None
     if g.colors is not None:
-        colors = {rc: col for rc, col in g.colors.items() if rc != (r, c)}
+        colors = dict(g.colors)
+        colors.pop((r, c), None)
     return dataclasses.replace(g, kind="IGBTP", cells=cells, colors=colors,
                                hole=(tuple(w), (r,), (c,)), special=None)
 

@@ -103,7 +103,13 @@ def plotkin_cap(n: int, d: int, q: int, limit: int = PLOTKIN_LIMIT) -> int:
     `plotkin_check` in closed form: for M = aq + r the symbol counts M_i sum
     to M and their squares to (q - r)a^2 + r(a + 1)^2.
     """
-    for m in range(2, limit + 1):
+    stop = limit
+    if 0 < d and d * q <= n * (q - 1):
+        # M = aq + r is excluded iff M^2 (dq - n(q-1)) - dqM + n r(q-r) > 0;
+        # with the first term <= 0 that needs dqM < n r(q-r) <= nq^2/4, so
+        # no size from nq/(4d) on is excluded
+        stop = min(limit, -(-n * q // (4 * d)))
+    for m in range(2, stop + 1):
         a, r = divmod(m, q)
         if m * (m - 1) // 2 * d > n * (m * m - (q - r) * a * a - r * (a + 1) ** 2) // 2:
             return m - 1
@@ -506,7 +512,12 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
     """
     k_set, v, m, n = _gbtp_params(params)
     lam = params.get("lambda", 1)
-    star3 = bool(params.get("star3", False))
+    star3 = params.get("star3", False)
+    if type(lam) is not int:
+        raise InconsistentParams("search parameter 'lambda' must be an integer, not %r" % (lam,))
+    if type(star3) is not bool:
+        raise InconsistentParams("search parameter 'star3' must be true or false, not %r"
+                                 % (star3,))
     if lam != 1:
         raise InconsistentParams("only index 1 is supported")
     if params.get("hole"):

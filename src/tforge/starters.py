@@ -48,7 +48,7 @@ class _Translates:
 
     def __init__(self, g: AbelianGroup):
         self.group = g
-        self.elems, self.index, self.table = g.addition
+        self.elems, self.index, self.table, _ = g.addition
         self.labels = [_elem_label(e) for e in self.elems]
         self._copies = {}  # copy index -> the finite points of that copy, by position
 
@@ -95,16 +95,36 @@ def _counter_eq(rep, cid, got: Counter, want: Counter):
     rep.add(cid, bad)
 
 
-def _r_multiset(s: GbtdStarter) -> Counter:
-    g = s.group
-    r = Counter()
-    for alpha, b in s.blocks_a.items():
-        for p in translate_block(b, g.neg(alpha), g):
-            r[p] += 1
-    for b in s.blocks_b:
-        for p in b:
-            r[p] += 1
-    return r
+def _located(g: AbelianGroup, blocks) -> list:
+    """Each block's points, all finite, as (element position, copy), positions in
+    the sorted element order of `g.addition`.  A point's element is looked
+    up once; only one that is not a canonical element goes through
+    `g.check`, which rejects a wrong arity and reduces the residues."""
+    index = g.addition[1]
+    return [[(x if (x := index.get(p[1])) is not None else index[g.check(p[1])], p[2])
+             for p in b] for b in blocks]
+
+
+def _difference_counts(g: AbelianGroup, located, copies: int) -> list:
+    """Every pure and mixed difference list in one walk over the blocks:
+    entry (i * copies + j) * |g| + d counts the ordered pairs of points
+    (x, i), (y, j) of one block with x - y at position d, which is
+    `difference_list(blocks, g, ("pure", i))` for i == j and
+    `("mixed", i, j)` otherwise."""
+    _, _, table, neg = g.addition
+    order = len(table)
+    counts = [0] * (copies * copies * order)
+    for b in located:
+        for (x, i), (y, j) in itertools.permutations(b, 2):
+            counts[(i * copies + j) * order + table[x][neg[y]]] += 1
+    return counts
+
+
+def _count_condition(rep, cid, keys, got: list, want: list) -> None:
+    """got against want, key by key in sorted key order: the witnesses of
+    `_counter_eq` for the same counts held in Counters."""
+    rep.add(cid, [] if got == want else ["%r: got %d want %d" % (key, k, w)
+                                         for key, k, w in zip(keys, got, want) if k != w])
 
 
 def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
@@ -128,18 +148,25 @@ def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
     if shape_bad:
         return rep
 
-    blocks = list(s.blocks_a.values()) + list(s.blocks_b)
-    nonzero = Counter({e: 1 for e in g.elements() if e != g.zero()})
-    full = Counter({e: 1 for e in g.elements()})
+    elems, index, table, neg = g.addition
+    alphas = list(s.blocks_a)
+    located_a = _located(g, s.blocks_a.values())
+    located_b = _located(g, s.blocks_b)
+    counts = _difference_counts(g, located_a + located_b, 3)
     for i in range(3):
-        _counter_eq(rep, "pure-diffs-%d" % i, difference_list(blocks, g, ("pure", i)), nonzero)
+        _count_condition(rep, "pure-diffs-%d" % i, elems, counts[4 * i * m:(4 * i + 1) * m],
+                         [0] + [1] * (m - 1))
     for i, j in itertools.permutations(range(3), 2):
-        _counter_eq(rep, "mixed-diffs-%d%d" % (i, j),
-                    difference_list(blocks, g, ("mixed", i, j)), full)
+        slot = 3 * i + j
+        _count_condition(rep, "mixed-diffs-%d%d" % (i, j), elems,
+                         counts[slot * m:(slot + 1) * m], [1] * m)
 
-    cover = Counter(p for b in s.blocks_a.values() for p in b)
-    want = Counter({fpoint(e, c): 1 for e in g.elements() for c in range(3)})
-    _counter_eq(rep, "a-cover", cover, want)
+    cover = [0] * (3 * m)
+    for b in located_a:
+        for x, c in b:
+            cover[3 * x + c] += 1
+    _count_condition(rep, "a-cover", [fpoint(e, c) for e in elems for c in range(3)],
+                     cover, [1] * (3 * m))
 
     b_bad = []
     for t, b in enumerate(s.blocks_b, start=1):
@@ -147,41 +174,45 @@ def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
             b_bad.append("B_%d misses a copy" % t)
     rep.add("b-transversal", b_bad)
 
-    r = _r_multiset(s)
+    # R: each A_alpha shifted by -alpha, and the B blocks, at point x * 3 + c
+    shifted = [[3 * table[x][neg[index[alpha]]] + c for x, c in b]
+               for alpha, b in zip(alphas, located_a)]
+    shifted += [[3 * x + c for x, c in b] for b in located_b]
+    r = [0] * (3 * m)
+    for b in shifted:
+        for xc in b:
+            r[xc] += 1
     r_bad = []
-    for e in g.elements():
-        for c in range(3):
-            k = r.get(fpoint(e, c), 0)
-            if k not in (1, 2):
-                r_bad.append("%s appears %d times in R" % (format_point(fpoint(e, c)), k))
+    if not 1 <= min(r) <= max(r) <= 2:
+        for e in g.elements():
+            for c in range(3):
+                k = r[3 * index[e] + c]
+                if k not in (1, 2):
+                    r_bad.append("%s appears %d times in R" % (format_point(fpoint(e, c)), k))
     rep.add("row-multiset", r_bad)
 
     if s.special:
-        a0 = s.blocks_a[g.zero()]
-        sp_bad = ["%s appears %d times in R" % (format_point(p), r.get(p, 0))
-                  for p in a0 if r.get(p, 0) != 1]
-        rep.add("special-a0-once", sp_bad)
+        a0 = alphas.index(g.zero())
+        rep.add("special-a0-once", ["%s appears %d times in R" % (format_point(p), r[3 * x + c])
+                                    for p, (x, c) in zip(s.blocks_a[g.zero()], located_a[a0])
+                                    if r[3 * x + c] != 1])
 
     if s.colors_a is not None:
         by_color = {}
-        for alpha, b in s.blocks_a.items():
-            col = s.colors_a[alpha]
-            by_color.setdefault(col, []).append(translate_block(b, g.neg(alpha), g))
-        for t, b in enumerate(s.blocks_b):
-            by_color.setdefault(s.colors_b[t], []).append(b)
+        for col, b in zip([s.colors_a[alpha] for alpha in alphas] + list(s.colors_b), shifted):
+            by_color.setdefault(col, [0] * (3 * m))
+            for xc in b:
+                by_color[col][xc] += 1
         col_bad = []
-        for col, bs in sorted(by_color.items()):
-            cnt = Counter(p for b in bs for p in b)
-            for p, k in sorted(cnt.items()):
-                if k > 1:
-                    col_bad.append("color %d: %s in %d blocks" % (col, format_point(p), k))
-        rep.add("color-disjoint", col_bad)
         wit_bad = []
-        all_pts = {fpoint(e, c) for e in g.elements() for c in range(3)}
-        for col, bs in sorted(by_color.items()):
-            covered = {p for b in bs for p in b}
-            if not all_pts - covered:
+        for col, cnt in sorted(by_color.items()):
+            if max(cnt) > 1:
+                col_bad += ["color %d: %s in %d blocks"
+                            % (col, format_point((0, elems[xc // 3], xc % 3)), k)
+                            for xc, k in enumerate(cnt) if k > 1]
+            if 0 not in cnt:
                 wit_bad.append("color %d has no witness" % col)
+        rep.add("color-disjoint", col_bad)
         rep.add("color-witness", wit_bad)
     return rep
 
@@ -564,19 +595,21 @@ def verify_frgbtd_starter(s: FrGbtdStarter) -> VerifyReport:
     if shape_bad:
         return rep
 
-    blocks = [s.blocks[k] for k in sorted(s.blocks)]
-    forbidden = {(0,), (t,), (2 * t,)}
-    want = Counter({e: 1 for e in g.elements() if e not in forbidden})
-    for i in range(2):
-        _counter_eq(rep, "pure-diffs-%d" % i, difference_list(blocks, g, ("pure", i)), want)
-    for i, j in ((0, 1), (1, 0)):
-        _counter_eq(rep, "mixed-diffs-%d%d" % (i, j),
-                    difference_list(blocks, g, ("mixed", i, j)), want)
+    elems = g.addition[0]
+    located = _located(g, [s.blocks[k] for k in sorted(s.blocks)])
+    counts = _difference_counts(g, located, 2)
+    # every element but the three of the subgroup {0, t, 2t}, at positions 0, t, 2t
+    want = [0 if x % t == 0 else 1 for x in range(3 * t)]
+    for cid, slot in (("pure-diffs-0", 0), ("pure-diffs-1", 3), ("mixed-diffs-01", 1),
+                      ("mixed-diffs-10", 2)):
+        _count_condition(rep, cid, elems, counts[3 * t * slot:3 * t * (slot + 1)], want)
 
-    cover = Counter(p for b in blocks for p in b)
-    want_pts = Counter({fpoint(e, c): 1 for e in g.elements() if e not in forbidden
-                        for c in range(2)})
-    _counter_eq(rep, "cover", cover, want_pts)
+    cover = [0] * (6 * t)
+    for b in located:
+        for x, c in b:
+            cover[2 * x + c] += 1
+    _count_condition(rep, "cover", [fpoint(e, c) for e in elems for c in range(2)],
+                     cover, [w for w in want for _ in range(2)])
 
     r_bad = []
     for j in (0, 1):

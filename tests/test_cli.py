@@ -272,8 +272,10 @@ _SPEC = {"K": [2, 3], "v": 9, "m": 4, "n": 5}
     (dict(_SPEC, m=True), "'m'"),
     (dict(_SPEC, n=2.5), "'n'"),
     ([_SPEC], "must be a JSON object"),
+    (dict(_SPEC, star3="false"), "'star3'"),
+    (dict(_SPEC, **{"lambda": True}), "'lambda'"),
 ], ids=["K-int", "K-str", "K-empty", "K-zero", "K-bool", "v-str", "v-zero", "m-bool",
-        "n-float", "list"])
+        "n-float", "list", "star3-str", "lambda-bool"])
 def test_search_design_bad_spec_exit_2(tmp_path, spec, key):
     # a spec of the wrong shape names its key, and no search is run
     path = tmp_path / "spec.json"

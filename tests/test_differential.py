@@ -14,6 +14,7 @@ import functools
 import itertools
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,15 @@ import oracle_develop
 import oracle_starters
 import oracle_verify as oracle
 from tforge import designs, starters
-from tforge.algebra import block, cyclic, factor_prime_power, fpoint, gf_build, ipoint
+from tforge.algebra import (
+    block,
+    cyclic,
+    difference_list,
+    factor_prime_power,
+    fpoint,
+    gf_build,
+    ipoint,
+)
 from tforge.codes import Code, dumps_code, gbtp_to_code
 from tforge.constructions import build_td, drtd_from_td, load_recipe, run_recipe
 from tforge.errors import TforgeError
@@ -335,6 +344,30 @@ def test_starter_mutants_verify_as_oracle(name, frgbtd_t5, seed, moves):
     assert_same_starter(s)
 
 
+@pytest.mark.parametrize("name", STARTER_BASES)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), moves=st.integers(0, 3))
+def test_difference_counts_equal_difference_list(name, frgbtd_t5, seed, moves):
+    rng = random.Random(seed)
+    s = starter_base(name, frgbtd_t5)
+    for _ in range(moves):
+        s = move_point(s, rng)
+    if isinstance(s, starters.GbtdStarter):
+        blocks, copies = list(s.blocks_a.values()) + list(s.blocks_b), 3
+    else:
+        blocks, copies = [s.blocks[k] for k in sorted(s.blocks)], 2
+    if any(p[2] >= copies for b in blocks for p in b):
+        return  # the shape condition stops the verifier before any difference
+    g = s.group
+    counts = starters._difference_counts(g, starters._located(g, blocks), copies)
+    elems = g.addition[0]
+    for i, j in itertools.product(range(copies), repeat=2):
+        want = difference_list(
+            blocks, g, ("pure", i) if i == j else ("mixed", i, j))
+        slot = (i * copies + j) * len(elems)
+        assert counts[slot:slot + len(elems)] == [want[e] for e in elems], (i, j)
+
+
 # the additive groups of the fq starters, and the cyclic groups of the frame starters
 STARTER_GROUPS = ([gf_build(*factor_prime_power(q)).additive_group() for q in FQ_STARTERS]
                   + [cyclic(3 * t) for t in range(2, 8)] + [cyclic(48)])
@@ -342,13 +375,14 @@ STARTER_GROUPS = ([gf_build(*factor_prime_power(q)).additive_group() for q in FQ
 
 @pytest.mark.parametrize("g", STARTER_GROUPS, ids=lambda g: "x".join(map(str, g.factors)))
 def test_addition_table_agrees_with_add_and_neg(g):
-    elems, index, table = g.addition[:3]
+    elems, index, table, neg = g.addition
     assert elems == sorted(g.elements())
     assert index == {e: x for x, e in enumerate(elems)}
     zero = index[g.zero()]
     for x, ex in enumerate(elems):
         assert table[x] == [index[g.add(ex, ey)] for ey in elems]
         assert table[x][index[g.neg(ex)]] == zero
+        assert neg[x] == index[g.neg(ex)]
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +407,9 @@ def incidence_grids(draw):
 
 
 def recount(g, dropped=None):
-    """(points, W, rowf, colf, pairs) as Incidence documents them, cell by cell:
-    W holds the row of the last cell of a column holding the point, and a
-    dropped cell's points leave its column."""
+    """(points, W, rowf, colf, pairs, cells per block size) as Incidence
+    documents them, cell by cell: W holds the row of the last cell of a
+    column holding the point, and a dropped cell's points leave its column."""
     index = {p: x for x, p in enumerate(g.points)}
     for b in g.cells.values():
         for p in b:
@@ -397,11 +431,12 @@ def recount(g, dropped=None):
     if dropped is not None:
         for p in g.cells[dropped]:
             W[index[p]][ci[dropped[1]]] = -1
-    return list(index), W, rowf, colf, pairs
+    sizes = Counter(len(b) for rc, b in g.cells.items() if rc != dropped)
+    return list(index), W, rowf, colf, pairs, dict(sizes)
 
 
 def incidence_counts(inc):
-    return inc.points, inc.W, inc.rowf, inc.colf, inc.pairs
+    return inc.points, inc.W, inc.rowf, inc.colf, inc.pairs, dict(inc.sizes)
 
 
 @settings(max_examples=300, deadline=None)
