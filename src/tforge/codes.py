@@ -6,6 +6,7 @@ row names print faithfully next to the source array.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections import Counter, defaultdict
@@ -278,11 +279,8 @@ def dumps_code(c: Code) -> str:
         head["labels"] = list(c.labels)
     words = sorted(c.words)
     # int symbols print as int.__repr__; a bool or any other type through json_value
-    if set(map(type, itertools.chain.from_iterable(words))) <= {int}:
-        symbol = int.__repr__
-    else:
-        def symbol(s):
-            return json_value(s, 3)
+    symbol = (int.__repr__ if set(map(type, itertools.chain.from_iterable(words))) <= {int}
+              else functools.partial(json_value, level=3))
     words = ["  [\n   %s\n  ]" % ",\n   ".join(map(symbol, w)) if w else "  []"
              for w in words]
     text = "[\n%s\n ]" % ",\n".join(words) if words else "[]"
