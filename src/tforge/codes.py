@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import block
