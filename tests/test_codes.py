@@ -189,3 +189,27 @@ def test_min_distance_when_no_pair_agrees():
     assert capability(c) == (ec_table(c), 3)
     with pytest.raises(TooFewWords):
         min_distance(Code(4, 3, ((0, 1, 2),)))
+
+
+@st.composite
+def equitable_codes(draw):
+    """Distinct equitable words: with n = aq + r, each word gives r symbols
+    weight a+1 and the others weight a, in any order (n < q and q | n included)."""
+    q, n = draw(st.integers(2, 6)), draw(st.integers(1, 13))
+    a, r = divmod(n, q)
+    word = st.permutations(range(q)).flatmap(  # the first r symbols get weight a+1
+        lambda heavy: st.permutations([s for i, s in enumerate(heavy)
+                                       for _ in range(a + (i < r))])).map(tuple)
+    words = draw(st.lists(word, min_size=2, max_size=6, unique=True))
+    return Code(q, n, tuple(sorted(words)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(equitable_codes())
+def test_equitable_ec_table_is_closed_form(c):
+    assert is_equitable(c)
+    a, r = divmod(c.n, c.q)
+    closed = tuple(e * (a + 1) if e <= r else r * (a + 1) + (e - r) * a
+                   for e in range(1, c.q + 1))
+    assert ec_table(c) == ec_table_exhaustive(c) == closed
+    assert code_stats(c).ec == closed

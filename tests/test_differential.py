@@ -439,13 +439,27 @@ def incidence_counts(inc):
     return inc.points, inc.W, inc.rowf, inc.colf, inc.pairs, dict(inc.sizes)
 
 
+def recount_cells(g, dropped=None):
+    """Incidence.cells as documented: (row, col) -> (row index, column
+    index, point indices in block order), in g.cells order."""
+    index = {p: x for x, p in enumerate(recount(g)[0])}
+    ri = {r: i for i, r in enumerate(g.rows)}
+    ci = {c: j for j, c in enumerate(g.cols)}
+    return [(rc, (ri[rc[0]], ci[rc[1]], tuple(index[p] for p in b)))
+            for rc, b in g.cells.items() if rc != dropped]
+
+
 @settings(max_examples=300, deadline=None)
 @given(incidence_grids(), st.data())
 def test_incidence_matches_recount(g, data):
     inc = designs.Incidence(g)
     assert (inc.v, inc.V) == (len(g.points), len(recount(g)[0]))
     assert incidence_counts(inc) == recount(g)
+    read_first = data.draw(st.booleans())  # cells read before the drop, or only after
+    if read_first:
+        assert list(inc.cells.items()) == recount_cells(g)
     if g.cells:
         rc = data.draw(st.sampled_from(sorted(g.cells)))
         inc.drop(rc)
         assert incidence_counts(inc) == recount(g, rc)
+        assert list(inc.cells.items()) == recount_cells(g, rc)
