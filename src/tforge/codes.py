@@ -10,10 +10,10 @@ import functools
 import itertools
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import block
-from .designs import DesignGrid, Incidence, check_keys, json_value, verify_gbtp
+from .designs import DesignGrid, Incidence, certificate, check_keys, json_value, verify_gbtp
 from .errors import (
     DistanceTooSmall,
     MalformedCode,
@@ -25,15 +25,18 @@ from .errors import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Code:
     q: int
     n: int
     words: tuple  # tuple of length-n int tuples
     labels: tuple | None = None  # symbol -> display label
+    # the most coordinates two words agree on, set only by gbtp_to_code from
+    # the verified grid's pair counts; a code made any other way has None
+    agree: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.words = tuple(tuple(w) for w in self.words)
+        object.__setattr__(self, "words", tuple(tuple(w) for w in self.words))
         for w in self.words:
             if len(w) != self.n:
                 raise ValueError("word length %d != n=%d" % (len(w), self.n))
@@ -105,6 +108,16 @@ def ec_table(c: Code) -> tuple:
     return tuple(map(max, zip([0] * c.q, *prefix)))
 
 
+def equitable_ec_table(q: int, n: int) -> tuple:
+    """ec_table of any equitable code of length n over q symbols.
+
+    With n = aq + r every word has r symbols of weight a+1 and q-r of
+    weight a, so E(e) = e(a+1) for e <= r and r(a+1) + (e-r)a after.
+    """
+    a, r = divmod(n, q)
+    return tuple(e * a + min(e, r) for e in range(1, q + 1))
+
+
 def ec_table_exhaustive(c: Code) -> tuple:
     """Oracle: maximize over every symbol subset of each size explicitly."""
     out = []
@@ -126,10 +139,13 @@ def capability(c: Code, d: int | None = None) -> tuple:
     if d is None:
         d = min_distance(c)
     table = ec_table(c)
-    for e, val in enumerate(table, start=1):
-        if val >= d:
-            return table, e
-    return table, c.q  # unreachable: E(q) = n >= d
+    return table, _reaching(table, d)
+
+
+def _reaching(table: tuple, d: int) -> int:
+    """The least e with E(e) >= d."""
+    return next((e for e, val in enumerate(table, start=1) if val >= d),
+                len(table))  # unreachable: E(q) = n >= d
 
 
 @dataclass
@@ -179,24 +195,43 @@ class CodeStats:
 
 
 def code_stats(c: Code) -> CodeStats:
-    d = min_distance(c)
-    table, cap = capability(c, d)
-    return CodeStats(c.n, c.q, c.size, d, is_equitable(c), table, cap,
+    """Distance, equity, E table, c(C) and the Plotkin check.
+
+    d is n minus the certified agreement count when gbtp_to_code left one,
+    and an equitable code's E table is its closed form."""
+    if c.size < 2:
+        raise TooFewWords("need at least two words")
+    d = min_distance(c) if c.agree is None else c.n - c.agree
+    equitable = is_equitable(c)
+    table = equitable_ec_table(c.q, c.n) if equitable else ec_table(c)
+    return CodeStats(c.n, c.q, c.size, d, equitable, table, _reaching(table, d),
                      plotkin_check(c.n, d, c.q, c.size))
 
 
 def gbtp_to_code(g: DesignGrid) -> Code:
-    """One word per point; symbol j is the row holding the point in column j."""
+    """One word per point; symbol j is the row holding the point in column j.
+
+    Pair coverage is agreement: two points share a block in column j exactly
+    when their words agree at j.  So a grid's verification certifies the
+    code, and the code carries its largest pair count as ``agree``.  A grid
+    that verify_auto passed, unchanged since, is read off that pass; any
+    other grid is verified here.
+    """
     if g.hole is not None:
         raise NotVerified("cannot derive a code from a holed grid")
-    inc = Incidence(g)
-    rep = verify_gbtp(g, inc=inc)
-    if not rep.ok:
-        raise NotVerified("grid fails verify_gbtp:\n" + rep.describe())
-    words = [tuple(w) for w in inc.W]
+    cert = certificate(g)
+    if cert is None:
+        inc = Incidence(g)
+        rep = verify_gbtp(g, inc=inc)
+        if not rep.ok:
+            raise NotVerified("grid fails verify_gbtp:\n" + rep.describe())
+        cert = list(map(tuple, inc.W)), max(inc.pairs, default=0)
+    words, agree = cert
     if len(set(words)) != len(words):
         raise NotVerified("derived words are not distinct")
-    return Code(g.m, g.n, tuple(words), labels=tuple(g.rows))
+    code = Code(g.m, g.n, tuple(words), labels=tuple(g.rows))
+    object.__setattr__(code, "agree", agree)
+    return code
 
 
 def code_to_gbtp(c: Code, k_set, lam: int, points=None) -> DesignGrid:
@@ -267,8 +302,13 @@ def code_from_obj(obj: dict) -> Code:
     if (type(words) is not list or not set(map(type, words)) <= {list}
             or not set(map(type, itertools.chain.from_iterable(words))) <= {int}):
         raise MalformedCode("code words must be lists of integers")
+    labels = obj.get("labels")
+    if labels is not None and (type(labels) is not list or len(labels) != obj["q"]
+                               or any(isinstance(x, (list, dict)) for x in labels)):
+        raise MalformedCode("code 'labels' must be a list of q=%d labels, none a list or object"
+                            % obj["q"])
     return Code(obj["q"], obj["n"], tuple(tuple(w) for w in obj["words"]),
-                tuple(obj["labels"]) if obj.get("labels") else None)
+                None if labels is None else tuple(labels))
 
 
 def dumps_code(c: Code) -> str:

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -139,9 +140,10 @@ class Incidence:
       pairs[x * V + y]  blocks holding both x and y, x before y in point order
       sizes[k]          cells holding a block of k points
 
-    One pass indexes every cell and counts it, with the size-3 case
-    unrolled; a point missing from the list restarts the pass once every
-    such point is indexed.
+    One pass counts every cell, with the size-3 case unrolled; a point
+    missing from the list restarts the pass once every such point is
+    indexed.  ``cells`` holds each cell's indices, read off the grid on
+    first use: only witnesses and the block-walking checks need it.
 
     In a GBTP the rows of W are the code words and ``pairs`` holds their
     agreement counts, so "no pair covered more than λ times" and "distance at
@@ -162,18 +164,27 @@ class Incidence:
                     ix.setdefault(p, len(ix))
         self.points = list(ix)
         self.once = [1] * self.v + [0] * (self.V - self.v)  # a column partitioning the points
+        self._grid_cells, self._cells, self._dropped = g.cells, None, set()
+
+    @property
+    def cells(self) -> dict:
+        """(row, col) label -> (row index, column index, point indices), in
+        g.cells order, without the dropped cells."""
+        if self._cells is None:
+            ri, ci, ix = self.row_index, self.col_index, self.index
+            self._cells = {rc: (ri[rc[0]], ci[rc[1]], tuple(map(ix.__getitem__, b)))
+                           for rc, b in self._grid_cells.items() if rc not in self._dropped}
+        return self._cells
 
     def _count(self, grid_cells, ri, ci, ix) -> bool:
-        """Index and count every cell in one pass; False, with the counts
-        unfinished, at the first point that ix does not index."""
+        """Count every cell in one pass; False, with the counts unfinished,
+        at the first point that ix does not index."""
         V = self.V = len(ix)
         W = self.W = [[-1] * len(ci) for _ in range(V)]
         rowf = self.rowf = [0] * (len(ri) * V)
         colf = self.colf = [0] * (len(ci) * V)
         pairs = self.pairs = [0] * (V * V)
         sizes = self.sizes = Counter()  # block size -> cells
-        # (row, col) label -> (row index, column index, point indices), in g.cells order
-        cells = self.cells = {}
         get = ix.get
         triples = 0
         for rc, b in grid_cells.items():
@@ -184,7 +195,6 @@ class Incidence:
                 x, y, z = get(p), get(q), get(r)
                 if x is None or y is None or z is None:
                     return False
-                cells[rc] = (i, j, (x, y, z))
                 W[x][j] = W[y][j] = W[z][j] = i
                 rowf[ro + x] += 1
                 rowf[ro + y] += 1
@@ -200,7 +210,6 @@ class Incidence:
             xs = tuple(map(get, b))
             if None in xs:
                 return False
-            cells[rc] = (i, j, xs)
             sizes[len(xs)] += 1
             for x in xs:
                 W[x][j] = i
@@ -214,7 +223,13 @@ class Incidence:
 
     def drop(self, rc) -> None:
         """Take one cell's block out of every count."""
-        i, j, xs = self.cells.pop(rc)
+        if rc in self._dropped:
+            raise KeyError(rc)
+        i, j = self.row_index[rc[0]], self.col_index[rc[1]]
+        xs = [self.index[p] for p in self._grid_cells[rc]]
+        self._dropped.add(rc)
+        if self._cells is not None:
+            del self._cells[rc]
         V, W, rowf, colf, pairs = self.V, self.W, self.rowf, self.colf, self.pairs
         for x in xs:
             W[x][j] = -1
@@ -445,6 +460,8 @@ def verify_frgbtd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
     if len(g.k_set) != 1:
         raise BadParameters("FrGBTD needs a single block size")
     k = g.k_set[0]
+    if k < 2:
+        raise BadParameters("FrGBTD needs a block size of at least 2, got %d" % k)
     meta = _frame_meta(g)
     for grp, ri, ci in meta:
         if len(grp) % (k * (k - 1)):
@@ -649,10 +666,44 @@ VERIFIERS = {
 }
 
 
+# The last holeless GBTP or GBTD that verify_auto passed, as (a weak reference
+# to the grid, what its check read of it, its words, its largest pair count);
+# None when there is none or that grid is gone.  A copy of the cells keeps a
+# later change to the grid from matching.
+_certified = None
+
+
+def _state(g: DesignGrid, cells: dict) -> tuple:
+    return g.kind, g.lam, g.k_set, g.points, g.rows, g.cols, g.hole, g.star, cells
+
+
+def _forget(ref) -> None:
+    global _certified
+    if _certified is not None and _certified[0] is ref:
+        _certified = None
+
+
+def certificate(g: DesignGrid):
+    """(words, largest pair count) of g from verify_auto's last pass, if that
+    pass certified g as a GBTP or GBTD and g has not changed since; else None.
+
+    A GBTD pass is a pass of verify_gbtp in exact mode, so either kind's pass
+    implies what verify_gbtp(g) checks for g's kind."""
+    if _certified is None:
+        return None
+    ref, state, words, most = _certified
+    return (words, most) if ref() is g and state == _state(g, g.cells) else None
+
+
 def verify_auto(g: DesignGrid) -> VerifyReport:
     """The verifier of g's kind, then the special-cell check, off one Incidence."""
+    global _certified
     inc = Incidence(g)
     rep = VERIFIERS.get(g.kind, verify_packing)(g, inc=inc)
+    if rep.ok and g.kind in ("GBTP", "GBTD") and g.hole is None:
+        # the words before the special cell's drop below, which clears it from W
+        _certified = (weakref.ref(g, _forget), _state(g, dict(g.cells)),
+                      list(map(tuple, inc.W)), max(inc.pairs, default=0))
     if g.special is not None:
         rep.merge(verify_special(g, inc))
     return rep
@@ -721,13 +772,19 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _label_list(value, what: str) -> tuple:
+    """A list of row or column labels."""
+    labels = _list(value, what)
+    if any(isinstance(x, (list, dict)) for x in labels):  # a label must be hashable
+        raise MalformedGrid("%s holds a list or object" % what)
+    return tuple(labels)
+
+
 def _labels(obj: dict, key: str) -> tuple:
     """A list of distinct row or column labels."""
-    labels = _list(obj[key], key)
-    if any(isinstance(x, (list, dict)) for x in labels):  # a label must be hashable
-        raise MalformedGrid("%s holds a list or object" % key)
+    labels = _label_list(obj[key], key)
     _check_distinct(labels, key)
-    return tuple(labels)
+    return labels
 
 
 def _section(obj: dict, key: str, keys) -> dict | None:
@@ -742,7 +799,8 @@ def grid_from_obj(obj: dict) -> DesignGrid:
     """Read a grid object; MalformedGrid names an entry the grid cannot hold.
 
     Rejected: missing keys, a value of the wrong JSON type, a bad point label,
-    a row, column or point listed twice, a cell listed twice, a cell whose row
+    a list or object where a row or column label belongs, a row, column or
+    point listed twice, a cell listed twice, a cell whose row
     or column is not listed, a block holding a point twice, and a color that
     is not an integer.  Points in a cell but not in the point list are left to
     the verifiers (condition points-known).
@@ -799,8 +857,8 @@ def grid_from_obj(obj: dict) -> DesignGrid:
     hole = _section(obj, "hole", ("w", "p_rows", "q_cols"))
     if hole is not None:
         hole = (sorted_points(hole["w"], "hole w"),
-                tuple(_list(hole["p_rows"], "hole p_rows")),
-                tuple(_list(hole["q_cols"], "hole q_cols")))
+                _label_list(hole["p_rows"], "hole p_rows"),
+                _label_list(hole["q_cols"], "hole q_cols"))
     groups = obj.get("groups")
     if groups is not None:
         groups = tuple(sorted_points(grp, "group %d" % gi)
@@ -808,12 +866,10 @@ def grid_from_obj(obj: dict) -> DesignGrid:
     index = {}
     for key in ("row_group_index", "col_group_index"):
         if obj.get(key):
-            index[key] = tuple(tuple(_list(x, key + " entry")) for x in _list(obj[key], key))
+            index[key] = tuple(_label_list(x, key + " entry") for x in _list(obj[key], key))
     special = _section(obj, "special", ("r", "c"))
     if special is not None:
-        special = (special["r"], special["c"])
-        if any(isinstance(x, (list, dict)) for x in special):
-            raise MalformedGrid("special holds a list or object")
+        special = _label_list([special["r"], special["c"]], "special")
     return DesignGrid(
         kind=obj["kind"],
         lam=obj["lambda"],
@@ -845,17 +901,26 @@ def json_value(x, level: int) -> str:
 
 def _cells_json(g: DesignGrid) -> str:
     """The "cells" array of g's canonical file, one fixed template per cell
-    (keys block, c, color, r), every label encoded once."""
+    (keys block, c, color, r), every label and color value encoded once.
+
+    Cells are walked row-major over the row and column lists; sorted_cells
+    takes over, and raises KeyError, when a cell lies outside them."""
     label = functools.cache(lambda p: encode_basestring_ascii(format_point(p)))
+    color = functools.lru_cache(None, typed=True)(
+        lambda x: '\n   "color": %s,' % json_value(x, 3))
     row = {r: json_value(r, 3) for r in g.rows}
     col = {c: json_value(c, 3) for c in g.cols}
-    colors = g.colors or {}
+    colors, cells = g.colors or {}, g.cells
+    walk = [rc for rc in itertools.product(g.rows, g.cols) if rc in cells]
+    if len(walk) != len(cells) or len(row) != g.m or len(col) != g.n:
+        walk = [rc for rc, _ in g.sorted_cells()]
     out = []
-    for rc, b in g.sorted_cells():
+    for rc in walk:
+        b = cells[rc]
         points = '[\n    %s\n   ]' % ',\n    '.join(map(label, b)) if b else '[]'
-        color = '\n   "color": %s,' % json_value(colors[rc], 3) if rc in colors else ''
         out.append('  {\n   "block": %s,\n   "c": %s,%s\n   "r": %s\n  }'
-                   % (points, col[rc[1]], color, row[rc[0]]))
+                   % (points, col[rc[1]], color(colors[rc]) if rc in colors else '',
+                      row[rc[0]]))
     return '[\n%s\n ]' % ',\n'.join(out) if out else '[]'
 
 

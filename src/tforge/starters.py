@@ -826,6 +826,9 @@ def starter_from_obj(obj: dict):
     check_keys(obj, top + ("params", "families"), "%s starter" % kind, MalformedStarter)
     check_keys(obj["params"], params, "%s starter params" % kind, MalformedStarter)
     check_keys(obj["families"], families, "%s starter families" % kind, MalformedStarter)
+    for key in params:
+        if type(obj["params"][key]) is not int:
+            raise MalformedStarter("%s starter params %r is not an integer" % (kind, key))
 
     def fam(name):
         entries = obj["families"][name]
@@ -838,7 +841,10 @@ def starter_from_obj(obj: dict):
 
     if kind == "gbtd":
         check_keys(obj["group"], ("factors",), "gbtd starter group", MalformedStarter)
-        group = AbelianGroup(tuple(obj["group"]["factors"]))
+        factors = obj["group"]["factors"]
+        if type(factors) is not list or any(type(f) is not int for f in factors):
+            raise MalformedStarter("gbtd starter group 'factors' is not a list of integers")
+        group = AbelianGroup(tuple(factors))
         elems = sorted(group.elements())
         blocks_a = dict(zip(elems, fam("A")))
         blocks_b = tuple(fam("B"))

@@ -15,6 +15,7 @@ import weakref
 
 import pytest
 
+from tforge import designs
 from tforge.codes import Code, code_stats, gbtp_to_code
 from tforge.constructions import load_recipe, run_recipe
 from tforge.designs import load_grid, verify_auto
@@ -139,7 +140,9 @@ def test_verified_grid_is_not_kept_alive():
     g = grid("fq13")
     assert verify_auto(g).ok
     gbtp_to_code(g)
+    assert designs._certified is not None
     ref = weakref.ref(g)
     del g
     gc.collect()
     assert ref() is None
+    assert designs._certified is None  # its words and cell copy went with it

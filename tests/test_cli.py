@@ -336,3 +336,62 @@ def test_verify_starter_wrong_arity_exit_2(tmp_path):
         assert res.returncode == 2, (name, res.stdout, res.stderr)
         assert "Traceback" not in res.stderr
         assert res.stderr.startswith("error: element arity " + arity), (name, res.stderr)
+
+
+def _assert_exit_2(path, entry, *command):
+    res = run_cli(*(command or ("verify",)), str(path))
+    assert res.returncode == 2, (path.name, res.stdout, res.stderr)
+    assert "Traceback" not in res.stderr and res.stderr.startswith("error: ")
+    assert entry in res.stderr, (path.name, res.stderr)
+
+
+def test_code_file_bad_labels_exit_2(tmp_path):
+    from tforge.codes import code_from_obj, dumps_code, gbtp_to_code
+    from tforge.designs import load_grid
+
+    obj = json.loads(dumps_code(gbtp_to_code(load_grid(ROOT / "fixtures" / "fig1.json"))))
+    assert len(obj["labels"]) == obj["q"] == 3
+    assert code_from_obj(dict(obj, labels=None)).labels is None
+    cases = {"bool": True, "int": -1, "float": 1.5, "string": "abc", "short": ["1", "2"],
+             "long": ["1", "2", "3", "4"], "empty": [], "nested": ["1", ["2"], "3"],
+             "object": ["1", "2", {}]}
+    for name, labels in cases.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(dict(obj, labels=labels)))
+        _assert_exit_2(path, "code 'labels' must be a list of q=3 labels")
+        if name in ("bool", "string", "short"):  # code stats reads through the same loader
+            _assert_exit_2(path, "code 'labels'", "code", "stats")
+
+
+def test_grid_file_hole_label_not_hashable_exit_2(tmp_path, fig7):
+    from tforge.designs import dumps_grid
+
+    obj = json.loads(dumps_grid(fig7))
+    for key, value in (("p_rows", [["1"]]), ("q_cols", [{}])):
+        path = tmp_path / (key + ".json")
+        path.write_text(json.dumps(dict(obj, hole=dict(obj["hole"], **{key: value}))))
+        _assert_exit_2(path, "hole %s holds a list or object" % key)
+
+
+def test_frame_block_size_below_2_exit_2(tmp_path, fig8):
+    from tforge.designs import dumps_grid
+
+    obj = json.loads(dumps_grid(fig8))
+    for k in (0, 1):
+        path = tmp_path / ("k%d.json" % k)
+        path.write_text(json.dumps(dict(obj, k_set=[k])))
+        _assert_exit_2(path, "FrGBTD needs a block size of at least 2, got %d" % k)
+
+
+def test_starter_file_wrongly_typed_params_exit_2(tmp_path):
+    from tforge.search import search_starter
+    from tforge.starters import build_fq_gbtd_starter, dumps_starter
+
+    gbtd = json.loads(dumps_starter(build_fq_gbtd_starter(7)))
+    z2 = json.loads(dumps_starter(search_starter("igbtp_z2", {"m": 7, "w": 5}).starters[0]))
+    cases = {"factors": (dict(gbtd, group={"factors": None}), "group 'factors'"),
+             "w": (dict(z2, params=dict(z2["params"], w="abc")), "params 'w' is not an integer")}
+    for name, (bad, entry) in cases.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(bad))
+        _assert_exit_2(path, entry)

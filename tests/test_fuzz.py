@@ -1,0 +1,110 @@
+"""Type fuzz through the command line.
+
+Each key of a grid, code or starter file, at the top level and in its nested
+objects (one cell entry, hole, special, params, group, families, colors), is
+replaced by each JSON type.  tforge must answer every such file with exit
+0, 1 or 2 from ``cli.run``, never an uncaught exception.
+"""
+
+import contextlib
+import functools
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tforge import cli
+from tforge.codes import dumps_code, gbtp_to_code
+from tforge.designs import dumps_grid, load_grid
+from tforge.search import search_starter
+from tforge.starters import build_fq_gbtd_starter, develop_gbtd, dumps_starter
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+NAMES = ("fq7", "fig7", "fig8", "code", "gbtd", "igbtp_z2", "igbtp_z4", "frgbtd")
+JSON_TYPES = (None, True, 0, 1.5, "abc", [], {}, [[0]], [{}], [0], [1], -1)
+COMMANDS = {
+    "grid": (("verify", "-"), ("code", "to-code", "-", "-o", "-")),
+    "code": (("verify", "-"), ("code", "stats", "-")),
+    "starter": (("verify", "-"),),
+}
+
+
+@functools.cache
+def files() -> dict:
+    """name -> (file type, canonical text)."""
+    fixture = (ROOT / "fixtures").joinpath
+    return {
+        "fq7": ("grid", dumps_grid(develop_gbtd(build_fq_gbtd_starter(7)))),  # special, colors
+        "fig7": ("grid", fixture("fig7_igbtp_29.json").read_text()),  # hole
+        "fig8": ("grid", fixture("fig8_frgbtd_6_6.json").read_text()),  # groups, index classes
+        "code": ("code", dumps_code(gbtp_to_code(load_grid(fixture("fig1.json"))))),
+        "gbtd": ("starter", dumps_starter(build_fq_gbtd_starter(7))),
+        "igbtp_z2": ("starter", dumps_starter(
+            search_starter("igbtp_z2", {"m": 7, "w": 5}).starters[0])),
+        "igbtp_z4": ("starter", dumps_starter(
+            search_starter("igbtp_z4", {"m": 5}).starters[0])),
+        "frgbtd": ("starter", dumps_starter(
+            search_starter("frgbtd", {"t": 5}, budget=5_000_000).starters[0])),
+    }
+
+
+def key_paths(obj, path=()):
+    """Every key of obj, of its nested objects and of a list's first object."""
+    for key, value in obj.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, path + (key,))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            yield from key_paths(value[0], path + (key, 0))
+
+
+def replaced(text: str, path: tuple, value) -> str:
+    obj = json.loads(text)
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return json.dumps(obj)
+
+
+def run(args, text: str):
+    """cli.run on args with text as stdin; an uncaught exception propagates."""
+    argv, stdin = sys.argv, sys.stdin
+    sys.argv, sys.stdin = ["tforge", *args], io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.run()
+    finally:
+        sys.argv, sys.stdin = argv, stdin
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_key_as_every_json_type_exits_cleanly(name):
+    kind, text = files()[name]
+    assert run(("verify", "-"), text) == 0
+    for path in key_paths(json.loads(text)):
+        for value in JSON_TYPES:
+            for args in COMMANDS[kind]:
+                rc = run(args, replaced(text, path, value))
+                assert rc in (0, 1, 2), (path, value, args)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 60) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(NAMES), st.data(), json_values)
+def test_any_json_value_at_any_key_exits_cleanly(name, data, value):
+    kind, text = files()[name]
+    path = data.draw(st.sampled_from(list(key_paths(json.loads(text)))))
+    for args in COMMANDS[kind]:
+        assert run(args, replaced(text, path, value)) in (0, 1, 2), (path, value, args)
