@@ -223,8 +223,6 @@ class Incidence:
 
     def drop(self, rc) -> None:
         """Take one cell's block out of every count."""
-        if rc in self._dropped:
-            raise KeyError(rc)
         i, j = self.row_index[rc[0]], self.col_index[rc[1]]
         xs = [self.index[p] for p in self._grid_cells[rc]]
         self._dropped.add(rc)
