@@ -18,7 +18,7 @@ import pytest
 from tforge import designs
 from tforge.codes import Code, code_stats, gbtp_to_code
 from tforge.constructions import load_recipe, run_recipe
-from tforge.designs import load_grid, verify_auto
+from tforge.designs import dumps_grid, load_grid, loads_grid, verify_auto
 from tforge.errors import NotVerified
 from tforge.starters import build_fq_gbtd_starter, develop_gbtd
 
@@ -31,8 +31,6 @@ RECIPES = ("gbtd_3_27", "gbtd_3_49", "gbtp_33")
 
 @functools.cache
 def _recipe_text(name):
-    from tforge.designs import dumps_grid
-
     steps = load_recipe(ROOT / "recipes" / (name + ".json"))
     made = run_recipe(steps, str(ROOT / "recipes"), None, verbose=lambda _line: None)
     return dumps_grid(made[steps["steps"][-1]["out"]])
@@ -40,8 +38,6 @@ def _recipe_text(name):
 
 def grid(name):
     """A new grid object each call, so no test sees another's verification."""
-    from tforge.designs import loads_grid
-
     if name.startswith("fq"):
         return develop_gbtd(build_fq_gbtd_starter(int(name[2:])))
     if name in RECIPES:
