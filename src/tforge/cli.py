@@ -7,6 +7,7 @@ writes stdout.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from .codes import (
     optimality_cert_2q3,
     plotkin_check,
 )
-from .designs import dumps_grid, grid_from_obj, loads_grid, verify_auto
+from .designs import VERIFIERS, dumps_grid, grid_from_obj, loads_grid, verify_auto
 from .errors import TforgeError
 from .starters import (
     build_fq_gbtd_starter,
@@ -71,7 +72,8 @@ def main():
 
 @main.command()
 @click.argument("path")
-@click.option("--kind", default="auto", help="verifier to run (auto uses the file's kind)")
+@click.option("--kind", default="auto", type=click.Choice(["auto", *VERIFIERS]),
+              help="verifier to run (auto uses the file's kind)")
 def verify(path, kind):
     """Verify a design, starter or code file."""
     what, obj = _load_any(_read(path))
@@ -85,7 +87,7 @@ def verify(path, kind):
         return
     else:
         if kind != "auto":
-            obj.kind = kind
+            obj = dataclasses.replace(obj, kind=kind)
         rep = verify_auto(obj)
     click.echo(rep.describe())
     if not rep.ok:
@@ -272,8 +274,7 @@ def search_coloring_cmd(in_path, colors, pi, out):
     res = search.search_coloring(g, colors, want_pi=pi)
     if res.colors is None:
         raise _Fail("no valid coloring")
-    g.colors = res.colors
-    _write(out, dumps_grid(g))
+    _write(out, dumps_grid(dataclasses.replace(g, colors=res.colors)))
 
 
 def run() -> int:

@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .algebra import block
-from .designs import DesignGrid, Incidence, certificate, check_keys, json_value, verify_gbtp
+from .designs import DesignGrid, check_keys, json_value, verify_gbtp
 from .errors import (
     DistanceTooSmall,
     MalformedCode,
@@ -213,24 +213,22 @@ def gbtp_to_code(g: DesignGrid) -> Code:
 
     Pair coverage is agreement: two points share a block in column j exactly
     when their words agree at j.  So a grid's verification certifies the
-    code, and the code carries its largest pair count as ``agree``.  A grid
-    that verify_auto passed, unchanged since, is read off that pass; any
-    other grid is verified here.
+    code, and the code carries its largest pair count as ``agree``.  Both
+    are read off g.incidence, and verify_gbtp runs here only if it has not
+    passed g already.
     """
     if g.hole is not None:
         raise NotVerified("cannot derive a code from a holed grid")
-    cert = certificate(g)
-    if cert is None:
-        inc = Incidence(g)
-        rep = verify_gbtp(g, inc=inc)
+    inc = g.incidence
+    if not inc.gbtp_passed:
+        rep = verify_gbtp(g)
         if not rep.ok:
             raise NotVerified("grid fails verify_gbtp:\n" + rep.describe())
-        cert = list(map(tuple, inc.W)), max(inc.pairs, default=0)
-    words, agree = cert
+    words = tuple(map(tuple, inc.W))
     if len(set(words)) != len(words):
         raise NotVerified("derived words are not distinct")
-    code = Code(g.m, g.n, tuple(words), labels=tuple(g.rows))
-    object.__setattr__(code, "agree", agree)
+    code = Code(g.m, g.n, words, labels=tuple(g.rows))
+    object.__setattr__(code, "agree", max(inc.pairs, default=0))
     return code
 
 

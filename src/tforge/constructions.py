@@ -13,7 +13,7 @@ from collections import Counter
 from .algebra import block, fpoint, gf_build, ipoint, factor_prime_power
 from .designs import (
     DesignGrid,
-    Incidence,
+    check_keys,
     demote_special,
     load_grid,
     pi_witness_row,
@@ -105,9 +105,8 @@ def _check_rbibd_shape(g: DesignGrid):
     m = g.v
     if m % 3 or g.m != m // 3 or g.n != (m - 1) // 2:
         raise BadShape("array must be m/3 x (m-1)/2 over m points")
-    inc = Incidence(g)
-    rep = verify_packing(g, exact=True, inc=inc)
-    if not rep.ok or any(inc.column_misses(c) for c in g.cols):
+    rep = verify_packing(g, exact=True)
+    if not rep.ok or any(g.incidence.column_misses(c) for c in g.cols):
         raise NotVerified("input is not a resolvable triple system in array form")
 
 
@@ -185,16 +184,17 @@ def tripling(rbibd: DesignGrid, drtd: DesignGrid) -> DesignGrid:
                       special=special)
 
 
-def _one_triple_per_column(g: DesignGrid, cols) -> bool:
-    triples = Counter(c for (_, c), b in g.cells.items() if len(b) == 3)
+def _one_triple_per_column(cells, cols) -> bool:
+    triples = Counter(c for (_, c), b in cells.items() if len(b) == 3)
     return all(triples[c] == 1 for c in cols)
 
 
-def _grid_is_star(g: DesignGrid) -> bool:
-    return 3 in {len(b) for b in g.cells.values()} and _one_triple_per_column(g, g.cols)
+def _grid_is_star(cells, cols) -> bool:
+    return 3 in {len(b) for b in cells.values()} and _one_triple_per_column(cells, cols)
 
 
 def _classify_filled(g: DesignGrid) -> str:
+    """The kind of g once its hole is filled: the parameters stay g's."""
     if len(g.k_set) == 1:
         k = g.k_set[0]
         if g.v == k * g.m and g.n * (k - 1) == g.lam * (k * g.m - 1):
@@ -220,13 +220,10 @@ def fill_hole(outer: DesignGrid, inner: DesignGrid) -> DesignGrid:
         rc = (p_rows[inner.rows.index(r)], q_cols[inner.cols.index(c)])
         assert rc not in cells
         cells[rc] = block(point_map[p] for p in b)
-    g = DesignGrid("GBTP", outer.lam, outer.k_set, outer.points,
-                   outer.rows, outer.cols, cells)
-    g.kind = _classify_filled(g)
-    g.star = _grid_is_star(g)
-    if inner.m == 1 and inner.n == 1:
-        g.special = (p_rows[0], q_cols[0])
-    return g
+    special = (p_rows[0], q_cols[0]) if inner.m == 1 and inner.n == 1 else None
+    return DesignGrid(_classify_filled(outer), outer.lam, outer.k_set, outer.points,
+                      outer.rows, outer.cols, cells, special=special,
+                      star=_grid_is_star(cells, outer.cols))
 
 
 def make_w_block(points) -> DesignGrid:
@@ -244,6 +241,8 @@ def frame_fill(frame: DesignGrid, inners, final: DesignGrid | str | None = None)
     a final filler (or the string "w" for the single hole block) the result
     is a complete packing, special when the hole is one cell.
     """
+    if not (final is None or final == "w" or isinstance(final, DesignGrid)):
+        raise BadParameters("final must be a grid, \"w\" or None, not %r" % (final,))
     rep = verify_frgbtd(frame)
     if not rep.ok:
         raise NotVerified("frame fails verify_frgbtd:\n" + rep.describe())
@@ -297,20 +296,20 @@ def frame_fill(frame: DesignGrid, inners, final: DesignGrid | str | None = None)
     cols = q_cols + frame.cols
     points = tuple(sorted(frame.points + w_pts))
     out = DesignGrid("IGBTP", 1, tuple(sorted(k_set)), points, rows, cols, cells,
-                     hole=(w_pts, p_rows, q_cols))
+                     hole=(w_pts, p_rows, q_cols),
+                     star=final is None and _grid_is_star_partial(cells, cols, q_cols))
     if final is None:
-        out.star = _grid_is_star_partial(out)
         return out
     if final == "w":
         final = make_w_block(w_pts)
     return fill_hole(out, final)
 
 
-def _grid_is_star_partial(g: DesignGrid) -> bool:
-    hole = set(g.hole[2])
-    sizes = {len(b) for b in g.cells.values()}
+def _grid_is_star_partial(cells, cols, hole_cols) -> bool:
+    hole = set(hole_cols)
+    sizes = {len(b) for b in cells.values()}
     return 3 in sizes and 2 in sizes and _one_triple_per_column(
-        g, [c for c in g.cols if c not in hole])
+        cells, [c for c in cols if c not in hole])
 
 
 def inflate(frame: DesignGrid, drtd: DesignGrid) -> DesignGrid:
@@ -446,8 +445,8 @@ def truncate_td(td: DesignGrid, keeps) -> DesignGrid:
     """Delete points from the trailing groups; blocks become their intersections."""
     keeps = list(keeps)
     n = len(td.groups[0])
-    if any(not 0 <= g <= n for g in keeps):
-        raise KeepOutOfRange("keeps must lie in 0..%d" % n)
+    if any(type(g) is not int or not 0 <= g <= n for g in keeps):
+        raise KeepOutOfRange("keeps must be integers in 0..%d" % n)
     survivors = set()
     groups = []
     u = len(td.groups) - len(keeps)
@@ -496,23 +495,33 @@ def _search_step(params: dict) -> DesignGrid:
     return res.grid
 
 
-# recipe op name -> its step, a function of (input grids, params)
+def _param(p: dict, key: str, kind: type = int, default=None):
+    """A recipe step's param, which must have type kind; default when absent."""
+    x = p.get(key, default)
+    if type(x) is not kind:
+        raise ValueError("param %r is %s, not of type %s"
+                         % (key, json.dumps(x) if key in p else "missing", kind.__name__))
+    return x
+
+
+# recipe op name -> (the number of input grids it reads, its step: a function
+# of (input grids, params))
 RECIPE_OPS = {
-    "fq_gbtd": lambda ins, p: develop_gbtd(build_fq_gbtd_starter(p["q"])),
-    "build_td": lambda ins, p: build_td(p["k"], p["q"]),
-    "drtd_from_td": lambda ins, p: drtd_from_td(ins[0]),
-    "drtd": lambda ins, p: drtd_from_td(build_td(p["k"] + 2, p["q"])),
-    "build_frgbtd_6_8": lambda ins, p: build_frgbtd_6_8(),
-    "build_igbtp_33": lambda ins, p: build_igbtp_33(),
-    "promote_coloring": lambda ins, p: promote_coloring(ins[0]),
-    "tripling": lambda ins, p: tripling(ins[0], ins[1]),
-    "fill_hole": lambda ins, p: fill_hole(ins[0], ins[1]),
-    "frame_fill": lambda ins, p: frame_fill(ins[0], ins[1:] * p.get("copies", 1),
-                                            final=p.get("final")),
-    "inflate": lambda ins, p: inflate(ins[0], ins[1]),
-    "truncate_td": lambda ins, p: truncate_td(ins[0], p["keeps"]),
-    "demote_special": lambda ins, p: demote_special(ins[0]),
-    "search_gbtp": lambda ins, p: _search_step(p),
+    "fq_gbtd": (0, lambda ins, p: develop_gbtd(build_fq_gbtd_starter(_param(p, "q")))),
+    "build_td": (0, lambda ins, p: build_td(_param(p, "k"), _param(p, "q"))),
+    "drtd_from_td": (1, lambda ins, p: drtd_from_td(ins[0])),
+    "drtd": (0, lambda ins, p: drtd_from_td(build_td(_param(p, "k") + 2, _param(p, "q")))),
+    "build_frgbtd_6_8": (0, lambda ins, p: build_frgbtd_6_8()),
+    "build_igbtp_33": (0, lambda ins, p: build_igbtp_33()),
+    "promote_coloring": (1, lambda ins, p: promote_coloring(ins[0])),
+    "tripling": (2, lambda ins, p: tripling(ins[0], ins[1])),
+    "fill_hole": (2, lambda ins, p: fill_hole(ins[0], ins[1])),
+    "frame_fill": (2, lambda ins, p: frame_fill(ins[0], ins[1:] * _param(p, "copies", default=1),
+                                                final=p.get("final"))),
+    "inflate": (2, lambda ins, p: inflate(ins[0], ins[1])),
+    "truncate_td": (1, lambda ins, p: truncate_td(ins[0], _param(p, "keeps", list))),
+    "demote_special": (1, lambda ins, p: demote_special(ins[0])),
+    "search_gbtp": (0, lambda ins, p: _search_step(p)),
 }
 
 
@@ -530,12 +539,16 @@ def run_recipe(recipe: dict, base_dir, out_dir, verbose=print) -> dict:
         path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
         return load_grid(path)
 
-    for step in recipe["steps"]:
+    for i, step in enumerate(recipe["steps"]):
         op = step["op"]
-        ins = [resolve(r) for r in step.get("in", [])]
         if op not in RECIPE_OPS:
             raise ValueError("unknown recipe op %r" % op)
-        out = RECIPE_OPS[op](ins, step.get("params", {}))
+        need, build = RECIPE_OPS[op]
+        ins = [resolve(r) for r in step.get("in", [])]
+        if len(ins) < need:
+            raise ValueError("recipe step %d: %s reads %d inputs, got %d"
+                             % (i, op, need, len(ins)))
+        out = build(ins, step.get("params", {}))
         rep = verify_auto(out)
         if not rep.ok:
             raise NotVerified("step %r output failed verification:\n%s"
@@ -550,5 +563,22 @@ def run_recipe(recipe: dict, base_dir, out_dir, verbose=print) -> dict:
 
 
 def load_recipe(path) -> dict:
+    """Read a recipe file; ValueError names an entry of the wrong type."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        recipe = json.load(fh)
+    check_keys(recipe, ("steps",), "recipe", ValueError)
+    if type(recipe["steps"]) is not list:
+        raise ValueError("recipe steps is not a list")
+    for i, step in enumerate(recipe["steps"]):
+        what = "recipe step %d" % i
+        check_keys(step, ("op",), what, ValueError)
+        ins = step.get("in", [])
+        if type(step["op"]) is not str:
+            raise ValueError("%s: op is not a string" % what)
+        if type(ins) is not list or any(type(ref) is not str for ref in ins):
+            raise ValueError("%s: in is not a list of strings" % what)
+        if type(step.get("params", {})) is not dict:
+            raise ValueError("%s: params is not an object" % what)
+        if type(step.get("out", "")) is not str:
+            raise ValueError("%s: out is not a string" % what)
+    return recipe

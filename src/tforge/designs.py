@@ -11,18 +11,21 @@ off one Incidence, a single counting pass over the cells.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import itertools
 import json
-import weakref
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 
 from .algebra import format_point, parse_point
 from .errors import (
     BadGroupSizes,
+    BadKind,
     BadParameters,
     BadShape,
     MalformedGrid,
@@ -72,16 +75,23 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignGrid:
+    """A grid is a value: its fields cannot be assigned and its cells and
+    colors are read-only, so its Incidence is counted once, on first use,
+    and kept.  dataclasses.replace makes a changed grid, counted afresh.
+
+    A dict of cells or colors is copied; a MappingProxyType is kept as it
+    is, so it must be a view of a dict that nothing changes."""
+
     kind: str
     lam: int
     k_set: tuple
     points: tuple
     rows: tuple
     cols: tuple
-    cells: dict  # (row_label, col_label) -> Block
-    colors: dict | None = None  # (row_label, col_label) -> int
+    cells: Mapping  # (row_label, col_label) -> Block
+    colors: Mapping | None = None  # (row_label, col_label) -> int
     hole: tuple | None = None  # (w_points, p_rows, q_cols)
     groups: tuple | None = None  # tuple of point tuples
     row_group_index: tuple | None = None  # parallel to groups
@@ -90,10 +100,19 @@ class DesignGrid:
     star: bool = False
 
     def __post_init__(self):
-        self.k_set = tuple(sorted(set(self.k_set)))
-        self.points = tuple(sorted(self.points))
-        self.rows = tuple(self.rows)
-        self.cols = tuple(self.cols)
+        put = functools.partial(object.__setattr__, self)
+        put("k_set", tuple(sorted(set(self.k_set))))
+        put("points", tuple(sorted(self.points)))
+        put("rows", tuple(self.rows))
+        put("cols", tuple(self.cols))
+        for key in ("cells", "colors"):
+            x = getattr(self, key)
+            if x is not None and type(x) is not MappingProxyType:
+                put(key, MappingProxyType(dict(x)))
+
+    @functools.cached_property
+    def incidence(self) -> Incidence:
+        return Incidence(self)
 
     @property
     def m(self) -> int:
@@ -147,9 +166,11 @@ class Incidence:
 
     In a GBTP the rows of W are the code words and ``pairs`` holds their
     agreement counts, so "no pair covered more than λ times" and "distance at
-    least n - λ" are one check.  The counts are plain lists; tforge does not
-    use numpy, whose import alone would double every command's start-up.
-    The grid is mutable, so an Incidence is built per call and never cached.
+    least n - λ" are one check.  ``gbtp_passed`` records that verify_gbtp
+    passed the grid, so the code can be read off without checking again.
+    The counts are plain lists; tforge does not use numpy, whose import
+    alone would double every command's start-up.  A grid keeps its
+    Incidence as ``g.incidence``; no count changes after it is made.
     """
 
     def __init__(self, g: DesignGrid):
@@ -164,16 +185,16 @@ class Incidence:
                     ix.setdefault(p, len(ix))
         self.points = list(ix)
         self.once = [1] * self.v + [0] * (self.V - self.v)  # a column partitioning the points
-        self._grid_cells, self._cells, self._dropped = g.cells, None, set()
+        self._grid_cells, self._cells, self.gbtp_passed = g.cells, None, False
 
     @property
     def cells(self) -> dict:
         """(row, col) label -> (row index, column index, point indices), in
-        g.cells order, without the dropped cells."""
+        g.cells order."""
         if self._cells is None:
             ri, ci, ix = self.row_index, self.col_index, self.index
             self._cells = {rc: (ri[rc[0]], ci[rc[1]], tuple(map(ix.__getitem__, b)))
-                           for rc, b in self._grid_cells.items() if rc not in self._dropped}
+                           for rc, b in self._grid_cells.items()}
         return self._cells
 
     def _count(self, grid_cells, ri, ci, ix) -> bool:
@@ -221,23 +242,30 @@ class Incidence:
             sizes[3] = triples
         return True
 
-    def drop(self, rc) -> None:
-        """Take one cell's block out of every count."""
+    def without(self, g: DesignGrid, rc) -> Incidence:
+        """The Incidence of g, this one's grid with cell rc emptied: the counts
+        copied with rc's block taken out, no recount.  The rows of W that the
+        block does not touch are shared; neither Incidence changes them."""
+        out = copy.copy(self)
         i, j = self.row_index[rc[0]], self.col_index[rc[1]]
         xs = [self.index[p] for p in self._grid_cells[rc]]
-        self._dropped.add(rc)
-        if self._cells is not None:
-            del self._cells[rc]
-        V, W, rowf, colf, pairs = self.V, self.W, self.rowf, self.colf, self.pairs
+        V = self.V
+        out.W = W = list(self.W)
+        out.rowf, out.colf, out.pairs = rowf, colf, pairs = (
+            self.rowf[:], self.colf[:], self.pairs[:])
+        out.sizes = sizes = Counter(self.sizes)
+        out._grid_cells, out._cells, out.gbtp_passed = g.cells, None, False
         for x in xs:
+            W[x] = W[x][:]
             W[x][j] = -1
             rowf[i * V + x] -= 1
             colf[j * V + x] -= 1
         for x, y in itertools.combinations(xs, 2):
             pairs[x * V + y] -= 1
-        self.sizes[len(xs)] -= 1
-        if not self.sizes[len(xs)]:
-            del self.sizes[len(xs)]
+        sizes[len(xs)] -= 1
+        if not sizes[len(xs)]:
+            del sizes[len(xs)]
+        return out
 
     def sized_outside(self, k_set) -> list:
         """(cell, point indices) of the cells whose block size is not in
@@ -311,11 +339,13 @@ def _fmt_pair(p, q) -> str:
     return "{%s,%s}" % (format_point(p), format_point(q))
 
 
-def _column_partition(g: DesignGrid, inc: Incidence, w=(), q_cols=()):
+def _column_partition(g: DesignGrid, w=(), q_cols=()):
+    inc = g.incidence
     return (x for c in g.cols for x in inc.column_misses(c, w if c in q_cols else ()))
 
 
-def _row_frequency(g: DesignGrid, inc: Incidence, w=(), p_rows=()):
+def _row_frequency(g: DesignGrid, w=(), p_rows=()):
+    inc = g.incidence
     lo, hi = g.n // g.m, -(-g.n // g.m)
     for r in g.rows:
         counts, skip = inc.row_counts(r), (w if r in p_rows else ())
@@ -326,17 +356,18 @@ def _row_frequency(g: DesignGrid, inc: Incidence, w=(), p_rows=()):
             yield "row %s: %s appears %d times (want %d..%d)" % (r, format_point(p), k, lo, hi)
 
 
-def _star(rep: VerifyReport, g: DesignGrid, inc: Incidence, skip=()) -> None:
+def _star(rep: VerifyReport, g: DesignGrid, skip=()) -> None:
     triples = [0] * g.n
-    for _, j, xs in inc.cells.values():
+    for _, j, xs in g.incidence.cells.values():
         if len(xs) == 3:
             triples[j] += 1
     rep.add("star-one-triple", ("col %s has %d size-3 blocks" % (c, t)
                                 for c, t in zip(g.cols, triples) if c not in skip and t != 1))
 
 
-def _gdd_pairs(inc: Incidence, gid: list) -> list:
+def _gdd_pairs(g: DesignGrid, gid: list) -> list:
     """In-group pairs never covered; cross-group pairs of listed points exactly once."""
+    inc = g.incidence
     V, v, pts, pairs = inc.V, inc.v, inc.points, inc.pairs
     members = defaultdict(list)
     for x, gi in enumerate(gid):
@@ -354,12 +385,14 @@ def _gdd_pairs(inc: Incidence, gid: list) -> list:
 # verifiers
 
 
-def verify_packing(g: DesignGrid, exact: bool | None = None,
-                   inc: Incidence | None = None) -> VerifyReport:
+EXACT_KINDS = ("GBTD", "RBIBD", "TD", "DRTD")  # kinds that cover every pair exactly λ times
+
+
+def verify_packing(g: DesignGrid, exact: bool | None = None) -> VerifyReport:
     """K-uniformity plus pairwise coverage <= λ (== λ in exact mode)."""
     if exact is None:
-        exact = g.kind in ("GBTD", "RBIBD", "TD", "DRTD")
-    inc = inc or Incidence(g)
+        exact = g.kind in EXACT_KINDS
+    inc = g.incidence
     rep = VerifyReport()
     rep.add("k-uniform", ["cell (%s,%s) size %d" % (rc + (len(xs),))
                           for rc, xs in inc.sized_outside(g.k_set)])
@@ -385,19 +418,23 @@ def verify_packing(g: DesignGrid, exact: bool | None = None,
     return rep
 
 
-def verify_gbtp(g: DesignGrid, exact: bool | None = None,
-                inc: Incidence | None = None) -> VerifyReport:
-    """Columns are parallel classes; rows have near-uniform point frequency."""
-    inc = inc or Incidence(g)
-    rep = verify_packing(g, exact, inc)
-    rep.add("column-partition", _column_partition(g, inc))
-    rep.add("row-frequency", _row_frequency(g, inc))
+def verify_gbtp(g: DesignGrid, exact: bool | None = None) -> VerifyReport:
+    """Columns are parallel classes; rows have near-uniform point frequency.
+
+    A pass at least as strict as g's kind asks for (exact mode implies the
+    other) is recorded on g.incidence as ``gbtp_passed``."""
+    exact = g.kind in EXACT_KINDS if exact is None else exact
+    rep = verify_packing(g, exact)
+    rep.add("column-partition", _column_partition(g))
+    rep.add("row-frequency", _row_frequency(g))
     if g.star:
-        _star(rep, g, inc)
+        _star(rep, g)
+    if rep.ok and (exact or g.kind not in EXACT_KINDS):
+        g.incidence.gbtp_passed = True
     return rep
 
 
-def verify_gbtd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
+def verify_gbtd(g: DesignGrid) -> VerifyReport:
     """GBTP in exact-λ mode with the single-block-size parameter arithmetic."""
     if len(g.k_set) != 1:
         raise BadParameters("GBTD needs a single block size, got %r" % (g.k_set,))
@@ -406,10 +443,10 @@ def verify_gbtd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
         raise BadParameters("v=%d is not k*m=%d" % (g.v, k * g.m))
     if g.n * (k - 1) != g.lam * (k * g.m - 1):
         raise BadParameters("n=%d is not lambda(km-1)/(k-1)" % g.n)
-    return verify_gbtp(g, exact=True, inc=inc)
+    return verify_gbtp(g, exact=True)
 
 
-def verify_rbibd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
+def verify_rbibd(g: DesignGrid) -> VerifyReport:
     """Resolvable BIBD arranged v/k x λ(v-1)/(k-1): exact pairs, column classes."""
     if len(g.k_set) != 1:
         raise BadParameters("RBIBD needs a single block size")
@@ -418,30 +455,29 @@ def verify_rbibd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
         raise BadParameters("array must have v/k rows")
     if g.n * (k - 1) != g.lam * (g.v - 1):
         raise BadParameters("array must have lambda(v-1)/(k-1) columns")
-    inc = inc or Incidence(g)
-    rep = verify_packing(g, exact=True, inc=inc)
-    rep.add("column-partition", _column_partition(g, inc))
+    rep = verify_packing(g, exact=True)
+    rep.add("column-partition", _column_partition(g))
     return rep
 
 
-def verify_igbtp(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
+def verify_igbtp(g: DesignGrid) -> VerifyReport:
     """Hole conditions of an incomplete GBTP."""
     if g.hole is None:
         raise MissingHole("grid has no hole")
     w_pts, p_rows, q_cols = g.hole
     w = set(w_pts)
-    inc = inc or Incidence(g)
-    rep = verify_packing(g, exact=False, inc=inc)
+    inc = g.incidence
+    rep = verify_packing(g, exact=False)
     rep.add("hole-empty", ["cell (%s,%s) occupied" % (r, c)
                            for r in p_rows for c in q_cols if (r, c) in g.cells])
-    rep.add("row-frequency", _row_frequency(g, inc, w, p_rows))
-    rep.add("column-partition", _column_partition(g, inc, w, q_cols))
+    rep.add("row-frequency", _row_frequency(g, w, p_rows))
+    rep.add("column-partition", _column_partition(g, w, q_cols))
     V, pts = inc.V, inc.points
     rep.add("w-pairs-uncovered", ("%s covered" % _fmt_pair(pts[x], pts[y])
                                   for x, y in itertools.combinations(inc.indices(w), 2)
                                   if inc.pairs[x * V + y]))
     if g.star:
-        _star(rep, g, inc, skip=q_cols)
+        _star(rep, g, skip=q_cols)
     return rep
 
 
@@ -453,7 +489,7 @@ def _frame_meta(g: DesignGrid):
     return list(zip(g.groups, g.row_group_index, g.col_group_index))
 
 
-def verify_frgbtd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
+def verify_frgbtd(g: DesignGrid) -> VerifyReport:
     """Frame conditions over a group-divisible design."""
     if len(g.k_set) != 1:
         raise BadParameters("FrGBTD needs a single block size")
@@ -466,7 +502,7 @@ def verify_frgbtd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
             raise BadGroupSizes("group size %d not divisible by k(k-1)" % len(grp))
         if len(ri) != len(grp) // k or len(ci) != len(grp) // (k - 1):
             raise BadGroupSizes("index class sizes do not match group size")
-    inc = inc or Incidence(g)
+    inc = g.incidence
     rep = VerifyReport()
     part_bad = []
     gpts = [p for grp, _, _ in meta for p in grp]
@@ -493,17 +529,17 @@ def verify_frgbtd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
 
     rep.add("frame-column", (x for grp, _, ci in meta for c in ci
                              for x in inc.column_misses(c, grp)))
-    rep.add("gdd-pairs", _gdd_pairs(inc, inc.group_ids(grp for grp, _, _ in meta)))
+    rep.add("gdd-pairs", _gdd_pairs(g, inc.group_ids(grp for grp, _, _ in meta)))
     rep.add("k-uniform", ["cell (%s,%s) size %d" % (rc + (len(xs),))
                           for rc, xs in inc.sized_outside((k,))])
     return rep
 
 
-def verify_gdd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
+def verify_gdd(g: DesignGrid) -> VerifyReport:
     """GDD axioms: cross-group pairs exactly once, in-group pairs never."""
     if g.groups is None:
         raise BadGroupSizes("GDD needs groups")
-    inc = inc or Incidence(g)
+    inc = g.incidence
     rep = VerifyReport()
     part_bad = []
     gpts = [p for grp in g.groups for p in grp]
@@ -517,13 +553,13 @@ def verify_gdd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
         meet_bad += ["block %s meets group %d twice" % (name, gi)
                      for gi, c in Counter(gid[x] for x in xs).items() if c > 1]
     rep.add("block-meets-group-once", meet_bad)
-    rep.add("gdd-pairs", _gdd_pairs(inc, gid))
+    rep.add("gdd-pairs", _gdd_pairs(g, gid))
     rep.add("k-uniform", ["block size %d not in K" % len(xs)
                           for _, xs in inc.sized_outside(g.k_set)])
     return rep
 
 
-def verify_td(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
+def verify_td(g: DesignGrid) -> VerifyReport:
     if g.groups is None:
         raise BadGroupSizes("TD needs groups")
     sizes = {len(grp) for grp in g.groups}
@@ -531,12 +567,12 @@ def verify_td(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
         raise BadShape("TD groups must share one size")
     if len(g.k_set) != 1 or g.k_set[0] != len(g.groups):
         raise BadShape("TD block size must equal group count")
-    return verify_gdd(g, inc)
+    return verify_gdd(g)
 
 
-def verify_drtd(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
-    inc = inc or Incidence(g)
-    rep = verify_td(g, inc)
+def verify_drtd(g: DesignGrid) -> VerifyReport:
+    inc = g.incidence
+    rep = verify_td(g)
     n = len(g.groups[0])
     if g.m != n or g.n != n:
         raise BadShape("DRTD array must be n x n")
@@ -617,7 +653,7 @@ def promote_coloring(g: DesignGrid) -> DesignGrid:
     if not singles:
         raise NoSingletonPoint("no point appears exactly once in the first row")
     target = next(rc for rc, b in g.row_cells(r0) if singles[0] in b)
-    return dataclasses.replace(g, cells=dict(g.cells), colors={**g.colors, target: k - 1})
+    return dataclasses.replace(g, colors={**g.colors, target: k - 1})
 
 
 def demote_special(g: DesignGrid) -> DesignGrid:
@@ -628,27 +664,26 @@ def demote_special(g: DesignGrid) -> DesignGrid:
     if (r, c) not in g.cells:
         raise BadParameters("special cell is empty")
     w = g.cells[(r, c)]
-    cells = dict(g.cells)
+    cells = g.cells.copy()
     del cells[(r, c)]
     colors = None
     if g.colors is not None:
-        colors = dict(g.colors)
+        colors = g.colors.copy()
         colors.pop((r, c), None)
-    return dataclasses.replace(g, kind="IGBTP", cells=cells, colors=colors,
+    # new dicts, held by no one else: the grid takes them as they are
+    return dataclasses.replace(g, kind="IGBTP", cells=MappingProxyType(cells),
+                               colors=None if colors is None else MappingProxyType(colors),
                                hole=(tuple(w), (r,), (c,)), special=None)
 
 
-def verify_special(g: DesignGrid, inc: Incidence | None = None) -> VerifyReport:
+def verify_special(g: DesignGrid) -> VerifyReport:
     """A special GBTD must reduce to a valid IGBTP when its cell is emptied.
 
-    An Incidence of g passed in is reduced in place to that of the IGBTP.
+    The IGBTP's Incidence is g's with that cell taken out, not a recount.
     """
     ig = demote_special(g)
-    if inc is None:
-        inc = Incidence(ig)
-    else:
-        inc.drop(g.special)
-    return verify_igbtp(ig, inc)
+    vars(ig)["incidence"] = g.incidence.without(ig, g.special)  # the cached property's slot
+    return verify_igbtp(ig)
 
 
 VERIFIERS = {
@@ -664,46 +699,13 @@ VERIFIERS = {
 }
 
 
-# The last holeless GBTP or GBTD that verify_auto passed, as (a weak reference
-# to the grid, what its check read of it, its words, its largest pair count);
-# None when there is none or that grid is gone.  A copy of the cells keeps a
-# later change to the grid from matching.
-_certified = None
-
-
-def _state(g: DesignGrid, cells: dict) -> tuple:
-    return g.kind, g.lam, g.k_set, g.points, g.rows, g.cols, g.hole, g.star, cells
-
-
-def _forget(ref) -> None:
-    global _certified
-    if _certified is not None and _certified[0] is ref:
-        _certified = None
-
-
-def certificate(g: DesignGrid):
-    """(words, largest pair count) of g from verify_auto's last pass, if that
-    pass certified g as a GBTP or GBTD and g has not changed since; else None.
-
-    A GBTD pass is a pass of verify_gbtp in exact mode, so either kind's pass
-    implies what verify_gbtp(g) checks for g's kind."""
-    if _certified is None:
-        return None
-    ref, state, words, most = _certified
-    return (words, most) if ref() is g and state == _state(g, g.cells) else None
-
-
 def verify_auto(g: DesignGrid) -> VerifyReport:
-    """The verifier of g's kind, then the special-cell check, off one Incidence."""
-    global _certified
-    inc = Incidence(g)
-    rep = VERIFIERS.get(g.kind, verify_packing)(g, inc=inc)
-    if rep.ok and g.kind in ("GBTP", "GBTD") and g.hole is None:
-        # the words before the special cell's drop below, which clears it from W
-        _certified = (weakref.ref(g, _forget), _state(g, dict(g.cells)),
-                      list(map(tuple, inc.W)), max(inc.pairs, default=0))
+    """The verifier of g's kind, then the special-cell check."""
+    if g.kind not in VERIFIERS:
+        raise BadKind("unknown grid kind %r" % (g.kind,))
+    rep = VERIFIERS[g.kind](g)
     if g.special is not None:
-        rep.merge(verify_special(g, inc))
+        rep.merge(verify_special(g))
     return rep
 
 
@@ -807,6 +809,9 @@ def grid_from_obj(obj: dict) -> DesignGrid:
                MalformedGrid)
     if type(obj["kind"]) is not str:
         raise MalformedGrid("kind is not a string")
+    if obj["kind"] not in VERIFIERS:
+        raise MalformedGrid("kind %s is not one of %s"
+                            % (json.dumps(obj["kind"]), ", ".join(VERIFIERS)))
     k_set = _list(obj["k_set"], "k_set")
     if any(type(k) is not int for k in k_set):
         raise MalformedGrid("k_set is not a list of integers")
@@ -875,8 +880,8 @@ def grid_from_obj(obj: dict) -> DesignGrid:
         points=points,
         rows=rows,
         cols=cols,
-        cells=cells,
-        colors=colors or None,
+        cells=MappingProxyType(cells),  # new dicts, held by no one else: not copied
+        colors=MappingProxyType(colors) if colors else None,
         hole=hole,
         groups=groups,
         row_group_index=index.get("row_group_index"),

@@ -3,19 +3,20 @@
 A pass of verify_auto on a GBTP or GBTD certifies the code read off its
 rows, so gbtp_to_code and code_stats may build on it.  The code of a
 verified grid, and its stats, must equal what a fresh verification and a
-plain recount give; any change to the grid after verify_auto must send
-gbtp_to_code back to verifying, with the same error or the new words.
+plain recount give.  A grid cannot be changed in place; a changed copy made
+with dataclasses.replace after verify_auto must be verified afresh by
+gbtp_to_code, with the same error or the new words.
 """
 
 import dataclasses
 import functools
 import gc
+import operator
 import pathlib
 import weakref
 
 import pytest
 
-from tforge import designs
 from tforge.codes import Code, code_stats, gbtp_to_code
 from tforge.constructions import load_recipe, run_recipe
 from tforge.designs import dumps_grid, load_grid, loads_grid, verify_auto
@@ -47,7 +48,7 @@ def grid(name):
 
 def fresh(g):
     """An equal grid that no verifier has seen."""
-    return dataclasses.replace(g, cells=dict(g.cells))
+    return dataclasses.replace(g)
 
 
 def outcome(g):
@@ -73,7 +74,7 @@ def test_code_of_verified_grid_matches_recount(name):
 
 
 def _mutate(g, how):
-    """Change g in place after it was verified."""
+    """g with one change, made through dataclasses.replace."""
     first = min(g.cells)
     if how == "swap-in-column":  # rows no longer equitable
         other = next(rc for rc in sorted(g.cells) if rc[1] == first[1] and rc != first)
@@ -81,23 +82,24 @@ def _mutate(g, how):
         other = next(rc for rc in sorted(g.cells) if rc[1] != first[1]
                      and set(g.cells[rc]) != set(g.cells[first]))
     if how.startswith("swap"):
-        g.cells[first], g.cells[other] = g.cells[other], g.cells[first]
-    elif how == "drop":
-        del g.cells[first]
-    elif how == "kind":
-        g.kind = "GBTP" if g.kind == "GBTD" else "GBTD"
-    elif how == "lambda":
-        g.lam -= 1
-    elif how == "k_set":
-        g.k_set = (2,) if g.k_set != (2,) else (3,)
-    elif how == "points":
-        g.points = g.points[:-1]
-    elif how == "rows":
-        g.rows = g.rows[::-1]
-    elif how == "cols":
-        g.cols = g.cols[::-1]
-    elif how == "star":
-        g.star = not g.star
+        return dataclasses.replace(
+            g, cells={**g.cells, first: g.cells[other], other: g.cells[first]})
+    if how == "drop":
+        return dataclasses.replace(g, cells={rc: b for rc, b in g.cells.items() if rc != first})
+    if how == "kind":
+        return dataclasses.replace(g, kind="GBTP" if g.kind == "GBTD" else "GBTD")
+    if how == "lambda":
+        return dataclasses.replace(g, lam=g.lam - 1)
+    if how == "k_set":
+        return dataclasses.replace(g, k_set=(2,) if g.k_set != (2,) else (3,))
+    if how == "points":
+        return dataclasses.replace(g, points=g.points[:-1])
+    if how == "rows":
+        return dataclasses.replace(g, rows=g.rows[::-1])
+    if how == "cols":
+        return dataclasses.replace(g, cols=g.cols[::-1])
+    assert how == "star"
+    return dataclasses.replace(g, star=not g.star)
 
 
 VALID_AFTER = {"rows", "cols"}  # the same grid up to labels: new words
@@ -110,7 +112,7 @@ def test_change_after_verify_is_verified_afresh(name, how):
     g = grid(name)
     assert verify_auto(g).ok
     before = outcome(g)
-    _mutate(g, how)
+    g = _mutate(g, how)
     want = outcome(fresh(g))
     assert outcome(g) == want
     if how in VALID_AFTER:
@@ -124,8 +126,7 @@ def test_change_after_verify_is_verified_afresh(name, how):
 
 
 def test_grid_that_failed_verify_still_raises():
-    g = grid("fq13")
-    _mutate(g, "swap-across")
+    g = _mutate(grid("fq13"), "swap-across")
     assert not verify_auto(g).ok
     with pytest.raises(NotVerified) as info:
         gbtp_to_code(g)
@@ -136,9 +137,24 @@ def test_verified_grid_is_not_kept_alive():
     g = grid("fq13")
     assert verify_auto(g).ok
     gbtp_to_code(g)
-    assert designs._certified is not None
     ref = weakref.ref(g)
     del g
     gc.collect()
     assert ref() is None
-    assert designs._certified is None  # its words and cell copy went with it
+
+
+@pytest.mark.parametrize("change", [
+    lambda g: setattr(g, "kind", "GBTP"),
+    lambda g: setattr(g, "lam", 2),
+    lambda g: setattr(g, "star", True),
+    lambda g: operator.setitem(g.cells, min(g.cells), ()),
+    lambda g: operator.delitem(g.cells, min(g.cells)),
+    lambda g: operator.setitem(g.colors, min(g.colors), 1),
+], ids=["kind", "lambda", "star", "cell", "cell-del", "color"])
+def test_grid_cannot_change_in_place(change):
+    g = grid("fq7")
+    assert verify_auto(g).ok
+    text = dumps_grid(g)
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        change(g)
+    assert dumps_grid(g) == text and gbtp_to_code(g) == gbtp_to_code(fresh(g))

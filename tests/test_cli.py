@@ -395,3 +395,40 @@ def test_starter_file_wrongly_typed_params_exit_2(tmp_path):
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps(bad))
         _assert_exit_2(path, entry)
+
+
+def test_verify_unknown_kind_exit_2(tmp_path, fig1):
+    # an unknown kind names itself and runs no verifier, from the option or the file
+    from tforge.designs import dumps_grid
+
+    res = run_cli("verify", "fixtures/fig1.json", "--kind", "bogus")
+    assert res.returncode == 2, (res.stdout, res.stderr)
+    assert "Traceback" not in res.stderr and "'bogus'" in res.stderr and not res.stdout
+    path = tmp_path / "nonsense.json"
+    path.write_text(json.dumps(dict(json.loads(dumps_grid(fig1)), kind="Nonsense")))
+    _assert_exit_2(path, 'kind "Nonsense" is not one of')
+    assert run_cli("verify", "fixtures/fig1.json", "--kind", "raw").returncode == 0
+
+
+def test_derive_malformed_recipe_exit_2(tmp_path):
+    step = {"op": "build_td", "params": {"k": 3, "q": 4}, "out": "td"}
+    cases = {"empty": ({}, "recipe has no 'steps'"),
+             "steps": ({"steps": 5}, "recipe steps is not a list"),
+             "step": ({"steps": [step, 5]}, "recipe step 1 is not a JSON object"),
+             "op": ({"steps": [dict(step, op=3)]}, "recipe step 0: op is not a string"),
+             "in": ({"steps": [dict(step, **{"in": ["a", 1]})]},
+                    "recipe step 0: in is not a list of strings"),
+             "in-str": ({"steps": [dict(step, **{"in": "a"})]},
+                        "recipe step 0: in is not a list of strings"),
+             "params": ({"steps": [dict(step, params=[3, 4])]},
+                        "recipe step 0: params is not an object"),
+             "out": ({"steps": [dict(step, out=None)]}, "recipe step 0: out is not a string"),
+             "inputs": ({"steps": [step, {"op": "inflate", "in": ["td"]}]},
+                        "recipe step 1: inflate reads 2 inputs, got 1"),
+             "param": ({"steps": [dict(step, params={"k": 3})]}, "param 'q' is missing"),
+             "param-type": ({"steps": [dict(step, params={"k": 3, "q": "4"})]},
+                            "param 'q' is \"4\", not of type int")}
+    for name, (bad, entry) in cases.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(bad))
+        _assert_exit_2(path, entry, "derive", "--out-dir", str(tmp_path / "out"))

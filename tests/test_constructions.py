@@ -2,6 +2,7 @@ import pytest
 
 from tforge.algebra import ipoint
 from tforge.constructions import (
+    _grid_is_star_partial,
     build_td,
     drtd_from_td,
     fill_hole,
@@ -15,6 +16,7 @@ from tforge.constructions import (
     truncate_td_block,
 )
 from tforge.designs import (
+    DesignGrid,
     demote_special,
     promote_coloring,
     verify_auto,
@@ -76,6 +78,19 @@ def test_frame_fill_without_final_keeps_the_hole(fig8, fig3):
     assert verify_auto(out).ok
     # every block is a triple, so no column is a star's pairs and one triple
     assert out.k_set == (3,) and not out.star
+
+
+def test_star_partial_answers_star():
+    # pairs and triples mixed, one triple in each column outside the 1x1 hole
+    pts = tuple(ipoint(i) for i in range(1, 8))
+    cells = {("1", "1"): (pts[0], pts[1], pts[2]), ("2", "1"): (pts[3], pts[4]),
+             ("1", "2"): (pts[3], pts[5]), ("2", "2"): (pts[0], pts[4], pts[6])}
+    g = DesignGrid("IGBTP", 1, (2, 3), pts, ("1", "2", "3"), ("1", "2", "3"), cells,
+                   hole=((pts[5], pts[6]), ("3",), ("3",)))
+    assert _grid_is_star_partial(g.cells, g.cols, g.hole[2])
+    assert not _grid_is_star_partial(g.cells, g.cols, ())  # column 3 has no triple
+    del cells[("2", "2")]
+    assert not _grid_is_star_partial(cells, g.cols, g.hole[2])  # nor does column 2 now
 
 
 def test_frame_fill_group_count_check(fig8, fig3):

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import random
 
 import pytest
@@ -20,8 +22,9 @@ from tforge.designs import (
     verify_packing,
     verify_rbibd,
     verify_frgbtd,
+    verify_special,
 )
-from tforge.errors import BadParameters, MalformedGrid, MissingColoring, NoSingletonPoint
+from tforge.errors import BadKind, BadParameters, MalformedGrid, MissingColoring, NoSingletonPoint
 
 
 def test_fixture_verifications(fig1, fig2, fig3, fig7, fig8):
@@ -138,6 +141,20 @@ def test_fig3_special_demotes_to_igbtp(fig3):
     assert ig.kind == "IGBTP"
     assert verify_igbtp(ig).ok
     assert len(ig.hole[0]) == 3
+
+
+def test_special_check_leaves_the_grid_counts(fig3):
+    # the demoted grid's counts are derived from fig3's, which stay as they were
+    inc = fig3.incidence
+    before = copy.deepcopy((inc.W, inc.rowf, inc.colf, inc.pairs, inc.sizes))
+    assert verify_special(fig3).ok
+    assert fig3.incidence is inc
+    assert (inc.W, inc.rowf, inc.colf, inc.pairs, inc.sizes) == before
+
+
+def test_unknown_kind_raises(fig1):
+    with pytest.raises(BadKind, match="'Nonsense'"):
+        verify_auto(dataclasses.replace(fig1, kind="Nonsense"))
 
 
 def test_mutation_fuzz_fig3(fig3):

@@ -1,7 +1,8 @@
 """Type fuzz through the command line.
 
-Each key of a grid, code or starter file, at the top level and in its nested
-objects (one cell entry, hole, special, params, group, families, colors), is
+Each key of a grid, code, starter or search-spec file, at the top level and
+in its nested objects (one cell entry, hole, special, params, group,
+families, colors), and each key of a recipe, its steps and their params, is
 replaced by each JSON type.  tforge must answer every such file with exit
 0, 1 or 2 from ``cli.run``, never an uncaught exception.
 """
@@ -30,7 +31,11 @@ COMMANDS = {
     "grid": (("verify", "-"), ("code", "to-code", "-", "-o", "-")),
     "code": (("verify", "-"), ("code", "stats", "-")),
     "starter": (("verify", "-"),),
+    "spec": (("search", "design", "--spec", "-", "-o", "-"),),
 }
+# a spec whose search finds a design in 96 nodes; no value of JSON_TYPES in
+# place of one of its keys asks for a larger search
+SPEC = {"K": [2, 3], "v": 9, "m": 4, "n": 5}
 
 
 @functools.cache
@@ -49,6 +54,7 @@ def files() -> dict:
             search_starter("igbtp_z4", {"m": 5}).starters[0])),
         "frgbtd": ("starter", dumps_starter(
             search_starter("frgbtd", {"t": 5}, budget=5_000_000).starters[0])),
+        "spec": ("spec", json.dumps(SPEC)),
     }
 
 
@@ -82,15 +88,34 @@ def run(args, text: str):
         sys.argv, sys.stdin = argv, stdin
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", NAMES + ("spec",))
 def test_every_key_as_every_json_type_exits_cleanly(name):
     kind, text = files()[name]
-    assert run(("verify", "-"), text) == 0
+    assert run(COMMANDS[kind][0], text) == 0
     for path in key_paths(json.loads(text)):
         for value in JSON_TYPES:
             for args in COMMANDS[kind]:
                 rc = run(args, replaced(text, path, value))
                 assert rc in (0, 1, 2), (path, value, args)
+
+
+@pytest.mark.parametrize("name", ("gbtd_3_27", "gbtd_3_49", "gbtp_33"))
+def test_every_recipe_key_as_every_json_type_exits_cleanly(tmp_path, name):
+    # a shipped recipe, its input files named by absolute paths
+    recipes = ROOT / "recipes"
+    recipe = json.loads((recipes / (name + ".json")).read_text())
+    for step in recipe["steps"]:
+        step["in"] = [str(recipes / ref) if ref.endswith(".json") else ref
+                      for ref in step.get("in", [])]
+    path, text = tmp_path / "recipe.json", json.dumps(recipe)
+    args = ("derive", str(path), "--out-dir", str(tmp_path / "out"))
+    path.write_text(text)
+    assert run(args, "") == 0
+    for key_path in [("steps",)] + [p for i, step in enumerate(recipe["steps"])
+                                    for p in key_paths(step, ("steps", i))]:
+        for value in JSON_TYPES:
+            path.write_text(replaced(text, key_path, value))
+            assert run(args, "") in (0, 1, 2), (key_path, value)
 
 
 json_values = st.recursive(
