@@ -26,8 +26,10 @@ from tforge.codes import (
     word_equitable,
 )
 from tforge.errors import (
+    DistanceTooSmall,
     MalformedCode,
     MTooSmall,
+    NotEquitable,
     NotVerified,
     SymbolOutOfRange,
     TooFewWords,
@@ -121,6 +123,24 @@ def test_gbtd_7_code_distance():
 def test_gbtp_to_code_rejects_holes(fig7):
     with pytest.raises(NotVerified):
         gbtp_to_code(fig7)
+
+
+@pytest.mark.parametrize("q,n,words,k_set,lam,exc", [
+    # not equitable, and the distance and the block size are wrong too
+    (2, 2, ((0, 0), (0, 1)), (3,), 0, NotEquitable),
+    (2, 2, ((0, 0),), (1,), 0, NotEquitable),
+    # equitable, one word
+    (2, 2, ((0, 1),), (1,), 0, TooFewWords),
+    # equitable, two words agreeing once with lambda 0; the block size is wrong too
+    (3, 3, ((0, 1, 2), (0, 2, 1)), (3,), 0, DistanceTooSmall),
+    # equitable and far enough apart, but blocks of size 1 and 2 against K = {2}
+    (3, 3, ((0, 1, 2), (0, 2, 1)), (2,), 1, NotVerified),
+])
+def test_code_to_gbtp_names_the_first_failure(q, n, words, k_set, lam, exc):
+    with pytest.raises(exc):
+        code_to_gbtp(Code(q, n, words), k_set, lam)
+    if exc is NotVerified:
+        code_to_gbtp(Code(q, n, words), (1, 2), lam)
 
 
 def test_optimality_cert_values():
