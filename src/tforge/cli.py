@@ -273,7 +273,8 @@ def search_coloring_cmd(in_path, colors, pi, out):
     g = loads_grid(_read(in_path))
     res = search.search_coloring(g, colors, want_pi=pi)
     if res.colors is None:
-        raise _Fail("no valid coloring")
+        raise _Fail("no valid coloring" if res.exhausted
+                    else "budget ran out before a coloring was found")
     _write(out, dumps_grid(dataclasses.replace(g, colors=res.colors)))
 
 

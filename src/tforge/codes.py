@@ -9,13 +9,14 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .algebra import block
 from .designs import DesignGrid, check_keys, json_value, verify_gbtp
 from .errors import (
     DistanceTooSmall,
+    InconsistentParams,
     MalformedCode,
     MTooSmall,
     NotEquitable,
@@ -161,6 +162,9 @@ def plotkin_check(n: int, d: int, q: int, M: int) -> PlotkinResult:
 
     equality marks the optimality clause: q | M and C(M,2)d = n C(q,2) (M/q)^2.
     """
+    for name, x in (("n", n), ("d", d), ("q", q), ("M", M)):
+        if x < 1:
+            raise InconsistentParams("Plotkin bound needs %s >= 1, got %d" % (name, x))
     lhs = M * (M - 1) // 2 * d
     mi = [(M + i) // q for i in range(q)]
     s = sum(mi)
@@ -233,16 +237,19 @@ def gbtp_to_code(g: DesignGrid) -> Code:
 
 
 def code_to_gbtp(c: Code, k_set, lam: int, points=None) -> DesignGrid:
-    """Reverse correspondence: cell (r, j) collects the points whose word has r at j."""
-    if not is_equitable(c):
-        raise NotEquitable("code is not of equitable symbol weight")
-    if min_distance(c) < c.n - lam:
-        raise DistanceTooSmall("minimum distance below n - lambda")
+    """Reverse correspondence: cell (r, j) collects the points whose word has r at j.
+
+    One verify_gbtp of the grid decides the code too: its row frequencies
+    are the words' symbol weights (NotEquitable), and its pair counts their
+    agreements, so a pair over λ is a distance below n - λ (DistanceTooSmall).
+    """
     if points is None:
         points = tuple((0, (i,), -1) for i in range(c.size))
     points = tuple(points)
-    if len(points) != c.size:
-        raise ValueError("need one point per word")
+    if len(set(points)) != len(points) or len(points) != c.size:
+        raise ValueError("need one distinct point per word")
+    if c.size < 2 and is_equitable(c):
+        raise TooFewWords("need at least two words")
     rows = tuple(c.labels) if c.labels is not None else tuple(str(i + 1) for i in range(c.q))
     cols = tuple(str(j + 1) for j in range(c.n))
     columns = [defaultdict(list) for _ in range(c.n)]
@@ -253,7 +260,12 @@ def code_to_gbtp(c: Code, k_set, lam: int, points=None) -> DesignGrid:
              for j, column in enumerate(columns) for r in sorted(column)}
     g = DesignGrid("GBTP", lam, tuple(sorted(set(k_set))), points, rows, cols, cells)
     rep = verify_gbtp(g, exact=False)
-    if not rep.ok:
+    failed = {cond.cid for cond in rep.conditions if not cond.ok}
+    if "row-frequency" in failed:
+        raise NotEquitable("code is not of equitable symbol weight")
+    if "pair-at-most-lambda" in failed:
+        raise DistanceTooSmall("minimum distance below n - lambda")
+    if failed:
         raise NotVerified("reconstructed grid fails verify_gbtp:\n" + rep.describe())
     return g
 
@@ -305,6 +317,9 @@ def code_from_obj(obj: dict) -> Code:
                                or any(isinstance(x, (list, dict)) for x in labels)):
         raise MalformedCode("code 'labels' must be a list of q=%d labels, none a list or object"
                             % obj["q"])
+    repeated = [] if labels is None else [x for x, k in Counter(labels).items() if k > 1]
+    if repeated:
+        raise MalformedCode("code label %s is repeated" % json.dumps(repeated[0]))
     return Code(obj["q"], obj["n"], tuple(tuple(w) for w in obj["words"]),
                 None if labels is None else tuple(labels))
 

@@ -49,6 +49,8 @@ def build_td(k: int, q: int) -> DesignGrid:
     pe = factor_prime_power(q)
     if pe is None:
         raise NotPrimePower("q = %d is not a prime power" % q)
+    if k < 1:
+        raise BadParameters("k = %d is below 1" % k)
     if k > q + 1:
         raise KTooLarge("k = %d exceeds q+1 = %d" % (k, q + 1))
     fld = gf_build(*pe)

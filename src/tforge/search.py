@@ -7,7 +7,8 @@ budget; otherwise the best object found so far is returned with exact=False.
 The starter searches are generators: they yield each candidate in a fixed
 order and leave verifying, counting and stopping to `search_starter`.
 `search_gbtp`, `arrange_resolution` and the exact-cover engine `_covers`
-(every cover and assign phase of the starter searches) search depth first
+(every cover and assign phase of the starter searches, and each row of a
+block coloring) search depth first
 in a loop, not a recursion (frames one per block would cross a Python
 data-stack chunk to and fro); the first two return at their first grid.
 A budget running out raises `_Exhausted` to its owner, except in
@@ -1319,47 +1320,42 @@ class ColoringResult:
     exhausted: bool
 
 
-def _color_row(g: DesignGrid, row, c_colors: int, need_witnesses: bool):
-    """Colorings of one row, lazily: same-color blocks stay disjoint."""
-    cells = sorted(g.row_cells(row), key=lambda kv: g.cols.index(kv[0][1]))
-
-    def rec(i, coloring, used_pts):
-        if i == len(cells):
-            if need_witnesses:
-                for col in range(c_colors):
-                    if not (set(g.points) - used_pts[col]):
-                        return
-            yield list(coloring)
-            return
-        _rc, b = cells[i]
-        bset = set(b)
-        for col in range(c_colors):
-            if used_pts[col] & bset:
-                continue
-            used_pts[col] |= bset
-            coloring.append(col)
-            yield from rec(i + 1, coloring, used_pts)
-            coloring.pop()
-            used_pts[col] -= bset
-
-    for sol in rec(0, [], {c: set() for c in range(c_colors)}):
-        yield {rc: col for (rc, _b), col in zip(cells, sol)}
-
-
 def search_coloring(g: DesignGrid, colors: int, want_pi: bool = False) -> ColoringResult:
-    """Row-independent block coloring; optionally force a witness row."""
-    base = {}
-    for r in g.rows:
-        sol = next(_color_row(g, r, colors, False), None)
-        if sol is None:
-            return ColoringResult(None, True)
-        base.update(sol)
-    if not want_pi:
-        return ColoringResult(base, True)
-    for r in g.rows:
-        wit = next(_color_row(g, r, colors, True), None)
-        if wit is not None:
-            out = dict(base)
-            out.update(wit)
-            return ColoringResult(out, True)
-    return ColoringResult(None, True)
+    """Row-independent block coloring; optionally force a witness row (Π:
+    every color leaves some listed point free).  A row is one `_covers` call:
+    its cells in column order are the primary items, each colored in color
+    order, and each (color, point) is a secondary item, so same-color blocks
+    in a row stay disjoint.  One Budget serves the call."""
+    if colors < 1:
+        raise InconsistentParams("need at least one color, got %d" % colors)
+    inc = g.incidence
+    V, listed = inc.V, (1 << inc.v) - 1
+    rows: list = [[] for _ in g.rows]
+    for rc, (i, j, xs) in inc.cells.items():
+        rows[i].append((j, rc, sum(1 << x for x in set(xs))))
+    bud, led = Budget(), _Ledger({})
+
+    def colorings(cells):
+        """(bits of the (color, point) items used, cell -> color), per cover."""
+        k, chosen = len(cells), []
+        options = [[((rc, c), 1 << i | pts << k + c * V, ()) for c in range(colors)]
+                   for i, (_j, rc, pts) in enumerate(sorted(cells))]
+        for covered in _covers(bud, led, options, (1 << k) - 1, chosen):
+            yield covered >> k, dict(chosen)
+
+    try:
+        base = {}
+        for cells in rows:
+            first = next(colorings(cells), None)
+            if first is None:
+                return ColoringResult(None, True)
+            base.update(first[1])
+        if not want_pi:
+            return ColoringResult(base, True)
+        for cells in rows:
+            for used, wit in colorings(cells):
+                if all(~used >> c * V & listed for c in range(colors)):
+                    return ColoringResult({**base, **wit}, True)
+        return ColoringResult(None, True)
+    except _Exhausted:
+        return ColoringResult(None, False)

@@ -432,3 +432,50 @@ def test_derive_malformed_recipe_exit_2(tmp_path):
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps(bad))
         _assert_exit_2(path, entry, "derive", "--out-dir", str(tmp_path / "out"))
+
+
+def test_search_coloring_budget_stop_and_color_count(tmp_path):
+    grid = tmp_path / "g13.json"
+    assert run_cli("construct", "fq-gbtd", "--q", "13", "-o", str(grid)).returncode == 0
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin", "TFORGE_BUDGET": "50"}
+    res = subprocess.run([sys.executable, "-m", "tforge.cli", "search", "coloring",
+                          "--in", str(grid), "--colors", "3"],
+                         capture_output=True, text=True, cwd=ROOT, env=env)
+    assert res.returncode == 1 and not res.stdout
+    assert res.stderr.strip() == "budget ran out before a coloring was found"
+    for colors in ("0", "-1"):
+        _assert_exit_2(grid, "need at least one color, got " + colors,
+                       "search", "coloring", "--colors", colors, "--in")
+
+
+@pytest.mark.parametrize("args,name", [
+    (("--n", "4", "--d", "3", "--q", "0", "--m", "6"), "q"),
+    (("--n", "4", "--d", "3", "--q", "-2", "--m", "6"), "q"),
+    (("--n", "-3", "--d", "3", "--q", "3", "--m", "6"), "n"),
+    (("--n", "4", "--d", "3", "--q", "3", "--m", "-3"), "M"),
+    (("--n", "0", "--d", "0", "--q", "1", "--m", "0"), "n"),
+    (("--n", "4", "--d", "0", "--q", "3", "--m", "6"), "d"),
+])
+def test_code_bound_below_1_exit_2(args, name):
+    res = run_cli("code", "bound", *args)
+    assert res.returncode == 2 and not res.stdout, (res.stdout, res.stderr)
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: Plotkin bound needs %s >= 1" % name), res.stderr
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_construct_td_k_below_1_exit_2(k):
+    res = run_cli("construct", "td", "--k", k, "--q", "4")
+    assert res.returncode == 2 and not res.stdout
+    assert res.stderr == "error: k = %s is below 1\n" % k
+
+
+def test_code_file_repeated_label_exit_2(tmp_path):
+    from tforge.codes import dumps_code, gbtp_to_code
+    from tforge.designs import load_grid
+
+    obj = json.loads(dumps_code(gbtp_to_code(load_grid(ROOT / "fixtures" / "fig1.json"))))
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(dict(obj, labels=["1", "a", "a"])))
+    for command in (("verify",), ("code", "stats")):
+        _assert_exit_2(path, 'code label "a" is repeated', *command)
