@@ -317,9 +317,9 @@ def code_from_obj(obj: dict) -> Code:
                                or any(isinstance(x, (list, dict)) for x in labels)):
         raise MalformedCode("code 'labels' must be a list of q=%d labels, none a list or object"
                             % obj["q"])
-    repeated = [] if labels is None else [x for x, k in Counter(labels).items() if k > 1]
-    if repeated:
-        raise MalformedCode("code label %s is repeated" % json.dumps(repeated[0]))
+    for x, k in Counter(labels or ()).items():
+        if k > 1:
+            raise MalformedCode("code label %s is repeated" % json.dumps(x))
     return Code(obj["q"], obj["n"], tuple(tuple(w) for w in obj["words"]),
                 None if labels is None else tuple(labels))
 

@@ -1330,7 +1330,7 @@ def search_coloring(g: DesignGrid, colors: int, want_pi: bool = False) -> Colori
         raise InconsistentParams("need at least one color, got %d" % colors)
     inc = g.incidence
     V, listed = inc.V, (1 << inc.v) - 1
-    rows: list = [[] for _ in g.rows]
+    rows = [[] for _ in g.rows]
     for rc, (i, j, xs) in inc.cells.items():
         rows[i].append((j, rc, sum(1 << x for x in set(xs))))
     bud, led = Budget(), _Ledger({})

@@ -8,8 +8,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def run_cli(*args, cwd=ROOT):
-    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
+def run_cli(*args, cwd=ROOT, **extra_env):
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin", **extra_env}
     return subprocess.run([sys.executable, "-m", "tforge.cli", *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
 
@@ -437,10 +437,7 @@ def test_derive_malformed_recipe_exit_2(tmp_path):
 def test_search_coloring_budget_stop_and_color_count(tmp_path):
     grid = tmp_path / "g13.json"
     assert run_cli("construct", "fq-gbtd", "--q", "13", "-o", str(grid)).returncode == 0
-    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin", "TFORGE_BUDGET": "50"}
-    res = subprocess.run([sys.executable, "-m", "tforge.cli", "search", "coloring",
-                          "--in", str(grid), "--colors", "3"],
-                         capture_output=True, text=True, cwd=ROOT, env=env)
+    res = run_cli("search", "coloring", "--in", str(grid), "--colors", "3", TFORGE_BUDGET="50")
     assert res.returncode == 1 and not res.stdout
     assert res.stderr.strip() == "budget ran out before a coloring was found"
     for colors in ("0", "-1"):

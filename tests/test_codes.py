@@ -143,6 +143,13 @@ def test_code_to_gbtp_names_the_first_failure(q, n, words, k_set, lam, exc):
         code_to_gbtp(Code(q, n, words), (1, 2), lam)
 
 
+def test_code_to_gbtp_wants_one_distinct_point_per_word():
+    c = Code(3, 3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    for points in (("a", "a", "b"), ("a", "b")):
+        with pytest.raises(ValueError, match="one distinct point per word"):
+            code_to_gbtp(c, (1,), 0, points=points)
+
+
 def test_optimality_cert_values():
     cert = optimality_cert_2q3(7)
     assert (cert.lhs, cert.rhs, cert.violated) == (1200, 1199, True)
