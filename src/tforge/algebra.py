@@ -57,10 +57,15 @@ _INF_RE = re.compile(r"^inf(\d+)$")
 _FIN_RE = re.compile(r"^(\d+(?:\.\d+)*)(?:_(\d+))?$")
 
 
+def elem_label(elem) -> str:
+    """A group or field element as a label: its coordinates joined by dots."""
+    return ".".join(str(x) for x in elem)
+
+
 def format_point(p: Point) -> str:
     if p[0] == 1:
         return "inf%d" % p[1][0]
-    s = ".".join(str(x) for x in p[1])
+    s = elem_label(p[1])
     if p[2] >= 0:
         s += "_%d" % p[2]
     return s
@@ -204,26 +209,12 @@ def _poly_mulmod(a, b, mod, p):
     return _poly_mod(tuple(out), mod, p)
 
 
-def _poly_divides(d, a, p):
-    """True when monic d divides a over Z_p."""
-    a = list(a)
-    while len(a) >= len(d) and any(a):
-        if a[0] == 0:
-            a.pop(0)
-            continue
-        f = a[0]
-        for i in range(len(d)):
-            a[i] = (a[i] - f * d[i]) % p
-        a.pop(0)
-    return not any(a)
-
-
 def _irreducible(mod, p) -> bool:
     e = len(mod) - 1
     for deg in range(1, e // 2 + 1):
         for tail in itertools.product(range(p), repeat=deg):
             d = (1,) + tail
-            if _poly_divides(d, mod, p):
+            if not any(_poly_mod(mod, d, p)):
                 return False
     return True
 

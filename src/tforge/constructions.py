@@ -10,7 +10,7 @@ import json
 import os
 from collections import Counter
 
-from .algebra import block, fpoint, gf_build, ipoint, factor_prime_power
+from .algebra import block, elem_label, factor_prime_power, fpoint, gf_build, ipoint
 from .designs import (
     DesignGrid,
     check_keys,
@@ -63,15 +63,11 @@ def build_td(k: int, q: int) -> DesignGrid:
             pts = [fpoint(fld.add(fld.mul(a, x), b), i) for i, a in enumerate(slopes)]
             if infinite_group:
                 pts.append(fpoint(x, q))
-            cells[(_lab(x), _lab(b))] = block(pts)
+            cells[(elem_label(x), elem_label(b))] = block(pts)
     points = tuple(fpoint(e, i) for i in range(k) for e in elems)
     groups = tuple(tuple(sorted(fpoint(e, i) for e in elems)) for i in range(k))
-    rows = tuple(_lab(e) for e in elems)
+    rows = tuple(elem_label(e) for e in elems)
     return DesignGrid("TD", 1, (k,), points, rows, rows, cells, groups=groups)
-
-
-def _lab(elem) -> str:
-    return ".".join(str(x) for x in elem)
 
 
 def drtd_from_td(td: DesignGrid) -> DesignGrid:
@@ -131,56 +127,46 @@ def tripling(rbibd: DesignGrid, drtd: DesignGrid) -> DesignGrid:
     if len(drtd.groups) != 3 or len(drtd.groups[0]) != m:
         raise BadShape("need a doubly resolvable square of side %d" % m)
 
-    index = {p: i for i, p in enumerate(rbibd.points)}
+    inc = rbibd.incidence
     pi = pi_witness_row(rbibd, 3)
-
-    dgroups = sorted(drtd.groups, key=lambda grp: tuple(sorted(grp)))
-    sigma = {}
-    drtd_rows = list(drtd.rows)
+    drow = list(range(m))  # the output row of each square row
     if pi is not None:
         wit_row, wits = pi
+        targets = [inc.index[wits[c]] for c in range(3)]
         bstar = drtd.cells[(drtd.rows[0], drtd.cols[0])]
-        for c in range(3):
-            gset = set(dgroups[c])
-            anchor = next(p for p in bstar if p in gset)
-            target = index[wits[c]]
-            rest_src = [p for p in sorted(dgroups[c]) if p != anchor]
-            rest_tgt = [u for u in range(m) if u != target]
-            sigma[anchor] = fpoint(target, c)
-            for p, u in zip(rest_src, rest_tgt):
-                sigma[p] = fpoint(u, c)
-        r_idx = rbibd.rows.index(wit_row)
-        drtd_rows[0], drtd_rows[r_idx] = drtd_rows[r_idx], drtd_rows[0]
-    else:
-        for c in range(3):
-            for u, p in enumerate(sorted(dgroups[c])):
-                sigma[p] = fpoint(u, c)
+        r_idx = inc.row_index[wit_row]
+        drow[0], drow[r_idx] = r_idx, 0
+    sigma = {}
+    for c, grp in enumerate(sorted(drtd.groups, key=lambda grp: tuple(sorted(grp)))):
+        src, tgt = sorted(grp), list(range(m))
+        if pi is not None:  # the square's first block goes to the witness points
+            anchor = next(p for p in bstar if p in grp)
+            src.remove(anchor)
+            tgt.remove(targets[c])
+            sigma[anchor] = fpoint(targets[c], c)
+        sigma.update((p, fpoint(u, c)) for p, u in zip(src, tgt))
 
-    mm = m // 3
-    half = (m - 1) // 2
+    mm, half = m // 3, (m - 1) // 2
     rows = tuple(str(i + 1) for i in range(m))
     cols = tuple(str(j + 1) for j in range(half + m))
-    cells = {}
-    colors = {}
-    for (r, c), b in rbibd.cells.items():
-        i = rbibd.colors[(r, c)]
-        ri = rbibd.rows.index(r)
-        ci = rbibd.cols.index(c)
-        for j in range(3):
-            rc = (rows[j * mm + ri], cols[ci])
-            cells[rc] = block(fpoint(index[p], (i + j) % 3) for p in b)
-            colors[rc] = 0
-    for (r, c), b in drtd.cells.items():
-        ri = drtd_rows.index(r)
-        ci = drtd.cols.index(c)
-        rc = (rows[ri], cols[half + ci])
-        cells[rc] = block(sigma[p] for p in b)
-        colors[rc] = 1
+    cells, colors = {}, {}
+    for i, row in enumerate(inc.by_row):
+        for j, rc, xs in row:
+            for s in range(3):  # copy s shifts every colour class on by s
+                out = (rows[s * mm + i], cols[j])
+                cells[out] = block(fpoint(x, (rbibd.colors[rc] + s) % 3) for x in xs)
+                colors[out] = 0
+    dpts = drtd.incidence.points
+    for i, row in enumerate(drtd.incidence.by_row):
+        for j, _, xs in row:
+            out = (rows[drow[i]], cols[half + j])
+            cells[out] = block(sigma[dpts[x]] for x in xs)
+            colors[out] = 1
     points = tuple(fpoint(u, c) for u in range(m) for c in range(3))
     special = None
     if pi is not None:
         special = (rows[r_idx], cols[half])
-        if set(cells[special]) != {fpoint(index[wits[c]], c) for c in range(3)}:
+        if set(cells[special]) != {fpoint(x, c) for c, x in enumerate(targets)}:
             raise NoWitnessBlock("witness block did not land on the witness row")
     return DesignGrid("GBTD", 1, (3,), points, rows, cols, cells, colors,
                       special=special)

@@ -20,6 +20,7 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from types import MappingProxyType
 
 from .algebra import format_point, parse_point
@@ -163,6 +164,8 @@ class Incidence:
     missing from the list restarts the pass once every such point is
     indexed.  ``cells`` holds each cell's indices, read off the grid on
     first use: only witnesses and the block-walking checks need it.
+    ``by_row`` lists them again per row index, in column order, for the
+    checks and searches that walk a row's blocks.
 
     In a GBTP the rows of W are the code words and ``pairs`` holds their
     agreement counts, so "no pair covered more than λ times" and "distance at
@@ -185,7 +188,7 @@ class Incidence:
                     ix.setdefault(p, len(ix))
         self.points = list(ix)
         self.once = [1] * self.v + [0] * (self.V - self.v)  # a column partitioning the points
-        self._grid_cells, self._cells, self.gbtp_passed = g.cells, None, False
+        self._grid_cells, self._cells, self._by_row, self.gbtp_passed = g.cells, None, None, False
 
     @property
     def cells(self) -> dict:
@@ -196,6 +199,18 @@ class Incidence:
             self._cells = {rc: (ri[rc[0]], ci[rc[1]], tuple(map(ix.__getitem__, b)))
                            for rc, b in self._grid_cells.items()}
         return self._cells
+
+    @property
+    def by_row(self) -> list:
+        """Per row index, the (column index, cell, point indices) of its
+        cells, in column order."""
+        if self._by_row is None:
+            self._by_row = [[] for _ in self.row_index]
+            for rc, (i, j, xs) in self.cells.items():
+                self._by_row[i].append((j, rc, xs))
+            for row in self._by_row:
+                row.sort(key=itemgetter(0))
+        return self._by_row
 
     def _count(self, grid_cells, ri, ci, ix) -> bool:
         """Count every cell in one pass; False, with the counts unfinished,
@@ -254,7 +269,7 @@ class Incidence:
         out.rowf, out.colf, out.pairs = rowf, colf, pairs = (
             self.rowf[:], self.colf[:], self.pairs[:])
         out.sizes = sizes = Counter(self.sizes)
-        out._grid_cells, out._cells, out.gbtp_passed = g.cells, None, False
+        out._grid_cells, out._cells, out._by_row, out.gbtp_passed = g.cells, None, None, False
         for x in xs:
             W[x] = W[x][:]
             W[x][j] = -1
@@ -508,9 +523,9 @@ def verify_frgbtd(g: DesignGrid) -> VerifyReport:
     gpts = [p for grp, _, _ in meta for p in grp]
     if sorted(gpts) != list(g.points):
         part_bad.append("groups do not partition the point set")
-    if sorted(r for _, ri, _ in meta for r in ri) != sorted(g.rows):
+    if Counter(r for _, ri, _ in meta for r in ri) != Counter(g.rows):
         part_bad.append("row classes do not partition the rows")
-    if sorted(c for _, _, ci in meta for c in ci) != sorted(g.cols):
+    if Counter(c for _, _, ci in meta for c in ci) != Counter(g.cols):
         part_bad.append("column classes do not partition the columns")
     rep.add("frame-partitions", part_bad)
 
@@ -588,48 +603,45 @@ def verify_coloring(g: DesignGrid, c_colors: int, want_pi: bool = False) -> Veri
     """Same-color blocks in a row are disjoint; optionally find a Π witness row."""
     if g.colors is None:
         raise MissingColoring("grid carries no coloring")
+    inc, colors = g.incidence, g.colors
     rep = VerifyReport()
-    missing = ["cell (%s,%s) uncolored" % (rc[0], rc[1]) for rc, _ in g.sorted_cells()
-               if rc not in g.colors]
-    rep.add("cells-colored", missing)
-    range_bad = ["cell (%s,%s) color %d out of range" % (rc[0], rc[1], col)
-                 for rc, col in sorted(g.colors.items()) if not 0 <= col < c_colors]
-    rep.add("colors-in-range", range_bad)
+    rep.add("cells-colored", ("cell (%s,%s) uncolored" % rc
+                              for row in inc.by_row for _, rc, _ in row if rc not in colors))
+    ri, ci = inc.row_index, inc.col_index
+    range_bad = sorted(((rc, col) for rc, col in colors.items() if not 0 <= col < c_colors),
+                       key=lambda kv: (ri.get(kv[0][0], g.m), ci.get(kv[0][1], g.n)))
+    rep.add("colors-in-range", ("cell (%s,%s) color %d out of range" % (rc + (col,))
+                                for rc, col in range_bad))
     dis_bad = []
-    for r in g.rows:
+    for r, row in zip(g.rows, inc.by_row):
         by_color = defaultdict(list)
-        for rc, b in g.row_cells(r):
-            by_color[g.colors.get(rc)].append(b)
-        for col, bs in sorted(by_color.items(), key=lambda kv: (kv[0] is None, kv[0])):
-            cnt = Counter(p for b in bs for p in b)
-            for p, k in sorted(cnt.items()):
-                if k > 1:
-                    dis_bad.append("row %s color %s: %s in %d blocks"
-                                   % (r, col, format_point(p), k))
+        for _, rc, xs in row:
+            by_color[colors.get(rc)].extend(xs)
+        for col, xs in sorted(by_color.items(), key=lambda kv: (kv[0] is None, kv[0])):
+            if len(set(xs)) < len(xs):
+                twice = sorted((inc.points[x], k) for x, k in Counter(xs).items() if k > 1)
+                dis_bad += ["row %s color %s: %s in %d blocks" % (r, col, format_point(p), k)
+                            for p, k in twice]
     rep.add("row-color-disjoint", dis_bad)
     if want_pi:
-        if pi_witness_row(g, c_colors) is None:
-            rep.add("pi-witness-row", ["no row has a witness for every color"])
-        else:
-            rep.add("pi-witness-row", [])
+        rep.add("pi-witness-row", [] if pi_witness_row(g, c_colors)
+                else ["no row has a witness for every color"])
     return rep
 
 
 def pi_witness_row(g: DesignGrid, c_colors: int):
     """First row with a witness point per color, as (row, {color: point})."""
-    for r in g.rows:
-        wit = {}
-        for col in range(c_colors):
-            covered = set()
-            for rc, b in g.row_cells(r):
-                if g.colors.get(rc) == col:
-                    covered.update(b)
-            free = [p for p in g.points if p not in covered]
-            if not free:
-                break
-            wit[col] = free[0]
-        else:
-            return r, wit
+    inc, listed = g.incidence, (1 << g.incidence.v) - 1
+    for r, row in zip(g.rows, inc.by_row):
+        used = [0] * c_colors
+        for _, rc, xs in row:
+            col = g.colors.get(rc)
+            if col in range(c_colors):
+                for x in xs:
+                    used[col] |= 1 << x
+        free = [listed & ~u for u in used]
+        if all(free):
+            return r, {col: inc.points[(f & -f).bit_length() - 1] for col, f in enumerate(free)}
     return None
 
 
@@ -643,16 +655,15 @@ def promote_coloring(g: DesignGrid) -> DesignGrid:
         raise MissingColoring("grid carries no coloring")
     if len(g.k_set) != 1:
         raise BadParameters("promote needs a single block size")
-    k = g.k_set[0]
-    used = sorted(set(g.colors.values()))
-    if len(used) != k - 1:
-        raise BadParameters("expected %d colors, found %d" % (k - 1, len(used)))
-    r0 = g.rows[0]
-    cnt = Counter(p for b in g.row_blocks(r0) for p in b)
-    singles = sorted(p for p, c in cnt.items() if c == 1)
-    if not singles:
+    k, used = g.k_set[0], len(set(g.colors.values()))
+    if used != k - 1:
+        raise BadParameters("expected %d colors, found %d" % (k - 1, used))
+    inc, row = g.incidence, g.incidence.by_row[0]
+    cnt = Counter(x for _, _, xs in row for x in xs)
+    least = min((x for x, c in cnt.items() if c == 1), key=inc.points.__getitem__, default=None)
+    if least is None:
         raise NoSingletonPoint("no point appears exactly once in the first row")
-    target = next(rc for rc, b in g.row_cells(r0) if singles[0] in b)
+    target = next(rc for _, rc, xs in row if least in xs)
     return dataclasses.replace(g, colors={**g.colors, target: k - 1})
 
 

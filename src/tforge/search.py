@@ -397,7 +397,7 @@ def witness_code_9_8_6() -> Code:
     Z_3-developed classes and a row arrangement search."""
     from .codes import gbtp_to_code
 
-    grid = arrange_resolution(_z3_witness_classes(), 6, 9)
+    grid = arrange_resolution(_z3_witness_classes(), 6, 9, DEFAULT_BUDGET)  # not TFORGE_BUDGET
     assert grid is not None
     return gbtp_to_code(grid)
 
@@ -1329,17 +1329,15 @@ def search_coloring(g: DesignGrid, colors: int, want_pi: bool = False) -> Colori
     if colors < 1:
         raise InconsistentParams("need at least one color, got %d" % colors)
     inc = g.incidence
-    V, listed = inc.V, (1 << inc.v) - 1
-    rows = [[] for _ in g.rows]
-    for rc, (i, j, xs) in inc.cells.items():
-        rows[i].append((j, rc, sum(1 << x for x in set(xs))))
+    V, listed, rows = inc.V, (1 << inc.v) - 1, inc.by_row
     bud, led = Budget(), _Ledger({})
 
     def colorings(cells):
         """(bits of the (color, point) items used, cell -> color), per cover."""
         k, chosen = len(cells), []
-        options = [[((rc, c), 1 << i | pts << k + c * V, ()) for c in range(colors)]
-                   for i, (_j, rc, pts) in enumerate(sorted(cells))]
+        pts = [sum(1 << x for x in set(xs)) << k for _, _, xs in cells]
+        options = [[((rc, c), 1 << i | pts[i] << c * V, ()) for c in range(colors)]
+                   for i, (_, rc, _) in enumerate(cells)]
         for covered in _covers(bud, led, options, (1 << k) - 1, chosen):
             yield covered >> k, dict(chosen)
 

@@ -19,6 +19,7 @@ from .algebra import (
     block,
     cyclic,
     difference_list,
+    elem_label,
     factor_prime_power,
     format_point,
     fpoint,
@@ -34,10 +35,6 @@ from .errors import MalformedStarter, NotOneMod6, NotPrimePower, StarterInvalid
 CLUB, DIAMOND, HEART = 0, 1, 2
 
 
-def _elem_label(elem) -> str:
-    return ".".join(str(x) for x in elem)
-
-
 class _Translates:
     """Every translate of a block over one group, by element position.
 
@@ -49,7 +46,7 @@ class _Translates:
     def __init__(self, g: AbelianGroup):
         self.group = g
         self.elems, self.index, self.table, _ = g.addition
-        self.labels = [_elem_label(e) for e in self.elems]
+        self.labels = [elem_label(e) for e in self.elems]
         self._copies = {}  # copy index -> the finite points of that copy, by position
 
     def points(self, copy: int) -> list:
@@ -740,7 +737,7 @@ def build_igbtp_33() -> DesignGrid:
     rows = hole_rows + body_rows
     hole_cols = tuple("q%d" % j for j in range(1, 6))
     gcols = [(c, l) for l in range(8) for c in range(3)]
-    cols = hole_cols + tuple(_elem_label(e) for e in gcols)
+    cols = hole_cols + tuple(elem_label(e) for e in gcols)
     cells = {}
     for rb in range(4):
         for rs in range(3):

@@ -1,3 +1,4 @@
+import copy
 import pathlib
 import sys
 
@@ -9,6 +10,30 @@ sys.path.insert(0, str(ROOT / "src"))
 from tforge.designs import load_grid  # noqa: E402
 
 FIXTURES = ROOT / "fixtures"
+# the label keys of a grid file per axis: cell entry, hole, group index classes
+LABEL_KEYS = {"rows": ("r", "p_rows", "row_group_index"),
+              "cols": ("c", "q_cols", "col_group_index")}
+
+
+def relabel(obj: dict, axis: str, old, new) -> dict:
+    """A copy of grid file object obj with row (axis "rows") or column
+    ("cols") label old replaced by new wherever it occurs."""
+    def swap(labels):
+        return [new if x == old else x for x in labels]
+
+    obj = copy.deepcopy(obj)
+    key, hole_key, index_key = LABEL_KEYS[axis]
+    obj[axis] = swap(obj[axis])
+    for cell in obj["cells"]:
+        if cell[key] == old:
+            cell[key] = new
+    if "hole" in obj:
+        obj["hole"][hole_key] = swap(obj["hole"][hole_key])
+    if obj.get("special", {}).get(key) == old:
+        obj["special"][key] = new
+    if index_key in obj:
+        obj[index_key] = [swap(labels) for labels in obj[index_key]]
+    return obj
 
 
 @pytest.fixture(scope="session")

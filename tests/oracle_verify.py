@@ -4,17 +4,27 @@ These are the verifiers tforge.designs used before its conditions were read
 off one incidence pass.  They rescan the cell dict for every condition, so
 they are slow, but they share no counting logic with the program.  The
 differential tests require ``describe()`` to be byte-identical between the
-two on fixtures, constructed arrays and their mutants.
+two on fixtures, constructed arrays and their mutants.  The colour checks
+at the end rescan a row's cells once per row and colour; the program reads
+each row's cells off its Incidence instead.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections import Counter, defaultdict
 
 from tforge.algebra import format_point
 from tforge.designs import DesignGrid, VerifyReport, demote_special
-from tforge.errors import BadGroupSizes, BadParameters, BadShape, MissingHole
+from tforge.errors import (
+    BadGroupSizes,
+    BadParameters,
+    BadShape,
+    MissingColoring,
+    MissingHole,
+    NoSingletonPoint,
+)
 
 
 def _freq_in_row(g: DesignGrid, r) -> Counter:
@@ -375,3 +385,79 @@ def verify_auto(g: DesignGrid) -> VerifyReport:
     if g.special is not None:
         rep.merge(verify_special(g))
     return rep
+
+
+# ---------------------------------------------------------------------------
+# colour checks
+
+
+def verify_coloring(g: DesignGrid, c_colors: int, want_pi: bool = False) -> VerifyReport:
+    """Same-color blocks in a row are disjoint; optionally find a Π witness row."""
+    if g.colors is None:
+        raise MissingColoring("grid carries no coloring")
+    rep = VerifyReport()
+    missing = ["cell (%s,%s) uncolored" % (rc[0], rc[1]) for rc, _ in g.sorted_cells()
+               if rc not in g.colors]
+    rep.add("cells-colored", missing)
+    range_bad = ["cell (%s,%s) color %d out of range" % (rc[0], rc[1], col)
+                 for rc, col in sorted(g.colors.items()) if not 0 <= col < c_colors]
+    rep.add("colors-in-range", range_bad)
+    dis_bad = []
+    for r in g.rows:
+        by_color = defaultdict(list)
+        for rc, b in g.row_cells(r):
+            by_color[g.colors.get(rc)].append(b)
+        for col, bs in sorted(by_color.items(), key=lambda kv: (kv[0] is None, kv[0])):
+            cnt = Counter(p for b in bs for p in b)
+            for p, k in sorted(cnt.items()):
+                if k > 1:
+                    dis_bad.append("row %s color %s: %s in %d blocks"
+                                   % (r, col, format_point(p), k))
+    rep.add("row-color-disjoint", dis_bad)
+    if want_pi:
+        if pi_witness_row(g, c_colors) is None:
+            rep.add("pi-witness-row", ["no row has a witness for every color"])
+        else:
+            rep.add("pi-witness-row", [])
+    return rep
+
+
+def pi_witness_row(g: DesignGrid, c_colors: int):
+    """First row with a witness point per color, as (row, {color: point})."""
+    for r in g.rows:
+        wit = {}
+        for col in range(c_colors):
+            covered = set()
+            for rc, b in g.row_cells(r):
+                if g.colors.get(rc) == col:
+                    covered.update(b)
+            free = [p for p in g.points if p not in covered]
+            if not free:
+                break
+            wit[col] = free[0]
+        else:
+            return r, wit
+    return None
+
+
+def promote_coloring(g: DesignGrid) -> DesignGrid:
+    """Recolor one block of the first row to gain a color and property Π.
+
+    Input must carry k-1 colors for block size k; the recolored block is the
+    one holding the least point that appears exactly once in the first row.
+    """
+    if g.colors is None:
+        raise MissingColoring("grid carries no coloring")
+    if len(g.k_set) != 1:
+        raise BadParameters("promote needs a single block size")
+    k = g.k_set[0]
+    used = sorted(set(g.colors.values()))
+    if len(used) != k - 1:
+        raise BadParameters("expected %d colors, found %d" % (k - 1, len(used)))
+    r0 = g.rows[0]
+    cnt = Counter(p for b in g.row_blocks(r0) for p in b)
+    singles = sorted(p for p, c in cnt.items() if c == 1)
+    if not singles:
+        raise NoSingletonPoint("no point appears exactly once in the first row")
+    target = next(rc for rc, b in g.row_cells(r0) if singles[0] in b)
+    return dataclasses.replace(g, colors={**g.colors, target: k - 1})

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from conftest import relabel
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -476,3 +478,14 @@ def test_code_file_repeated_label_exit_2(tmp_path):
     path.write_text(json.dumps(dict(obj, labels=["1", "a", "a"])))
     for command in (("verify",), ("code", "stats")):
         _assert_exit_2(path, 'code label "a" is repeated', *command)
+
+
+@pytest.mark.parametrize("axis", ["rows", "cols"])
+@pytest.mark.parametrize("label", [7, 1.5, True, None])
+def test_frame_with_a_non_string_label_verifies(tmp_path, axis, label):
+    obj = json.loads((ROOT / "fixtures" / "fig8_frgbtd_6_6.json").read_text())
+    path = tmp_path / "fig8.json"
+    path.write_text(json.dumps(relabel(obj, axis, "1", label)))
+    res = run_cli("verify", str(path))
+    assert res.returncode == 0, res.stderr
+    assert "frame-partitions       ok" in res.stdout

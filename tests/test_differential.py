@@ -3,10 +3,12 @@
 Every base array and every mutant must give a byte-identical ``describe()``
 (or raise the same error) under tforge.designs and tests/oracle_verify.py,
 and every fq, found and mutant starter under tforge.starters and
-tests/oracle_starters.py.  An Incidence must hold the counts of a plain
-per-cell recount.  The template emitters must print the bytes of
-json.dumps, and the indexed develops the cells and colors of the
-translate_block develops, of tests/oracle_develop.py.
+tests/oracle_starters.py.  The colour checks and promote_coloring must
+agree with the oracle's on coloured arrays and their mutants.  An Incidence
+must hold the counts and per-row cells of a plain per-cell recount.  The
+template emitters must print the bytes of json.dumps, and the indexed
+develops the cells and colors of the translate_block develops, of
+tests/oracle_develop.py.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ import itertools
 import pathlib
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +32,7 @@ from tforge.algebra import (
     cyclic,
     difference_list,
     factor_prime_power,
+    format_point,
     fpoint,
     gf_build,
     ipoint,
@@ -36,7 +40,7 @@ from tforge.algebra import (
 from tforge.codes import Code, dumps_code, gbtp_to_code
 from tforge.constructions import build_td, drtd_from_td, load_recipe, run_recipe
 from tforge.errors import MalformedGrid, TforgeError
-from tforge.search import search_starter
+from tforge.search import search_coloring, search_starter
 from tforge.starters import (
     build_fq_gbtd_starter,
     build_frgbtd_6_8,
@@ -154,6 +158,112 @@ def test_pair_twice_in_a_column_agrees_with_oracle():
 @given(kind=st.sampled_from(MUTATIONS), seed=st.integers(0, 2 ** 32 - 1))
 def test_mutants_agree_with_oracle(name, kind, seed):
     assert_same(mutate(base(name), kind, random.Random(seed)))
+
+
+# ---------------------------------------------------------------------------
+# colour checks against the row-scanning oracle
+
+COLORED = tuple(f.split(".")[0] for f in FIXTURES) + ("fq7", "fq13", "fq19")
+
+
+def coloring_report(verify, g, c_colors, want_pi):
+    """describe() with every witness drawn, the colors-in-range ones sorted:
+    the program lists them row-major, the oracle in label order."""
+    try:
+        with mock.patch.object(designs, "MAX_WITNESSES", 10 ** 9):
+            rep = verify(g, c_colors, want_pi)
+            for cond in rep.conditions:
+                if cond.cid == "colors-in-range":
+                    cond.witnesses.sort()
+            return rep.describe()
+    except TforgeError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def promoted(promote, g):
+    try:
+        return designs.dumps_grid(promote(g))
+    except TforgeError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def assert_same_coloring(g, c_colors, want_pi):
+    assert (coloring_report(designs.verify_coloring, g, c_colors, want_pi)
+            == coloring_report(oracle.verify_coloring, g, c_colors, want_pi))
+    if g.colors is not None:
+        assert designs.pi_witness_row(g, c_colors) == oracle.pi_witness_row(g, c_colors)
+    assert promoted(designs.promote_coloring, g) == promoted(oracle.promote_coloring, g)
+
+
+@functools.cache
+def colored(name, colors, want_pi):
+    """Base `name` with its own colours when colors is 0, else search_coloring's."""
+    g = base(name)
+    if colors:
+        res = search_coloring(g, colors, want_pi)
+        g = dataclasses.replace(g, colors=res.colors)
+    return g
+
+
+@pytest.mark.parametrize("name", COLORED)
+def test_colorings_agree_with_oracle(name):
+    for colors, want_pi in [(0, False)] + list(itertools.product((1, 2, 3), (False, True))):
+        g = colored(name, colors, want_pi)
+        for c_colors in (1, 2, 3):
+            for pi in (False, True):
+                assert_same_coloring(g, c_colors, pi)
+
+
+def test_stray_points_go_by_point_not_index():
+    """A stray point is indexed after the listed ones but sorts before them
+    here: it heads the row-color-disjoint witnesses of its row and colour,
+    and promote recolors the block holding it."""
+    g = base("fig3_gbtd_3_9")
+    stray = fpoint(-1, 0)
+    a, b = sorted(rc for rc in g.cells if rc[0] == g.rows[0] and g.colors[rc] == 0)[:2]
+    (_, a1, a2), (_, _, b2) = g.cells[a], g.cells[b]
+    once = dataclasses.replace(g, cells={**g.cells, a: block([stray, a1, a2])})
+    twice = dataclasses.replace(once, cells={**once.cells, b: block([stray, a1, b2])})
+    assert once.incidence.index[stray] == twice.incidence.index[stray] == g.v
+    assert designs.promote_coloring(once).colors[a] == 2
+    rep = designs.verify_coloring(twice, 3)
+    assert rep.conditions[2].witnesses == ["row %s color 0: %s in 2 blocks" % (g.rows[0], p)
+                                           for p in ("-1_0", format_point(a1))]
+    for h in (once, twice):
+        assert_same_coloring(h, 3, True)
+
+
+@st.composite
+def coloring_mutants(draw):
+    """A coloured base with 1-4 edits: a cell recoloured from -1 to 3, a
+    cell uncoloured, a point moved to another listed point or to a stray
+    one, or a cell dropped with its colour kept."""
+    g = colored(draw(st.sampled_from(COLORED)), draw(st.integers(0, 3)), draw(st.booleans()))
+    cells, colors = dict(g.cells), dict(g.colors or {})
+    keys = sorted(cells)
+    for _ in range(draw(st.integers(1, 4))):
+        rc = draw(st.sampled_from(keys))
+        edit = draw(st.sampled_from(("recolor", "uncolor", "move", "stray", "drop")))
+        b = list(cells.get(rc, ()))
+        if edit == "recolor":
+            colors[rc] = draw(st.integers(-1, 3))
+        elif edit == "uncolor":
+            colors.pop(rc, None)
+        elif edit == "drop":
+            cells.pop(rc, None)
+        elif b:
+            pool = [STRAY, ipoint(-1)] if edit == "stray" else list(g.points)
+            new = draw(st.sampled_from(pool))
+            if new not in b:
+                b[draw(st.integers(0, len(b) - 1))] = new
+                cells[rc] = block(b)
+    return dataclasses.replace(g, cells=cells, colors=colors or None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coloring_mutants(), st.integers(1, 3), st.booleans())
+def test_coloring_mutants_agree_with_oracle(g, c_colors, want_pi):
+    assert_same_coloring(g, c_colors, want_pi)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +564,14 @@ def recount_cells(g, dropped=None):
             for rc, b in g.cells.items() if rc != dropped]
 
 
+def recount_by_row(g, dropped=None):
+    """Incidence.by_row as documented: per row, (column index, cell, point
+    indices) of its cells in column order."""
+    cells = dict(recount_cells(g, dropped))
+    return [[(j, (r, c), cells[(r, c)][2]) for j, c in enumerate(g.cols) if (r, c) in cells]
+            for r in g.rows]
+
+
 @settings(max_examples=300, deadline=None)
 @given(incidence_grids(), st.data())
 def test_incidence_matches_recount(g, data):
@@ -463,10 +581,12 @@ def test_incidence_matches_recount(g, data):
     read_first = data.draw(st.booleans())  # cells read before the drop, or only after
     if read_first:
         assert list(inc.cells.items()) == recount_cells(g)
+        assert inc.by_row == recount_by_row(g)
     if g.cells:
         rc = data.draw(st.sampled_from(sorted(g.cells)))
         less = dataclasses.replace(g, cells={k: b for k, b in g.cells.items() if k != rc})
         derived = inc.without(less, rc)
         assert incidence_counts(derived) == recount(g, rc)
         assert list(derived.cells.items()) == recount_cells(g, rc)
+        assert derived.by_row == recount_by_row(g, rc)
         assert incidence_counts(inc) == recount(g)  # the parent's counts stay as they were

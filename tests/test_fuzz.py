@@ -4,7 +4,9 @@ Each key of a grid, code, starter or search-spec file, at the top level and
 in its nested objects (one cell entry, hole, special, params, group,
 families, colors), and each key of a recipe, its steps and their params, is
 replaced by each JSON type.  tforge must answer every such file with exit
-0, 1 or 2 from ``cli.run``, never an uncaught exception.
+0, 1 or 2 from ``cli.run``, never an uncaught exception.  A row or column
+label that is a number, a boolean or null must leave every exit code as it
+is with a string label.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import LABEL_KEYS, relabel
 from tforge import cli
 from tforge.codes import dumps_code, gbtp_to_code
 from tforge.designs import dumps_grid, load_grid
@@ -133,3 +136,40 @@ def test_any_json_value_at_any_key_exits_cleanly(name, data, value):
     path = data.draw(st.sampled_from(list(key_paths(json.loads(text)))))
     for args in COMMANDS[kind]:
         assert run(args, replaced(text, path, value)) in (0, 1, 2), (path, value, args)
+
+
+FIXTURES = ("fig1.json", "fig2_rbibd_15.json", "fig3_gbtd_3_9.json",
+            "fig7_igbtp_29.json", "fig8_frgbtd_6_6.json")
+LABELS = (7, 1.5, True, None)  # JSON scalars that are not strings
+
+
+def first_label(obj: dict, axis: str):
+    """The special cell's row or column label, else the first one listed."""
+    return obj.get("special", {}).get(LABEL_KEYS[axis][0], obj[axis][0])
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("axis", ("rows", "cols"))
+def test_non_string_labels_exit_as_string_ones(name, axis):
+    text = (ROOT / "fixtures" / name).read_text()
+    obj = json.loads(text)
+    for args in COMMANDS["grid"]:
+        want = run(args, text)
+        for label in LABELS:
+            changed = relabel(obj, axis, first_label(obj, axis), label)
+            assert run(args, json.dumps(changed)) == want, (args, label)
+
+
+def test_tripling_derive_with_a_numeric_row_label(tmp_path):
+    """promote -> drtd(3, 27) -> tripling on fig3 with row "3" renamed 3: the
+    tripled grid is the one the unmodified fixture gives."""
+    recipe = json.loads((ROOT / "recipes" / "gbtd_3_27.json").read_text())
+    fig3 = json.loads((ROOT / "fixtures" / "fig3_gbtd_3_9.json").read_text())
+    for name, obj in (("plain", fig3), ("mixed", relabel(fig3, "rows", "3", 3))):
+        (tmp_path / (name + ".json")).write_text(json.dumps(obj))
+        recipe["steps"][0]["in"] = [name + ".json"]
+        (tmp_path / "recipe.json").write_text(json.dumps(recipe))
+        args = ("derive", str(tmp_path / "recipe.json"), "--out-dir", str(tmp_path / name))
+        assert run(args, "") == 0
+    assert ((tmp_path / "mixed" / "gbtd_3_27.json").read_bytes()
+            == (tmp_path / "plain" / "gbtd_3_27.json").read_bytes())

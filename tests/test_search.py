@@ -5,7 +5,9 @@ import pytest
 from tforge.codes import dumps_code, gbtp_to_code, hamming, is_equitable, min_distance
 from tforge.designs import dumps_grid, verify_auto, verify_coloring
 from tforge.errors import BadKind, BudgetZero, InconsistentParams
+from tforge import search
 from tforge.search import (
+    DEFAULT_BUDGET,
     Budget,
     _z3_witness_classes,
     arrange_resolution,
@@ -174,6 +176,23 @@ def test_arrange_resolution_witness_ticks():
     g = arrange_resolution(_z3_witness_classes(), 6, 9, budget=244_166)
     assert g is not None
     assert _sha(dumps_code(gbtp_to_code(g))) == (
+        "e6ca9bcf762b1d5d3fe7590fc7d3b192b2a5b490a4321f805bb87c502f09cd68")
+
+
+def test_witness_ignores_tforge_budget(monkeypatch):
+    # a fixed construction: a low TFORGE_BUDGET neither stops nor shortens it
+    made = []
+
+    class Recorded(Budget):
+        def __init__(self, limit=None):
+            super().__init__(limit)
+            made.append(self)
+
+    monkeypatch.setenv("TFORGE_BUDGET", "1000")
+    monkeypatch.setattr(search, "Budget", Recorded)
+    code = eswc_witness(9, 8, 6, 14)
+    assert [(b.limit, b.used) for b in made] == [(DEFAULT_BUDGET, 244_166)]
+    assert _sha(dumps_code(code)) == (
         "e6ca9bcf762b1d5d3fe7590fc7d3b192b2a5b490a4321f805bb87c502f09cd68")
 
 
