@@ -6,9 +6,10 @@
 Each pair runs the benchmark once in each checkout, one process at a time,
 alternating which side goes first.  Both checkouts run their own copy of
 perfbench/ and src/; the benchmark settings are the same on both sides.
-Before the first pair, src/ and perfbench/ are byte-compiled in both
-checkouts with the interpreter that runs the pairs, so neither side's
-set-up imports from source while the other's reads cached bytecode.
+Before the first pair, the cached bytecode under src/ and perfbench/ is
+removed in both checkouts, and every run has PYTHONDONTWRITEBYTECODE=1, so
+both sides import from source on every run, as a fresh checkout's first
+run does.
 Untraced pairs (--trace 0) give the end-to-end metrics, traced pairs
 (--trace 1) the per-layer ones.  The output holds, per workload and metric,
 every run, each side's median and quartiles, and how many pairs the change
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -36,15 +39,17 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     report, result = (json.loads(line) for line in out.stdout.strip().splitlines()[-2:])
     return dict(result, env=report["env"], op_seconds=report["op_seconds"])
 
 
-def compile_tree(checkout: Path) -> None:
-    """Byte-compile the checkout's src/ and perfbench/ with this interpreter."""
-    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
-                   cwd=checkout, check=True)
+def clear_bytecode(checkout: Path) -> None:
+    """Remove the cached bytecode under the checkout's src/ and perfbench/."""
+    for sub in ("src", "perfbench"):
+        for cache in list((checkout / sub).rglob("__pycache__")):
+            shutil.rmtree(cache)
 
 
 def quartiles(xs: list) -> tuple:
@@ -139,7 +144,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     report = {"seed": args.seed, "seconds": args.seconds, "workloads": {}}
     for checkout in (args.parent, args.change):
-        compile_tree(checkout)
+        clear_bytecode(checkout)
     for workload in args.workload:
         entry = report["workloads"][workload] = {}
         for key, count, trace in (("end_to_end", args.pairs, 0),

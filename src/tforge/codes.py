@@ -9,11 +9,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .algebra import block
-from .designs import DesignGrid, check_keys, json_value, verify_gbtp
+from .designs import DesignGrid, check_keys, first_repeat, json_value, verify_gbtp
 from .errors import (
     DistanceTooSmall,
     InconsistentParams,
@@ -317,9 +317,11 @@ def code_from_obj(obj: dict) -> Code:
                                or any(isinstance(x, (list, dict)) for x in labels)):
         raise MalformedCode("code 'labels' must be a list of q=%d labels, none a list or object"
                             % obj["q"])
-    for x, k in Counter(labels or ()).items():
-        if k > 1:
-            raise MalformedCode("code label %s is repeated" % json.dumps(x))
+    pair = first_repeat(labels or ())
+    if pair is not None:
+        first, again = map(json.dumps, pair)
+        raise MalformedCode("code label %s is repeated" % first if first == again else
+                            "code labels %s and %s compare equal" % (first, again))
     return Code(obj["q"], obj["n"], tuple(tuple(w) for w in obj["words"]),
                 None if labels is None else tuple(labels))
 

@@ -733,10 +733,21 @@ def check_keys(obj, keys, what: str, error) -> None:
         raise error("%s has no %s" % (what, ", ".join(repr(k) for k in missing)))
 
 
+def first_repeat(labels):
+    """(first, again): the first label that an equal label follows, and the first
+    such label, or None.  Labels equal as keys, as 1, 1.0 and true are, repeat."""
+    equal: dict = {}
+    for x in labels:
+        equal.setdefault(x, []).append(x)
+    return next(((xs[0], xs[1]) for xs in equal.values() if len(xs) > 1), None)
+
+
 def _check_distinct(labels, what: str) -> None:
-    twice = [x for x, k in Counter(labels).items() if k > 1]
-    if twice:
-        raise MalformedGrid("%s lists %s twice" % (what, twice[0]))
+    pair = first_repeat(labels)
+    if pair is not None:
+        first, again = map(json.dumps, pair)
+        raise MalformedGrid("%s lists %s twice" % (what, pair[0]) if first == again else
+                            "%s lists %s and %s, which compare equal" % (what, first, again))
 
 
 def _head_obj(g: DesignGrid, label) -> dict:

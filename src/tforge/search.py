@@ -843,12 +843,13 @@ def _covers(bud: Budget, led: _Ledger, options, primary: int, chosen: list, prun
     flat = [o for anchored in options for o in anchored]
     start = list(itertools.accumulate(map(len, options), initial=0))
     full = [(1 << len(anchored)) - 1 for anchored in options]
-    # holders[bit]: the flat options that name the item at that bit, read off
-    # the columns of the option masks written out in binary, one row each
-    width = max((mask.bit_length() for _label, mask, _opt in flat), default=0)
-    rows = [format(mask, "0%db" % width) for _label, mask, _opt in flat]
-    holders = {1 << width - 1 - j: int("".join(col)[::-1], 2)
-               for j, col in enumerate(zip(*rows)) if "1" in col}
+    # holders[bit]: the flat options that name the item at that bit
+    holders: dict = {}
+    for i, (_label, mask, _opt) in enumerate(flat):
+        while mask:
+            low = mask & -mask
+            holders[low] = holders.get(low, 0) | 1 << i
+            mask ^= low
     everything = (1 << len(flat)) - 1
     keep: list = [None] * len(flat)  # each filled when its option is first chosen
 

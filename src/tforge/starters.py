@@ -18,7 +18,6 @@ from .algebra import (
     AbelianGroup,
     block,
     cyclic,
-    difference_list,
     elem_label,
     factor_prime_power,
     format_point,
@@ -27,7 +26,6 @@ from .algebra import (
     ipoint,
     is_finite,
     parse_point,
-    translate_block,
 )
 from .designs import DesignGrid, VerifyReport, check_keys
 from .errors import MalformedStarter, NotOneMod6, NotPrimePower, StarterInvalid
@@ -84,22 +82,15 @@ class GbtdStarter:
         return self.group.order
 
 
-def _counter_eq(rep, cid, got: Counter, want: Counter):
-    bad = []
-    for k in sorted(set(got) | set(want)):
-        if got.get(k, 0) != want.get(k, 0):
-            bad.append("%r: got %d want %d" % (k, got.get(k, 0), want.get(k, 0)))
-    rep.add(cid, bad)
-
-
 def _located(g: AbelianGroup, blocks) -> list:
-    """Each block's points, all finite, as (element position, copy), positions in
-    the sorted element order of `g.addition`.  A point's element is looked
-    up once; only one that is not a canonical element goes through
+    """Each block's points as (position, copy).  A finite point sits at its
+    element's position in the sorted element order of `g.addition`, and the
+    infinite point inf<i> at |g| + i, after every element.  A point's element
+    is looked up once; only one that is not a canonical element goes through
     `g.check`, which rejects a wrong arity and reduces the residues."""
     index = g.addition[1]
-    return [[(x if (x := index.get(p[1])) is not None else index[g.check(p[1])], p[2])
-             for p in b] for b in blocks]
+    return [[((x if (x := index.get(p[1])) is not None else index[g.check(p[1])])
+              if p[0] == 0 else len(index) + p[1][0], p[2]) for p in b] for b in blocks]
 
 
 def _difference_counts(g: AbelianGroup, located, copies: int) -> list:
@@ -118,10 +109,18 @@ def _difference_counts(g: AbelianGroup, located, copies: int) -> list:
 
 
 def _count_condition(rep, cid, keys, got: list, want: list) -> None:
-    """got against want, key by key in sorted key order: the witnesses of
-    `_counter_eq` for the same counts held in Counters."""
+    """got against want, key by key in sorted key order: for every key whose
+    counts differ, the witness "key: got k want w"."""
     rep.add(cid, [] if got == want else ["%r: got %d want %d" % (key, k, w)
                                          for key, k, w in zip(keys, got, want) if k != w])
+
+
+def _tally(size: int, slots) -> list:
+    """How often each of 0..size-1 occurs in slots."""
+    counts = [0] * size
+    for x in slots:
+        counts[x] += 1
+    return counts
 
 
 def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
@@ -158,10 +157,7 @@ def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
         _count_condition(rep, "mixed-diffs-%d%d" % (i, j), elems,
                          counts[slot * m:(slot + 1) * m], [1] * m)
 
-    cover = [0] * (3 * m)
-    for b in located_a:
-        for x, c in b:
-            cover[3 * x + c] += 1
+    cover = _tally(3 * m, (3 * x + c for b in located_a for x, c in b))
     _count_condition(rep, "a-cover", [fpoint(e, c) for e in elems for c in range(3)],
                      cover, [1] * (3 * m))
 
@@ -175,10 +171,7 @@ def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
     shifted = [[3 * table[x][neg[index[alpha]]] + c for x, c in b]
                for alpha, b in zip(alphas, located_a)]
     shifted += [[3 * x + c for x, c in b] for b in located_b]
-    r = [0] * (3 * m)
-    for b in shifted:
-        for xc in b:
-            r[xc] += 1
+    r = _tally(3 * m, itertools.chain.from_iterable(shifted))
     r_bad = []
     if not 1 <= min(r) <= max(r) <= 2:
         for e in g.elements():
@@ -317,6 +310,44 @@ class IgbtpStarterZ2:
         return AbelianGroup((self.m, 2))
 
 
+def _plain_counts(g: AbelianGroup, located) -> list:
+    """`difference_list(blocks, g, "plain")` by position: the differences of
+    the finite points of each block, whatever their copies."""
+    order = len(g.addition[0])
+    return _difference_counts(g, [[(x, 0) for x, _ in b if x < order] for b in located], 1)
+
+
+def _point(elems, x: int, copy: int) -> tuple:
+    """The point that `_located` places at position x, with that copy."""
+    return (0, elems[x], copy) if x < len(elems) else (1, (x - len(elems),), copy)
+
+
+def _holed_cover(rep, cid, g: AbelianGroup, located, w: int) -> None:
+    """Every element and inf1..inf<w> once, at no copy, among the located points,
+    counted in a Counter, as a starter file may name any copy or infinite point."""
+    elems = g.addition[0]
+    cover = Counter(pt for b in located for pt in b)
+    wanted = {(x, -1) for x in range(len(elems) + w + 1) if x != len(elems)}
+    keys = sorted(cover.keys() | wanted)
+    _count_condition(rep, cid, (_point(elems, x, c) for x, c in keys),
+                     [cover[k] for k in keys], [int(k in wanted) for k in keys])
+
+
+def _holed_rows(g: AbelianGroup, w: int, seeds, moves, name: str) -> list:
+    """Witnesses that an element or one of inf1..inf<w> is in the row multiset
+    `name` other than once or twice.  It holds each seed that is an element,
+    and each located block b of moves, pairs (b, beta), moved by the element
+    at beta; an infinite point stays, and a copied one is not counted."""
+    elems, index, table, _ = g.addition
+    size = len(elems) + w + 1
+    stay = list(range(len(elems), size))
+    shift = {beta: table[beta] + stay for _, beta in moves}
+    r = _tally(size, [index[e] for e in seeds if e in index]
+               + [shift[beta][x] for b, beta in moves for x, c in b if c == -1 and x < size])
+    return ["%s appears %d times in %s" % (format_point(_point(elems, x, -1)), r[x], name)
+            for x in [*map(index.__getitem__, g.elements()), *stay[1:]] if r[x] not in (1, 2)]
+
+
 def verify_igbtp_z2_starter(s: IgbtpStarterZ2) -> VerifyReport:
     rep = VerifyReport()
     g = s.group
@@ -344,9 +375,12 @@ def verify_igbtp_z2_starter(s: IgbtpStarterZ2) -> VerifyReport:
     if m < 11:
         rep.conditions[-1].detail = "m < 11 is outside the stated range"
 
-    blocks = list(s.blocks_a) + list(s.blocks_b) + list(s.blocks_c)
-    want = Counter({e: 1 for e in g.elements() if e not in ((0, 0), (0, 1))})
-    _counter_eq(rep, "difference-list", difference_list(blocks, g, "plain"), want)
+    elems, _, _, neg = g.addition
+    located = _located(g, [*s.blocks_a, *s.blocks_b, *s.blocks_c])
+    located_a, located_c = located[:len(s.blocks_a)], located[-m:]
+    # every element but (0, 0) and (0, 1), at positions 0 and 1
+    _count_condition(rep, "difference-list", elems, _plain_counts(g, located),
+                     [0, 0] + [1] * (len(elems) - 2))
 
     a_bad = []
     for i, b in enumerate(s.blocks_a, start=1):
@@ -354,11 +388,7 @@ def verify_igbtp_z2_starter(s: IgbtpStarterZ2) -> VerifyReport:
             a_bad.append("A_%d does not meet both parities" % i)
     rep.add("a-parities", a_bad)
 
-    cover = Counter(p for b in list(s.blocks_b) + list(s.blocks_c) for p in b)
-    want_pts = Counter({fpoint(e): 1 for e in g.elements()})
-    for i in range(1, w + 1):
-        want_pts[ipoint(i)] = 1
-    _counter_eq(rep, "bc-cover", cover, want_pts)
+    _holed_cover(rep, "bc-cover", g, located[len(s.blocks_a):], w)
 
     c_bad = []
     for i, b in enumerate(s.blocks_c):
@@ -366,23 +396,11 @@ def verify_igbtp_z2_starter(s: IgbtpStarterZ2) -> VerifyReport:
             c_bad.append("C_%d has two infinite points" % i)
     rep.add("c-one-infinite", c_bad)
 
-    r = Counter()
-    for p in (fpoint((0, 0)), fpoint((0, 1))):
-        r[p] += 1
-    for b in s.blocks_a:
-        for j in (0, 1):
-            for p in translate_block(b, (0, j), g):
-                r[p] += 1
-    for i, b in enumerate(s.blocks_c):
-        for j in (0, 1):
-            for p in translate_block(b, g.neg((i, j)), g):
-                r[p] += 1
-    r_bad = []
-    for p in [fpoint(e) for e in g.elements()] + [ipoint(i) for i in range(1, w + 1)]:
-        k = r.get(p, 0)
-        if k not in (1, 2):
-            r_bad.append("%s appears %d times in R" % (format_point(p), k))
-    rep.add("row-multiset", r_bad)
+    # R: (0, 0) and (0, 1), each A block moved by both, and C_i moved by
+    # -(i, j); the element (i, j) sits at position 2i + j
+    moves = [(b, j) for b in located_a for j in (0, 1)]
+    moves += [(b, neg[2 * i + j]) for i, b in enumerate(located_c) for j in (0, 1)]
+    rep.add("row-multiset", _holed_rows(g, w, ((0, 0), (0, 1)), moves, "R"))
     return rep
 
 
@@ -435,34 +453,6 @@ class IgbtpStarterZ4:
         return AbelianGroup((self.m, 4))
 
 
-def _z4_r_multisets(s: IgbtpStarterZ4):
-    g = s.group
-    m, x, y = s.m, s.x, s.y
-    r_o = Counter()
-    r_b = Counter()
-    for p in (fpoint((0, 0)), fpoint((0, 1)), fpoint((x, 0)), fpoint((x, 2)),
-              fpoint((y, 0)), fpoint((y, 3))):
-        r_o[p] += 1
-    for p in (fpoint((0, 2)), fpoint((0, 3)), fpoint((x, 1)), fpoint((x, 3)),
-              fpoint((y, 1)), fpoint((y, 2))):
-        r_b[p] += 1
-    for j, tgt in ((0, r_o), (2, r_o), (1, r_b), (3, r_b)):
-        for p in translate_block(s.block_a, (0, j), g):
-            tgt[p] += 1
-    for i in range(m):
-        for j in (0, 2):
-            for p in translate_block(s.blocks_c[i], g.neg((i, j)), g):
-                r_o[p] += 1
-            for p in translate_block(s.blocks_d[i], g.neg((i, j)), g):
-                r_b[p] += 1
-        for j in (1, 3):
-            for p in translate_block(s.blocks_c[i], g.neg((i, j)), g):
-                r_b[p] += 1
-            for p in translate_block(s.blocks_d[i], g.neg((i, j)), g):
-                r_o[p] += 1
-    return r_o, r_b
-
-
 def verify_igbtp_z4_starter(s: IgbtpStarterZ4) -> VerifyReport:
     rep = VerifyReport()
     g = s.group
@@ -486,21 +476,19 @@ def verify_igbtp_z4_starter(s: IgbtpStarterZ4) -> VerifyReport:
     if shape_bad:
         return rep
 
-    blocks = [s.block_a] + list(s.blocks_b) + list(s.blocks_c) + list(s.blocks_d)
-    want = Counter({e: 1 for e in g.elements() if e[0] != 0})
-    _counter_eq(rep, "difference-list", difference_list(blocks, g, "plain"), want)
+    elems, _, _, neg = g.addition
+    located = _located(g, [s.block_a, *s.blocks_b, *s.blocks_c, *s.blocks_d])
+    located_c, located_d = located[5:5 + m], located[5 + m:]
+    # every element off the subgroup 0 x Z_4, which sits at positions 0..3
+    _count_condition(rep, "difference-list", elems, _plain_counts(g, located),
+                     [0] * 4 + [1] * (len(elems) - 4))
 
     a_bad = []
     if any(not is_finite(p) for p in s.block_a) or {p[1][1] for p in s.block_a} != {0, 2}:
         a_bad.append("A must meet parities 0 and 2")
     rep.add("a-parities", a_bad)
 
-    cover = Counter(p for b in list(s.blocks_b) + list(s.blocks_c) + list(s.blocks_d)
-                    for p in b)
-    want_pts = Counter({fpoint(e): 1 for e in g.elements()})
-    for i in range(1, 10):
-        want_pts[ipoint(i)] = 1
-    _counter_eq(rep, "bcd-cover", cover, want_pts)
+    _holed_cover(rep, "bcd-cover", g, located[1:], 9)
 
     cd_bad = []
     for name, fam in (("C", s.blocks_c), ("D", s.blocks_d)):
@@ -509,14 +497,16 @@ def verify_igbtp_z4_starter(s: IgbtpStarterZ4) -> VerifyReport:
                 cd_bad.append("%s_%d has two infinite points" % (name, i))
     rep.add("cd-one-infinite", cd_bad)
 
-    r_o, r_b = _z4_r_multisets(s)
+    # R_o and R_b: six seeds each, A moved by (0, j), and C_i and D_i by -(i, j),
+    # j of one parity or the other; the element (i, j) sits at position 4i + j
     r_bad = []
-    universe = [fpoint(e) for e in g.elements()] + [ipoint(i) for i in range(1, 10)]
-    for tag, r in (("o", r_o), ("b", r_b)):
-        for p in universe:
-            k = r.get(p, 0)
-            if k not in (1, 2):
-                r_bad.append("%s appears %d times in R_%s" % (format_point(p), k, tag))
+    for tag, seeds, ours, theirs in (
+            ("o", ((0, 0), (0, 1), (s.x, 0), (s.x, 2), (s.y, 0), (s.y, 3)), (0, 2), (1, 3)),
+            ("b", ((0, 2), (0, 3), (s.x, 1), (s.x, 3), (s.y, 1), (s.y, 2)), (1, 3), (0, 2))):
+        moves = [(located[0], j) for j in ours]
+        for i, (c, d) in enumerate(zip(located_c, located_d)):
+            moves += [(c, neg[4 * i + j]) for j in ours] + [(d, neg[4 * i + j]) for j in theirs]
+        r_bad += _holed_rows(g, 9, seeds, moves, "R_" + tag)
     rep.add("row-multisets", r_bad)
     return rep
 
@@ -601,27 +591,19 @@ def verify_frgbtd_starter(s: FrGbtdStarter) -> VerifyReport:
                       ("mixed-diffs-10", 2)):
         _count_condition(rep, cid, elems, counts[3 * t * slot:3 * t * (slot + 1)], want)
 
-    cover = [0] * (6 * t)
-    for b in located:
-        for x, c in b:
-            cover[2 * x + c] += 1
+    cover = _tally(6 * t, (2 * x + c for b in located for x, c in b))
     _count_condition(rep, "cover", [fpoint(e, c) for e in elems for c in range(2)],
                      cover, [w for w in want for _ in range(2)])
 
+    # R_j: block (i, j), at 2(i - 1) + j in located, moved by -i, mod t; residue
+    # res of copy c at 2 res + c
     r_bad = []
     for j in (0, 1):
-        r = Counter()
-        for i in range(1, t):
-            for p in s.blocks[(i, j)]:
-                r[((p[1][0] - i) % t, p[2])] += 1
-        for (res, c), k in sorted(r.items()):
-            if res == 0:
-                r_bad.append("R_%d hits the zero residue (copy %d)" % (j, c))
-        for res in range(1, t):
-            for c in range(2):
-                k = r.get((res, c), 0)
-                if k not in (1, 2):
-                    r_bad.append("R_%d: residue %d copy %d appears %d times" % (j, res, c, k))
+        r = _tally(2 * t, (2 * ((x - i) % t) + c
+                           for i in range(1, t) for x, c in located[2 * (i - 1) + j]))
+        r_bad += ["R_%d hits the zero residue (copy %d)" % (j, c) for c in range(2) if r[c]]
+        r_bad += ["R_%d: residue %d copy %d appears %d times" % (j, xc // 2, xc % 2, k)
+                  for xc, k in enumerate(r[2:], start=2) if k not in (1, 2)]
     rep.add("row-multisets", r_bad)
     return rep
 

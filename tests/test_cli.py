@@ -480,6 +480,37 @@ def test_code_file_repeated_label_exit_2(tmp_path):
         _assert_exit_2(path, 'code label "a" is repeated', *command)
 
 
+@pytest.mark.parametrize("labels,entry", [
+    ([1, True, "x"], "code labels 1 and true compare equal"),
+    ([1, 1.0, "x"], "code labels 1 and 1.0 compare equal"),
+    ([0, False, "x"], "code labels 0 and false compare equal"),
+    ([1, "x", 1], "code label 1 is repeated"),
+])
+def test_code_file_equal_labels_exit_2(tmp_path, labels, entry):
+    from tforge.codes import dumps_code, gbtp_to_code
+    from tforge.designs import load_grid
+
+    obj = json.loads(dumps_code(gbtp_to_code(load_grid(ROOT / "fixtures" / "fig1.json"))))
+    path = tmp_path / "equal.json"
+    path.write_text(json.dumps(dict(obj, labels=labels)))
+    for command in (("verify",), ("code", "stats")):
+        _assert_exit_2(path, entry, *command)
+
+
+@pytest.mark.parametrize("axis", ["rows", "cols"])
+@pytest.mark.parametrize("first,second,entry", [
+    (1, True, "lists 1 and true, which compare equal"),
+    (1, 1.0, "lists 1 and 1.0, which compare equal"),
+    (0, False, "lists 0 and false, which compare equal"),
+    (1, 1, "lists 1 twice"),
+])
+def test_equal_row_or_column_labels_exit_2(tmp_path, axis, first, second, entry):
+    obj = json.loads((ROOT / "fixtures" / "fig1.json").read_text())
+    path = tmp_path / "fig1.json"
+    path.write_text(json.dumps(relabel(relabel(obj, axis, "1", first), axis, "2", second)))
+    _assert_exit_2(path, "error: %s %s\n" % (axis, entry))
+
+
 @pytest.mark.parametrize("axis", ["rows", "cols"])
 @pytest.mark.parametrize("label", [7, 1.5, True, None])
 def test_frame_with_a_non_string_label_verifies(tmp_path, axis, label):

@@ -233,6 +233,15 @@ def test_loader_rejects_what_the_grid_cannot_hold(fig3):
         grid_from_obj(dict(good, points=good["points"] + good["points"][:1]))
 
 
+def test_loader_names_the_first_repeated_label_by_first_place(fig1):
+    # "a" is listed first, so it is named, though "b" repeats sooner
+    obj = dict(grid_to_obj(fig1), cols=["a", "b", "b", "a"], cells=[])
+    with pytest.raises(MalformedGrid, match="^cols lists a twice$"):
+        grid_from_obj(obj)
+    with pytest.raises(MalformedGrid, match="^cols lists 1 and true, which compare equal$"):
+        grid_from_obj(dict(obj, cols=["b", 1, "c", True]))
+
+
 def test_stray_point_stays_a_verifier_condition(fig3):
     obj = grid_to_obj(fig3)
     obj["cells"][0]["block"][0] = "99"

@@ -379,12 +379,17 @@ def test_generated_codes_dump_as_json_dumps(q, n, data):
 # starter verifiers against the difference_list verifiers
 
 FQ_STARTERS = (7, 13, 19, 25, 31, 37, 43, 49)
-FOUND_GBTD = (("gbtd", {"m": 7}), ("gbtd", {"m": 7, "special": True}))
+# found starters by name: the kind and search parameters
+FOUND = {"gbtd-plain": ("gbtd", {"m": 7}), "gbtd-special": ("gbtd", {"m": 7, "special": True}),
+         "igbtp_z2": STARTERS[1], "igbtp_z4": STARTERS[2]}
+# the block families of the incomplete-packing starters; block_a is one block
+HOLED_FAMILIES = {starters.IgbtpStarterZ2: ("blocks_a", "blocks_b", "blocks_c"),
+                  starters.IgbtpStarterZ4: ("block_a", "blocks_b", "blocks_c", "blocks_d")}
 
 
 @functools.cache
-def found_starters(kind, special):
-    params = {"m": 7, "special": True} if special else {"m": 7}
+def found_starters(name):
+    kind, params = FOUND[name]
     return tuple(search_starter(kind, params, budget=2_000_000, count=2).starters)
 
 
@@ -400,9 +405,43 @@ def assert_same_starter(s):
             == starter_outcome(oracle_starters.verify_starter, s))
 
 
+def holed_blocks(s) -> list:
+    """Every block of an incomplete-packing starter, family by family."""
+    return [b for name in HOLED_FAMILIES[type(s)]
+            for b in ([s.block_a] if name == "block_a" else getattr(s, name))]
+
+
+def move_holed_point(s, rng):
+    """s with one point of one block, of any family, moved to another element,
+    onto another of inf1..inf<w>, or onto an infinite point outside them; now
+    and then to an element with a copy index, which no such starter has."""
+    w = getattr(s, "w", 9)
+    name = rng.choice([f for f in HOLED_FAMILIES[type(s)] if getattr(s, f)])
+    fam = [s.block_a] if name == "block_a" else list(getattr(s, name))
+    i = rng.randrange(len(fam))
+    while True:
+        roll = rng.random()
+        if roll < 0.6:
+            new = fpoint(rng.choice(s.group.elements()), 0 if roll < 0.05 else -1)
+        elif roll < 0.85:
+            new = ipoint(rng.randint(1, w))
+        else:
+            new = ipoint(rng.choice((0, w + 1, w + 5)))
+        if new not in fam[i]:
+            break
+    pts = list(fam[i])
+    pts[rng.randrange(len(pts))] = new
+    fam[i] = block(pts)
+    return dataclasses.replace(s, **{name: fam[0] if name == "block_a" else tuple(fam)})
+
+
 def move_point(s, rng):
-    """s with one point of one block moved to another element or copy; now
-    and then to a copy outside the range, which fails the shape."""
+    """s with one point of one block moved.  A triple-system or frame starter's
+    point goes to another element or copy, now and then to a copy outside the
+    range, which fails the shape; an incomplete-packing starter's point goes
+    as `move_holed_point` moves it."""
+    if type(s) in HOLED_FAMILIES:
+        return move_holed_point(s, rng)
     copies = 3 if isinstance(s, starters.GbtdStarter) else 2
     if isinstance(s, starters.GbtdStarter):
         keys = [("A", k) for k in sorted(s.blocks_a)] + [("B", t) for t in range(len(s.blocks_b))]
@@ -433,12 +472,12 @@ def starter_base(name, frgbtd_t5):
         return build_fq_gbtd_starter(int(name[2:]))
     if name == "frgbtd-t5":
         return frgbtd_t5.starters[0]
-    kind, special, i = name.split("-")
-    return found_starters(kind, special == "special")[int(i)]
+    found, i = name.rsplit("-", 1)
+    return found_starters(found)[int(i)]
 
 
 STARTER_BASES = (["fq%d" % q for q in FQ_STARTERS] + ["frgbtd-t5"]
-                 + ["gbtd-plain-0", "gbtd-plain-1", "gbtd-special-0", "gbtd-special-1"])
+                 + ["%s-%d" % (name, i) for name in FOUND for i in range(2)])
 
 
 @pytest.mark.parametrize("name", STARTER_BASES)
@@ -459,6 +498,13 @@ def test_starter_mutants_verify_as_oracle(name, frgbtd_t5, seed, moves):
     assert_same_starter(s)
 
 
+@pytest.mark.parametrize("x,y", [(5, 0), (-1, 2), (3, 12), (1, 4)])
+def test_z4_seeds_off_the_group_verify_as_oracle(x, y):
+    # a seed (x, l) or (y, l) of R_o or R_b with x or y outside 0..m-1 counts for nothing
+    s = found_starters("igbtp_z4")[0]
+    assert_same_starter(dataclasses.replace(s, x=s.x + x, y=s.y + y))
+
+
 @pytest.mark.parametrize("name", STARTER_BASES)
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), moves=st.integers(0, 3))
@@ -467,15 +513,20 @@ def test_difference_counts_equal_difference_list(name, frgbtd_t5, seed, moves):
     s = starter_base(name, frgbtd_t5)
     for _ in range(moves):
         s = move_point(s, rng)
+    g = s.group
+    elems = g.addition[0]
+    if type(s) in HOLED_FAMILIES:  # the plain list, on Z_m x Z_2 or Z_m x Z_4
+        blocks = holed_blocks(s)
+        want = difference_list(blocks, g, "plain")
+        assert starters._plain_counts(g, starters._located(g, blocks)) == [want[e] for e in elems]
+        return
     if isinstance(s, starters.GbtdStarter):
         blocks, copies = list(s.blocks_a.values()) + list(s.blocks_b), 3
     else:
         blocks, copies = [s.blocks[k] for k in sorted(s.blocks)], 2
     if any(p[2] >= copies for b in blocks for p in b):
         return  # the shape condition stops the verifier before any difference
-    g = s.group
     counts = starters._difference_counts(g, starters._located(g, blocks), copies)
-    elems = g.addition[0]
     for i, j in itertools.product(range(copies), repeat=2):
         want = difference_list(
             blocks, g, ("pure", i) if i == j else ("mixed", i, j))
