@@ -505,6 +505,34 @@ def test_z4_seeds_off_the_group_verify_as_oracle(x, y):
     assert_same_starter(dataclasses.replace(s, x=s.x + x, y=s.y + y))
 
 
+def assert_sound(s):
+    """A starter that verifies develops, by the reference develop, which does
+    not check the starter, into an array that verifies."""
+    if starters.verify_starter(s).ok:
+        assert designs.verify_auto(oracle_develop.develop_starter(s)).ok
+
+
+@pytest.mark.parametrize("name", STARTER_BASES)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), moves=st.integers(1, 3))
+def test_starter_verification_is_sound(name, frgbtd_t5, seed, moves):
+    rng = random.Random(seed)
+    s = starter_base(name, frgbtd_t5)
+    for _ in range(moves):
+        s = move_point(s, rng)
+    assert_sound(s)
+
+
+def test_copied_point_in_an_a_block_is_off_the_point_set():
+    s = found_starters("igbtp_z2")[0]
+    first, *rest = s.blocks_a[0]
+    copied = fpoint(first[1], 0)
+    s = dataclasses.replace(s, blocks_a=(block([copied, *rest]), *s.blocks_a[1:]))
+    assert_sound(s)
+    shape = starters.verify_starter(s).conditions[0]
+    assert shape.cid == "shape" and "point %s outside" % format_point(copied) in shape.witnesses[0]
+
+
 @pytest.mark.parametrize("name", STARTER_BASES)
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), moves=st.integers(0, 3))
