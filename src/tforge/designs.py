@@ -162,10 +162,9 @@ class Incidence:
 
     One pass counts every cell, with the size-3 case unrolled; a point
     missing from the list restarts the pass once every such point is
-    indexed.  ``cells`` holds each cell's indices, read off the grid on
-    first use: only witnesses and the block-walking checks need it.
-    ``by_row`` lists them again per row index, in column order, for the
-    checks and searches that walk a row's blocks.
+    indexed.  ``by_row`` holds each cell's indices per row index, in column
+    order.  It is read off the grid on first use: only witnesses and the
+    checks and searches that walk blocks need it.
 
     In a GBTP the rows of W are the code words and ``pairs`` holds their
     agreement counts, so "no pair covered more than λ times" and "distance at
@@ -188,26 +187,17 @@ class Incidence:
                     ix.setdefault(p, len(ix))
         self.points = list(ix)
         self.once = [1] * self.v + [0] * (self.V - self.v)  # a column partitioning the points
-        self._grid_cells, self._cells, self._by_row, self.gbtp_passed = g.cells, None, None, False
-
-    @property
-    def cells(self) -> dict:
-        """(row, col) label -> (row index, column index, point indices), in
-        g.cells order."""
-        if self._cells is None:
-            ri, ci, ix = self.row_index, self.col_index, self.index
-            self._cells = {rc: (ri[rc[0]], ci[rc[1]], tuple(map(ix.__getitem__, b)))
-                           for rc, b in self._grid_cells.items()}
-        return self._cells
+        self._grid_cells, self._by_row, self.gbtp_passed = g.cells, None, False
 
     @property
     def by_row(self) -> list:
         """Per row index, the (column index, cell, point indices) of its
         cells, in column order."""
         if self._by_row is None:
-            self._by_row = [[] for _ in self.row_index]
-            for rc, (i, j, xs) in self.cells.items():
-                self._by_row[i].append((j, rc, xs))
+            ri, ci, ix = self.row_index, self.col_index, self.index
+            self._by_row = [[] for _ in ri]
+            for rc, b in self._grid_cells.items():
+                self._by_row[ri[rc[0]]].append((ci[rc[1]], rc, tuple(map(ix.__getitem__, b))))
             for row in self._by_row:
                 row.sort(key=itemgetter(0))
         return self._by_row
@@ -269,7 +259,7 @@ class Incidence:
         out.rowf, out.colf, out.pairs = rowf, colf, pairs = (
             self.rowf[:], self.colf[:], self.pairs[:])
         out.sizes = sizes = Counter(self.sizes)
-        out._grid_cells, out._cells, out._by_row, out.gbtp_passed = g.cells, None, None, False
+        out._grid_cells, out._by_row, out.gbtp_passed = g.cells, None, False
         for x in xs:
             W[x] = W[x][:]
             W[x][j] = -1
@@ -293,8 +283,7 @@ class Incidence:
 
     def cells_where(self, keep) -> list:
         """(cell, point indices) of the cells whose indices pass keep, row-major."""
-        return [(rc, xs) for _, rc, xs in sorted(
-            ((i, j), rc, xs) for rc, (i, j, xs) in self.cells.items() if keep(xs))]
+        return [(rc, xs) for row in self.by_row for _, rc, xs in row if keep(xs)]
 
     def row_counts(self, r) -> list:
         i = self.row_index.get(r)
@@ -373,9 +362,10 @@ def _row_frequency(g: DesignGrid, w=(), p_rows=()):
 
 def _star(rep: VerifyReport, g: DesignGrid, skip=()) -> None:
     triples = [0] * g.n
-    for _, j, xs in g.incidence.cells.values():
-        if len(xs) == 3:
-            triples[j] += 1
+    for row in g.incidence.by_row:
+        for j, _, xs in row:
+            if len(xs) == 3:
+                triples[j] += 1
     rep.add("star-one-triple", ("col %s has %d size-3 blocks" % (c, t)
                                 for c, t in zip(g.cols, triples) if c not in skip and t != 1))
 
@@ -424,9 +414,9 @@ def verify_packing(g: DesignGrid, exact: bool | None = None) -> VerifyReport:
                                         for p, q, k in inc.listed_pairs_not(lam)))
     if lam > 1:
         by_pair = defaultdict(list)
-        for (_, c), (_, _, xs) in inc.cells.items():
-            for x, y in itertools.combinations(xs, 2):
-                by_pair[(pts[x], pts[y])].append(c)
+        for (_, c), b in g.cells.items():
+            for p, q in itertools.combinations(b, 2):
+                by_pair[(p, q)].append(c)
         rep.add("pair-column-distinct", ["%s twice in column %s" % (_fmt_pair(p, q), c)
                                          for (p, q), cols in sorted(by_pair.items())
                                          for c, k in Counter(cols).items() if k > 1])

@@ -144,4 +144,4 @@ class BadKind(TforgeError):
 
 
 class BudgetZero(TforgeError):
-    pass
+    """A node budget that is not a positive integer."""

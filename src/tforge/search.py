@@ -52,14 +52,15 @@ class _Exhausted(Exception):
 
 
 class Budget:
-    """A node count; None takes TFORGE_BUDGET, or DEFAULT_BUDGET without it."""
+    """A node count; None takes TFORGE_BUDGET, or DEFAULT_BUDGET when it is unset."""
 
     def __init__(self, limit: int | None = None):
         if limit is None:
+            text = os.environ.get("TFORGE_BUDGET")
             try:
-                limit = int(os.environ["TFORGE_BUDGET"])
-            except (KeyError, ValueError):
-                limit = DEFAULT_BUDGET
+                limit = DEFAULT_BUDGET if text is None else int(text)
+            except ValueError:
+                raise BudgetZero("TFORGE_BUDGET=%r is not an integer" % text) from None
         if limit <= 0:
             raise BudgetZero("budget must be positive")
         self.limit = limit

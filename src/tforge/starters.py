@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
+import operator
 from dataclasses import dataclass
 
 from .algebra import (
@@ -42,7 +42,6 @@ class _Translates:
     """
 
     def __init__(self, g: AbelianGroup):
-        self.group = g
         self.elems, self.index, self.table, _ = g.addition
         self.labels = [elem_label(e) for e in self.elems]
         self._copies = {}  # copy index -> the finite points of that copy, by position
@@ -53,13 +52,9 @@ class _Translates:
             pts = self._copies[copy] = [(0, e, copy) for e in self.elems]
         return pts
 
-    def position(self, e) -> int:
-        x = self.index.get(e)
-        return self.index[self.group.check(e)] if x is None else x
-
     def __call__(self, b) -> list:
         """b + beta for every element beta, in element order."""
-        moved = [map(self.points(p[2]).__getitem__, self.table[self.position(p[1])])
+        moved = [map(self.points(p[2]).__getitem__, self.table[self.index[p[1]]])
                  if p[0] == 0 else itertools.repeat(p, len(self.elems)) for p in b]
         return list(map(tuple, map(sorted, zip(*moved))))
 
@@ -82,15 +77,27 @@ class GbtdStarter:
         return self.group.order
 
 
+def _off_set(g: AbelianGroup, blocks, where: str, copies, w: int = 0) -> list:
+    """The shape witness "point p outside where" for each point of blocks, in
+    block order, off its kind's point set: a finite point whose copy is not in
+    copies or whose element is not one reduced residue per factor, as
+    `g.addition` writes it (read off g.factors: the table costs |g|^2), and
+    an infinite point other than inf1..inf<w>."""
+    factors = g.factors
+    return ["point %s outside %s" % (format_point(p), where) for b in blocks for p in b
+            if not (p[2] in copies and len(p[1]) == len(factors)
+                    and tuple(map(operator.mod, p[1], factors)) == p[1]
+                    if p[0] == 0 else 1 <= p[1][0] <= w)]
+
+
 def _located(g: AbelianGroup, blocks) -> list:
-    """Each block's points as (position, copy).  A finite point sits at its
-    element's position in the sorted element order of `g.addition`, and the
-    infinite point inf<i> at |g| + i, after every element.  A point's element
-    is looked up once; only one that is not a canonical element goes through
-    `g.check`, which rejects a wrong arity and reduces the residues."""
+    """Each block's points as (position, copy), for blocks on their point set
+    (see `_off_set`).  A finite point sits at its element's position in the
+    sorted element order of `g.addition`, and the infinite point inf<i> at
+    |g| + i, after every element."""
     index = g.addition[1]
-    return [[((x if (x := index.get(p[1])) is not None else index[g.check(p[1])])
-              if p[0] == 0 else len(index) + p[1][0], p[2]) for p in b] for b in blocks]
+    return [[(index[p[1]] if p[0] == 0 else len(index) + p[1][0], p[2]) for p in b]
+            for b in blocks]
 
 
 def _difference_counts(g: AbelianGroup, located, copies: int) -> list:
@@ -137,9 +144,7 @@ def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
     for b in list(s.blocks_a.values()) + list(s.blocks_b):
         if len(b) != 3:
             shape_bad.append("block size %d" % len(b))
-        for p in b:
-            if not is_finite(p) or p[2] not in (0, 1, 2):
-                shape_bad.append("point %s outside Gamma x {0,1,2}" % format_point(p))
+        shape_bad += _off_set(g, [b], "Gamma x {0,1,2}", range(3))
     rep.add("shape", shape_bad)
     if shape_bad:
         return rep
@@ -312,39 +317,38 @@ class IgbtpStarterZ2:
 
 def _plain_counts(g: AbelianGroup, located) -> list:
     """`difference_list(blocks, g, "plain")` by position: the differences of
-    the finite points of each block, whatever their copies."""
+    the finite points of each block."""
     order = len(g.addition[0])
     return _difference_counts(g, [[(x, 0) for x, _ in b if x < order] for b in located], 1)
 
 
-def _point(elems, x: int, copy: int) -> tuple:
-    """The point that `_located` places at position x, with that copy."""
-    return (0, elems[x], copy) if x < len(elems) else (1, (x - len(elems),), copy)
+def _point(elems, x: int) -> tuple:
+    """The point, with no copy, that `_located` places at position x."""
+    return (0, elems[x], -1) if x < len(elems) else (1, (x - len(elems),), -1)
 
 
 def _holed_cover(rep, cid, g: AbelianGroup, located, w: int) -> None:
-    """Every element and inf1..inf<w> once, at no copy, among the located points,
-    counted in a Counter, as a starter file may name any copy or infinite point."""
+    """Every element and inf1..inf<w> once among the located points; position
+    |g|, which no point takes, is wanted 0 times."""
     elems = g.addition[0]
-    cover = Counter(pt for b in located for pt in b)
-    wanted = {(x, -1) for x in range(len(elems) + w + 1) if x != len(elems)}
-    keys = sorted(cover.keys() | wanted)
-    _count_condition(rep, cid, (_point(elems, x, c) for x, c in keys),
-                     [cover[k] for k in keys], [int(k in wanted) for k in keys])
+    size = len(elems) + w + 1
+    _count_condition(rep, cid, [_point(elems, x) for x in range(size)],
+                     _tally(size, (x for b in located for x, _ in b)),
+                     [int(x != len(elems)) for x in range(size)])
 
 
 def _holed_rows(g: AbelianGroup, w: int, seeds, moves, name: str) -> list:
     """Witnesses that an element or one of inf1..inf<w> is in the row multiset
-    `name` other than once or twice.  It holds each seed that is an element,
-    and each located block b of moves, pairs (b, beta), moved by the element
-    at beta; an infinite point stays, and a copied one is not counted."""
+    `name` other than once or twice.  It holds each seed, an element, and each
+    located block b of moves, pairs (b, beta), moved by the element at beta;
+    an infinite point stays."""
     elems, index, table, _ = g.addition
     size = len(elems) + w + 1
     stay = list(range(len(elems), size))
     shift = {beta: table[beta] + stay for _, beta in moves}
-    r = _tally(size, [index[e] for e in seeds if e in index]
-               + [shift[beta][x] for b, beta in moves for x, c in b if c == -1 and x < size])
-    return ["%s appears %d times in %s" % (format_point(_point(elems, x, -1)), r[x], name)
+    r = _tally(size, [*map(index.__getitem__, seeds),
+                      *(shift[beta][x] for b, beta in moves for x, _ in b)])
+    return ["%s appears %d times in %s" % (format_point(_point(elems, x)), r[x], name)
             for x in [*map(index.__getitem__, g.elements()), *stay[1:]] if r[x] not in (1, 2)]
 
 
@@ -369,6 +373,8 @@ def verify_igbtp_z2_starter(s: IgbtpStarterZ2) -> VerifyReport:
     for b in s.blocks_a + s.blocks_b:
         if len(b) != 2:
             shape_bad.append("A/B block of size %d" % len(b))
+    shape_bad += _off_set(g, s.blocks_a + s.blocks_b + s.blocks_c,
+                          "Z_%d x Z_2 u {inf1..inf%d}" % (m, w), (-1,), w)
     rep.add("shape", shape_bad)
     if shape_bad:
         return rep
@@ -460,6 +466,8 @@ def verify_igbtp_z4_starter(s: IgbtpStarterZ4) -> VerifyReport:
     shape_bad = []
     if m % 2 == 0 or m < 5:
         shape_bad.append("m must be odd and >= 5")
+    if not (0 <= s.x < m and 0 <= s.y < m):
+        shape_bad.append("x = %d and y = %d must lie in 0..%d" % (s.x, s.y, m - 1))
     if len(s.block_a) != 2:
         shape_bad.append("A must be a pair")
     if len(s.blocks_b) != 4:
@@ -472,6 +480,8 @@ def verify_igbtp_z4_starter(s: IgbtpStarterZ4) -> VerifyReport:
     for b in s.blocks_b + s.blocks_d:
         if len(b) != 2:
             shape_bad.append("B/D block of size %d" % len(b))
+    shape_bad += _off_set(g, (s.block_a, *s.blocks_b, *s.blocks_c, *s.blocks_d),
+                          "Z_%d x Z_4 u {inf1..inf9}" % m, (-1,), 9)
     rep.add("shape", shape_bad)
     if shape_bad:
         return rep
@@ -575,9 +585,7 @@ def verify_frgbtd_starter(s: FrGbtdStarter) -> VerifyReport:
     for key, b in sorted(s.blocks.items()):
         if len(b) != 3:
             shape_bad.append("block %r has size %d" % (key, len(b)))
-        for p in b:
-            if not is_finite(p) or p[2] not in (0, 1):
-                shape_bad.append("point %s outside Z_3t x {0,1}" % format_point(p))
+        shape_bad += _off_set(g, [b], "Z_3t x {0,1}", range(2))
     rep.add("shape", shape_bad)
     if shape_bad:
         return rep

@@ -5,10 +5,11 @@ conditions were read off element positions: every difference condition
 runs `difference_list` in its own mode, or the plain one for the two
 incomplete-packing kinds, each cover and row multiset is a Counter, and
 the row multisets and color classes translate blocks with
-`translate_block`.  They are slow, but they share no counting logic with
-the program.  The differential tests require ``describe()`` to be
-byte-identical between the two on the fq starters, found starters of all
-four kinds and their mutants.
+`translate_block`.  Each shape condition checks that every point lies in
+its kind's point set, listed here as a set of points.  They are slow, but
+they share no counting logic with the program.  The differential tests
+require ``describe()`` to be byte-identical between the two on the fq
+starters, found starters of all four kinds and their mutants.
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
         shape_bad.append("A blocks not indexed by the group")
     if len(s.blocks_b) != (m - 1) // 2:
         shape_bad.append("expected %d B blocks" % ((m - 1) // 2))
+    universe = {fpoint(e, c) for e in g.elements() for c in range(3)}
     for b in list(s.blocks_a.values()) + list(s.blocks_b):
         if len(b) != 3:
             shape_bad.append("block size %d" % len(b))
         for p in b:
-            if not is_finite(p) or p[2] not in (0, 1, 2):
+            if p not in universe:
                 shape_bad.append("point %s outside Gamma x {0,1,2}" % format_point(p))
     rep.add("shape", shape_bad)
     if shape_bad:
@@ -148,6 +150,12 @@ def verify_igbtp_z2_starter(s: IgbtpStarterZ2) -> VerifyReport:
     for b in s.blocks_a + s.blocks_b:
         if len(b) != 2:
             shape_bad.append("A/B block of size %d" % len(b))
+    universe = {fpoint(e) for e in g.elements()} | {ipoint(i) for i in range(1, w + 1)}
+    for b in s.blocks_a + s.blocks_b + s.blocks_c:
+        for p in b:
+            if p not in universe:
+                shape_bad.append("point %s outside Z_%d x Z_2 u {inf1..inf%d}"
+                                 % (format_point(p), m, w))
     rep.add("shape", shape_bad)
     if shape_bad:
         return rep
@@ -231,6 +239,8 @@ def verify_igbtp_z4_starter(s: IgbtpStarterZ4) -> VerifyReport:
     shape_bad = []
     if m % 2 == 0 or m < 5:
         shape_bad.append("m must be odd and >= 5")
+    if s.x not in range(m) or s.y not in range(m):
+        shape_bad.append("x = %d and y = %d must lie in 0..%d" % (s.x, s.y, m - 1))
     if len(s.block_a) != 2:
         shape_bad.append("A must be a pair")
     if len(s.blocks_b) != 4:
@@ -243,6 +253,12 @@ def verify_igbtp_z4_starter(s: IgbtpStarterZ4) -> VerifyReport:
     for b in s.blocks_b + s.blocks_d:
         if len(b) != 2:
             shape_bad.append("B/D block of size %d" % len(b))
+    universe = {fpoint(e) for e in g.elements()} | {ipoint(i) for i in range(1, 10)}
+    for b in [s.block_a] + list(s.blocks_b) + list(s.blocks_c) + list(s.blocks_d):
+        for p in b:
+            if p not in universe:
+                shape_bad.append("point %s outside Z_%d x Z_4 u {inf1..inf9}"
+                                 % (format_point(p), m))
     rep.add("shape", shape_bad)
     if shape_bad:
         return rep
@@ -289,11 +305,12 @@ def verify_frgbtd_starter(s: FrGbtdStarter) -> VerifyReport:
     shape_bad = []
     if sorted(s.blocks) != [(i, j) for i in range(1, t) for j in (0, 1)]:
         shape_bad.append("blocks must be indexed by [t-1] x {0,1}")
+    universe = {fpoint(e, c) for e in g.elements() for c in range(2)}
     for key, b in sorted(s.blocks.items()):
         if len(b) != 3:
             shape_bad.append("block %r has size %d" % (key, len(b)))
         for p in b:
-            if not is_finite(p) or p[2] not in (0, 1):
+            if p not in universe:
                 shape_bad.append("point %s outside Z_3t x {0,1}" % format_point(p))
     rep.add("shape", shape_bad)
     if shape_bad:

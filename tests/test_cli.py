@@ -320,7 +320,7 @@ def test_search_starter_invalid_m_exit_2(kind, params, message):
     assert message in res.stderr, (params, res.stderr)
 
 
-def test_verify_starter_wrong_arity_exit_2(tmp_path):
+def test_verify_starter_wrong_arity_fails_shape(tmp_path):
     from tforge.search import search_starter
     from tforge.starters import build_fq_gbtd_starter, dumps_starter
 
@@ -331,13 +331,14 @@ def test_verify_starter_wrong_arity_exit_2(tmp_path):
     z4 = json.loads(dumps_starter(search_starter("igbtp_z4", {"m": 5}).starters[0]))
     assert z4["families"]["D"][0][1] == "inf5"
     z4["families"]["D"][0][0] = "2.1.0"
-    for name, obj, arity in (("gbtd", gbtd, "2 != 1"), ("z4", z4, "3 != 2")):
+    for name, obj, where in (("gbtd", gbtd, "1.2_0 outside Gamma x {0,1,2}"),
+                             ("z4", z4, "2.1.0 outside Z_5 x Z_4 u {inf1..inf9}")):
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps(obj))
         res = run_cli("verify", str(path))
-        assert res.returncode == 2, (name, res.stdout, res.stderr)
-        assert "Traceback" not in res.stderr
-        assert res.stderr.startswith("error: element arity " + arity), (name, res.stderr)
+        assert res.returncode == 1, (name, res.stdout, res.stderr)
+        assert res.stderr == "verification failed\n"
+        assert res.stdout.startswith("shape                  FAIL  witnesses: point " + where)
 
 
 def _assert_exit_2(path, entry, *command):
@@ -445,6 +446,12 @@ def test_search_coloring_budget_stop_and_color_count(tmp_path):
     for colors in ("0", "-1"):
         _assert_exit_2(grid, "need at least one color, got " + colors,
                        "search", "coloring", "--colors", colors, "--in")
+
+
+def test_tforge_budget_not_an_integer_exits_2():
+    res = run_cli("search", "starter", "--kind", "gbtd", "--m", "7", TFORGE_BUDGET="1e6")
+    assert res.returncode == 2 and not res.stdout
+    assert res.stderr.strip() == "error: TFORGE_BUDGET='1e6' is not an integer"
 
 
 @pytest.mark.parametrize("args,name", [

@@ -91,6 +91,15 @@ def test_budget_zero():
         max_eswc(3, 2, 2, budget=0)
 
 
+@pytest.mark.parametrize("text", ["abc", "1e6", ""])
+def test_tforge_budget_not_an_integer(monkeypatch, text):
+    monkeypatch.setenv("TFORGE_BUDGET", text)
+    with pytest.raises(BudgetZero, match="TFORGE_BUDGET=%r is not an integer" % text):
+        Budget()
+    monkeypatch.delenv("TFORGE_BUDGET")
+    assert Budget().limit == DEFAULT_BUDGET
+
+
 def test_search_gbtp_finds_star_9():
     res = search_gbtp({"K": [2, 3], "v": 9, "m": 4, "n": 5, "star3": True},
                       budget=3_000_000)
