@@ -3,12 +3,13 @@
 Every base array and every mutant must give a byte-identical ``describe()``
 (or raise the same error) under tforge.designs and tests/oracle_verify.py,
 and every fq, found and mutant starter under tforge.starters and
-tests/oracle_starters.py.  The colour checks and promote_coloring must
-agree with the oracle's on coloured arrays and their mutants.  An Incidence
-must hold the counts and per-row cells of a plain per-cell recount.  The
-template emitters must print the bytes of json.dumps, and the indexed
-develops the cells and colors of the translate_block develops, of
-tests/oracle_develop.py.
+tests/oracle_starters.py; each such starter that verifies must develop, by
+the reference develop, into an array that verifies.  The colour checks and
+promote_coloring must agree with the oracle's on coloured arrays and their
+mutants.  An Incidence must hold the counts and per-row cells of a plain
+per-cell recount.  The template emitters must print the bytes of
+json.dumps, and the indexed develops the cells and colors of the
+translate_block develops, of tests/oracle_develop.py.
 """
 
 import dataclasses
@@ -509,18 +510,20 @@ def test_starter_mutants_verify_as_oracle(name, frgbtd_t5, seed, moves):
     assert_same_starter(s)
 
 
-@pytest.mark.parametrize("x,y", [(5, 0), (-1, 2), (3, 12), (1, 4)])
-def test_z4_seeds_off_the_group_verify_as_oracle(x, y):
-    # x or y outside 0..m-1 fails the shape
-    s = found_starters("igbtp_z4")[0]
-    assert_same_starter(dataclasses.replace(s, x=s.x + x, y=s.y + y))
-
-
 def assert_sound(s):
     """A starter that verifies develops, by the reference develop, which does
     not check the starter, into an array that verifies."""
     if starters.verify_starter(s).ok:
         assert designs.verify_auto(oracle_develop.develop_starter(s)).ok
+
+
+@pytest.mark.parametrize("x,y", [(5, 0), (-1, 2), (3, 12), (1, 4), (7, 0)])
+def test_z4_seeds_off_the_group_verify_as_oracle(x, y):
+    # x or y outside 0..m-1 fails the shape
+    s = found_starters("igbtp_z4")[0]
+    moved = dataclasses.replace(s, x=s.x + x, y=s.y + y)
+    assert_same_starter(moved)
+    assert_sound(moved)
 
 
 @pytest.mark.parametrize("name", STARTER_BASES)
