@@ -15,6 +15,7 @@ from .designs import (
     DesignGrid,
     check_keys,
     demote_special,
+    gbtd_misfit,
     load_grid,
     pi_witness_row,
     promote_coloring,
@@ -183,11 +184,7 @@ def _grid_is_star(cells, cols) -> bool:
 
 def _classify_filled(g: DesignGrid) -> str:
     """The kind of g once its hole is filled: the parameters stay g's."""
-    if len(g.k_set) == 1:
-        k = g.k_set[0]
-        if g.v == k * g.m and g.n * (k - 1) == g.lam * (k * g.m - 1):
-            return "GBTD"
-    return "GBTP"
+    return "GBTP" if gbtd_misfit(g.k_set, g.v, g.m, g.n, g.lam) else "GBTD"
 
 
 def fill_hole(outer: DesignGrid, inner: DesignGrid) -> DesignGrid:

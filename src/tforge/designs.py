@@ -439,15 +439,22 @@ def verify_gbtp(g: DesignGrid, exact: bool | None = None) -> VerifyReport:
     return rep
 
 
+def gbtd_misfit(k_set, v: int, m: int, n: int, lam: int) -> str | None:
+    """Why an m x n array of index lam on v points with block sizes k_set is no
+    GBTD, or None: a GBTD has one block size k, v = km and n(k-1) = lam(km-1)."""
+    if len(k_set) != 1:
+        return "GBTD needs a single block size, got %r" % (tuple(k_set),)
+    k = k_set[0]
+    if v != k * m:
+        return "v=%d is not k*m=%d" % (v, k * m)
+    if n * (k - 1) != lam * (k * m - 1):
+        return "n=%d is not lambda(km-1)/(k-1)" % n
+
+
 def verify_gbtd(g: DesignGrid) -> VerifyReport:
     """GBTP in exact-λ mode with the single-block-size parameter arithmetic."""
-    if len(g.k_set) != 1:
-        raise BadParameters("GBTD needs a single block size, got %r" % (g.k_set,))
-    k = g.k_set[0]
-    if g.v != k * g.m:
-        raise BadParameters("v=%d is not k*m=%d" % (g.v, k * g.m))
-    if g.n * (k - 1) != g.lam * (k * g.m - 1):
-        raise BadParameters("n=%d is not lambda(km-1)/(k-1)" % g.n)
+    if misfit := gbtd_misfit(g.k_set, g.v, g.m, g.n, g.lam):
+        raise BadParameters(misfit)
     return verify_gbtp(g, exact=True)
 
 
@@ -885,6 +892,8 @@ def grid_from_obj(obj: dict) -> DesignGrid:
     special = _section(obj, "special", ("r", "c"))
     if special is not None:
         special = _label_list([special["r"], special["c"]], "special")
+    if type(obj.get("star", False)) is not bool:
+        raise MalformedGrid("star is not true or false")
     return DesignGrid(
         kind=obj["kind"],
         lam=obj["lambda"],
@@ -899,7 +908,7 @@ def grid_from_obj(obj: dict) -> DesignGrid:
         row_group_index=index.get("row_group_index"),
         col_group_index=index.get("col_group_index"),
         special=special,
-        star=bool(obj.get("star", False)),
+        star=obj.get("star", False),
     )
 
 

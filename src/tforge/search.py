@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .algebra import block, cyclic, fpoint, ipoint
 from .codes import Code, hamming
-from .designs import DesignGrid
+from .designs import DesignGrid, gbtd_misfit
 from .errors import BadKind, BudgetZero, InconsistentParams
 from .starters import (
     FrGbtdStarter,
@@ -528,7 +528,7 @@ def search_gbtp(params: dict, budget: int | None = None) -> GbtpSearchResult:
         raise InconsistentParams("array cannot hold the point set")
     limit = Budget(budget).limit
 
-    exact = len(k_set) == 1 and v == k_set[0] * m and n * (k_set[0] - 1) == lam * (v - 1)
+    exact = gbtd_misfit(k_set, v, m, n, lam) is None
     comps = _column_compositions(v, m, k_set, star3)
     if not comps:
         return GbtpSearchResult(None, True, 0)
@@ -948,6 +948,7 @@ def _gbtd_starters(m: int, special: bool, bud: Budget):
         raise InconsistentParams("m must be >= 1")
     if m % 2 == 0:
         raise InconsistentParams("m must be odd")
+    group = cyclic(m)
     pts = sorted((e, c) for e in range(m) for c in range(3))
     pure = [(("p", c), d) for c in range(3) for d in range(1, m)]
     mixed = [(("m", pr), d) for pr in itertools.permutations(range(3), 2) for d in range(m)]
@@ -985,9 +986,10 @@ def _gbtd_starters(m: int, special: bool, bud: Budget):
                    for bi, b in enumerate(sorted(a_blocks))]
         for _ in _covers(bud, rows, options, (1 << 2 * m) - 1, assign, starved):
             if not rows.zeros and not over:
-                blocks_a = {(al,): block(fpoint(x, c) for x, c in bl) for bl, al in assign}
+                ba = tuple(block(fpoint(x, c) for x, c in bl)  # A_alpha at position alpha
+                           for bl, _ in sorted(assign, key=lambda e: e[1]))
                 bb = tuple(block(fpoint(x, c) for x, c in bl) for bl in sorted(b_blocks))
-                yield GbtdStarter(cyclic(m), blocks_a, bb, special=special)
+                yield GbtdStarter(group, ba, bb, special=special)
         rows.undo(base)
 
     transversals = [((x, 0), (y, 1), (z, 2)) for x in range(m) for y in range(m) for z in range(m)]
@@ -1048,8 +1050,8 @@ def _frgbtd_starters(t: int, bud: Budget):
     primary = (1 << len(pts)) - 1 | class_slots[0] | class_slots[1]
     for _ in _covers(bud, led, options, primary, assign, starved):
         if not led.zeros:
-            yield FrGbtdStarter(t, {key: block(fpoint(x, c) for x, c in bl)
-                                    for key, bl in assign})
+            yield FrGbtdStarter(t, tuple(block(fpoint(x, c) for x, c in bl)
+                                         for _, bl in sorted(assign)))
 
 
 def _block_diffs(b, mods) -> list:

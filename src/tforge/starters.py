@@ -5,6 +5,12 @@ group with three point copies, the two incomplete-packing starters over
 Z_m x Z_2 and Z_m x Z_4 with infinite points, and the frame starter over
 Z_3t x [2].  Each kind has a condition-by-condition verifier and a fixed
 placement rule that develops the translates into a full DesignGrid.
+
+Every family is a tuple of blocks in the position order the verifiers and
+develops index by: gbtd's A blocks and colors by element, in the sorted
+order of `AbelianGroup.addition` (zero first), the frame blocks by slot
+(1,0), (1,1), ..., (t-1,1).  Each starter builds its group once.  One table,
+`STARTER_KINDS`, dispatches the verifiers, develops and starter files.
 """
 
 from __future__ import annotations
@@ -12,7 +18,9 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 from .algebra import (
     AbelianGroup,
@@ -65,11 +73,12 @@ class _Translates:
 
 @dataclass
 class GbtdStarter:
+    kind: ClassVar[str] = "gbtd"
     group: AbelianGroup
-    blocks_a: dict  # group element -> Block
-    blocks_b: tuple  # Block list, index 1..(m-1)/2
+    blocks_a: tuple  # A_alpha at alpha's position in sorted element order, zero first
+    blocks_b: tuple  # B_1..B_(m-1)/2
     special: bool = False
-    colors_a: dict | None = None  # group element -> color of A_alpha - alpha
+    colors_a: tuple | None = None  # the color of A_alpha - alpha, by position
     colors_b: tuple | None = None
 
     @property
@@ -137,11 +146,11 @@ def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
     shape_bad = []
     if m % 2 == 0:
         shape_bad.append("group order %d is even" % m)
-    if sorted(s.blocks_a) != sorted(g.elements()):
-        shape_bad.append("A blocks not indexed by the group")
+    if len(s.blocks_a) != m:
+        shape_bad.append("expected %d A blocks" % m)
     if len(s.blocks_b) != (m - 1) // 2:
         shape_bad.append("expected %d B blocks" % ((m - 1) // 2))
-    for b in list(s.blocks_a.values()) + list(s.blocks_b):
+    for b in (*s.blocks_a, *s.blocks_b):
         if len(b) != 3:
             shape_bad.append("block size %d" % len(b))
         shape_bad += _off_set(g, [b], "Gamma x {0,1,2}", range(3))
@@ -150,8 +159,7 @@ def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
         return rep
 
     elems, index, table, neg = g.addition
-    alphas = list(s.blocks_a)
-    located_a = _located(g, s.blocks_a.values())
+    located_a = _located(g, s.blocks_a)
     located_b = _located(g, s.blocks_b)
     counts = _difference_counts(g, located_a + located_b, 3)
     for i in range(3):
@@ -172,9 +180,8 @@ def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
             b_bad.append("B_%d misses a copy" % t)
     rep.add("b-transversal", b_bad)
 
-    # R: each A_alpha shifted by -alpha, and the B blocks, at point x * 3 + c
-    shifted = [[3 * table[x][neg[index[alpha]]] + c for x, c in b]
-               for alpha, b in zip(alphas, located_a)]
+    # R: each A_alpha (at position a) shifted by -alpha, and the B blocks, at point 3x + c
+    shifted = [[3 * table[x][neg[a]] + c for x, c in b] for a, b in enumerate(located_a)]
     shifted += [[3 * x + c for x, c in b] for b in located_b]
     r = _tally(3 * m, itertools.chain.from_iterable(shifted))
     r_bad = []
@@ -186,15 +193,14 @@ def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
                     r_bad.append("%s appears %d times in R" % (format_point(fpoint(e, c)), k))
     rep.add("row-multiset", r_bad)
 
-    if s.special:
-        a0 = alphas.index(g.zero())
+    if s.special:  # A_0 sits at position 0
         rep.add("special-a0-once", ["%s appears %d times in R" % (format_point(p), r[3 * x + c])
-                                    for p, (x, c) in zip(s.blocks_a[g.zero()], located_a[a0])
+                                    for p, (x, c) in zip(s.blocks_a[0], located_a[0])
                                     if r[3 * x + c] != 1])
 
     if s.colors_a is not None:
         by_color = {}
-        for col, b in zip([s.colors_a[alpha] for alpha in alphas] + list(s.colors_b), shifted):
+        for col, b in zip((*s.colors_a, *s.colors_b), shifted):
             by_color.setdefault(col, [0] * (3 * m))
             for xc in b:
                 by_color[col][xc] += 1
@@ -221,18 +227,14 @@ def develop_gbtd(s: GbtdStarter) -> DesignGrid:
     rows = tuple(tr.labels)
     t_count = len(s.blocks_b)
     cols = rows + tuple("t%d" % t for t in range(1, t_count + 1))
+    # the cells of each A block, then of each B block
+    placed = [list(zip(map(rows.__getitem__, tr.table[a]), rows)) for a in range(len(rows))]
+    placed += [list(zip(rows, itertools.repeat("t%d" % t))) for t in range(1, t_count + 1)]
     cells = {}
-    colors = {} if s.colors_a is not None else None
-    for alpha, b in s.blocks_a.items():
-        rcs = list(zip(map(rows.__getitem__, tr.table[tr.index[alpha]]), rows))
+    for rcs, b in zip(placed, (*s.blocks_a, *s.blocks_b)):
         cells.update(zip(rcs, tr(b)))
-        if colors is not None:
-            colors.update(dict.fromkeys(rcs, s.colors_a[alpha]))
-    for t, b in enumerate(s.blocks_b, start=1):
-        rcs = list(zip(rows, itertools.repeat("t%d" % t)))
-        cells.update(zip(rcs, tr(b)))
-        if colors is not None:
-            colors.update(dict.fromkeys(rcs, s.colors_b[t - 1]))
+    colors = None if s.colors_a is None else {
+        rc: col for rcs, col in zip(placed, (*s.colors_a, *s.colors_b)) for rc in rcs}
     points = tuple(fpoint(e, c) for e in tr.elems for c in range(3))
     special = (rows[0], rows[0]) if s.special else None
     return DesignGrid("GBTD", 1, (3,), points, rows, cols, cells,
@@ -273,29 +275,27 @@ def build_fq_gbtd_starter(q: int) -> GbtdStarter:
         for i in range(3):
             lam_index[fld.neg(fld.mul(gamma, fld.pow(w, t + 2 * i * s)))] = (t, i)
 
-    blocks_a = {}
-    colors_a = {}
+    group = fld.additive_group()
+    blocks_a = []
+    colors_a = []
     inv_gamma = fld.inv(gamma)
-    for alpha in fld.elements():
+    for alpha in group.addition[0]:
         if alpha in lam_index:
             t, i = lam_index[alpha]
-            blocks_a[alpha] = block(
-                fpoint(fld.pow(w, t + 2 * j * s), i) for j in range(3))
-            colors_a[alpha] = DIAMOND
+            blocks_a.append(block(fpoint(fld.pow(w, t + 2 * j * s), i) for j in range(3)))
+            colors_a.append(DIAMOND)
         else:
             scale = fld.neg(fld.mul(alpha, inv_gamma))
-            blocks_a[alpha] = block(
-                fpoint(fld.mul(scale, cube[i]), i) for i in range(3))
-            colors_a[alpha] = CLUB if alpha == fld.zero() else HEART
+            blocks_a.append(block(fpoint(fld.mul(scale, cube[i]), i) for i in range(3)))
+            colors_a.append(CLUB if alpha == fld.zero() else HEART)
     blocks_b = []
     for t in range(s):
         for j in range(3):
             base = fld.pow(w, t + 2 * j * s)
             blocks_b.append(block(
                 fpoint(fld.mul(base, fld.add(cube[i], gamma)), i) for i in range(3)))
-    group = fld.additive_group()
-    return GbtdStarter(group, blocks_a, tuple(blocks_b), special=True,
-                       colors_a=colors_a, colors_b=(HEART,) * len(blocks_b))
+    return GbtdStarter(group, tuple(blocks_a), tuple(blocks_b), special=True,
+                       colors_a=tuple(colors_a), colors_b=(HEART,) * len(blocks_b))
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +304,16 @@ def build_fq_gbtd_starter(q: int) -> GbtdStarter:
 
 @dataclass
 class IgbtpStarterZ2:
+    kind: ClassVar[str] = "igbtp_z2"
     m: int
     w: int
     blocks_a: tuple  # (w-5)/2 pairs, one point of each parity
     blocks_b: tuple  # (w-1)/2 pairs
     blocks_c: tuple  # m blocks indexed by Z_m, |C_0| = 3
+    group: AbelianGroup = field(init=False, repr=False)
 
-    @property
-    def group(self) -> AbelianGroup:
-        return AbelianGroup((self.m, 2))
+    def __post_init__(self):
+        self.group = AbelianGroup((self.m, 2))
 
 
 def _plain_counts(g: AbelianGroup, located) -> list:
@@ -446,6 +447,8 @@ def develop_igbtp_z2(s: IgbtpStarterZ2) -> DesignGrid:
 
 @dataclass
 class IgbtpStarterZ4:
+    kind: ClassVar[str] = "igbtp_z4"
+    w: ClassVar[int] = 9
     m: int
     x: int
     y: int
@@ -453,10 +456,10 @@ class IgbtpStarterZ4:
     blocks_b: tuple  # four pairs
     blocks_c: tuple  # m blocks, |C_0| = 3
     blocks_d: tuple  # m pairs
+    group: AbelianGroup = field(init=False, repr=False)
 
-    @property
-    def group(self) -> AbelianGroup:
-        return AbelianGroup((self.m, 4))
+    def __post_init__(self):
+        self.group = AbelianGroup((self.m, 4))
 
 
 def verify_igbtp_z4_starter(s: IgbtpStarterZ4) -> VerifyReport:
@@ -567,12 +570,13 @@ def develop_igbtp_z4(s: IgbtpStarterZ4) -> DesignGrid:
 
 @dataclass
 class FrGbtdStarter:
+    kind: ClassVar[str] = "frgbtd"
     t: int
-    blocks: dict  # (i, j) -> Block for i in 1..t-1, j in 0..1
+    blocks: tuple  # block (i, j) at position 2(i - 1) + j, for i in 1..t-1, j in 0..1
+    group: AbelianGroup = field(init=False, repr=False)
 
-    @property
-    def group(self) -> AbelianGroup:
-        return cyclic(3 * self.t)
+    def __post_init__(self):
+        self.group = cyclic(3 * self.t)
 
 
 def verify_frgbtd_starter(s: FrGbtdStarter) -> VerifyReport:
@@ -580,18 +584,18 @@ def verify_frgbtd_starter(s: FrGbtdStarter) -> VerifyReport:
     t = s.t
     g = s.group
     shape_bad = []
-    if sorted(s.blocks) != [(i, j) for i in range(1, t) for j in (0, 1)]:
-        shape_bad.append("blocks must be indexed by [t-1] x {0,1}")
-    for key, b in sorted(s.blocks.items()):
+    if len(s.blocks) != 2 * (t - 1):
+        shape_bad.append("expected %d blocks" % (2 * (t - 1)))
+    for x, b in enumerate(s.blocks):
         if len(b) != 3:
-            shape_bad.append("block %r has size %d" % (key, len(b)))
+            shape_bad.append("block %r has size %d" % ((x // 2 + 1, x % 2), len(b)))
         shape_bad += _off_set(g, [b], "Z_3t x {0,1}", range(2))
     rep.add("shape", shape_bad)
     if shape_bad:
         return rep
 
     elems = g.addition[0]
-    located = _located(g, [s.blocks[k] for k in sorted(s.blocks)])
+    located = _located(g, s.blocks)
     counts = _difference_counts(g, located, 2)
     # every element but the three of the subgroup {0, t, 2t}, at positions 0, t, 2t
     want = [0 if x % t == 0 else 1 for x in range(3 * t)]
@@ -603,7 +607,7 @@ def verify_frgbtd_starter(s: FrGbtdStarter) -> VerifyReport:
     _count_condition(rep, "cover", [fpoint(e, c) for e in elems for c in range(2)],
                      cover, [w for w in want for _ in range(2)])
 
-    # R_j: block (i, j), at 2(i - 1) + j in located, moved by -i, mod t; residue
+    # R_j: block (i, j), at 2(i - 1) + j, moved by -i, mod t; residue
     # res of copy c at 2 res + c
     r_bad = []
     for j in (0, 1):
@@ -626,7 +630,8 @@ def develop_frgbtd(s: FrGbtdStarter) -> DesignGrid:
     rows = tuple("%d:%d" % (i, j) for i in range(t) for j in (0, 1))
     cols = tuple(tr.labels)
     cells = {}
-    for (i, j), b in sorted(s.blocks.items()):
+    for x, b in enumerate(s.blocks):
+        i, j = x // 2 + 1, x % 2
         rcs = [(rows[2 * ((i + k) % t) + j], cols[k]) for k in range(3 * t)]
         cells.update(zip(rcs, tr(b)))
     points = tuple(fpoint(e, c) for e in tr.elems for c in range(2))
@@ -758,134 +763,120 @@ def build_igbtp_33() -> DesignGrid:
 # starter files
 
 
-def starter_to_obj(s) -> dict:
-    def fam(blocks):
-        return [[format_point(p) for p in b] for b in blocks]
+@dataclass(frozen=True)
+class StarterKind:
+    """A starter kind: its class, verifier and develop, and its file's params
+    (name -> JSON type), families (name -> field: a tuple of blocks, or one
+    block for a name in `single`) and colors (name -> field, one per block of
+    that family).  A file's group and params must read back off its starter."""
 
-    if isinstance(s, GbtdStarter):
-        elems = sorted(s.group.elements())
-        obj = {"starter_kind": "gbtd",
-               "group": {"factors": list(s.group.factors)},
-               "params": {"m": s.m, "special": s.special},
-               "families": {"A": fam(s.blocks_a[e] for e in elems),
-                            "B": fam(s.blocks_b)}}
-        if s.colors_a is not None:
-            obj["colors"] = {"A": [s.colors_a[e] for e in elems],
-                             "B": list(s.colors_b)}
-        return obj
-    if isinstance(s, IgbtpStarterZ2):
-        return {"starter_kind": "igbtp_z2",
-                "group": {"factors": [s.m, 2]},
-                "params": {"m": s.m, "w": s.w},
-                "families": {"A": fam(s.blocks_a), "B": fam(s.blocks_b),
-                             "C": fam(s.blocks_c)}}
-    if isinstance(s, IgbtpStarterZ4):
-        return {"starter_kind": "igbtp_z4",
-                "group": {"factors": [s.m, 4]},
-                "params": {"m": s.m, "w": 9, "x": s.x, "y": s.y},
-                "families": {"A": fam([s.block_a]), "B": fam(s.blocks_b),
-                             "C": fam(s.blocks_c), "D": fam(s.blocks_d)}}
-    if isinstance(s, FrGbtdStarter):
-        keys = sorted(s.blocks)
-        return {"starter_kind": "frgbtd",
-                "group": {"factors": [3 * s.t]},
-                "params": {"t": s.t},
-                "families": {"A": fam(s.blocks[k] for k in keys)}}
-    raise TypeError("unknown starter type %r" % type(s))
+    cls: type
+    verify: Callable[..., VerifyReport]
+    develop: Callable[..., DesignGrid]
+    params: dict
+    families: dict
+    single: tuple = ()
+    colors: dict = field(default_factory=dict)
 
 
-# starter kind -> (top-level keys, params keys, family keys) a file must hold
-_STARTER_KEYS = {
-    "gbtd": (("group",), (), ("A", "B")),
-    "igbtp_z2": ((), ("m", "w"), ("A", "B", "C")),
-    "igbtp_z4": ((), ("m", "x", "y"), ("A", "B", "C", "D")),
-    "frgbtd": ((), ("t",), ("A",)),
+STARTER_KINDS = {
+    "gbtd": StarterKind(GbtdStarter, verify_gbtd_starter, develop_gbtd,
+                        {"m": int, "special": bool}, {"A": "blocks_a", "B": "blocks_b"},
+                        colors={"A": "colors_a", "B": "colors_b"}),
+    "igbtp_z2": StarterKind(IgbtpStarterZ2, verify_igbtp_z2_starter, develop_igbtp_z2,
+                            {"m": int, "w": int},
+                            {"A": "blocks_a", "B": "blocks_b", "C": "blocks_c"}),
+    "igbtp_z4": StarterKind(IgbtpStarterZ4, verify_igbtp_z4_starter, develop_igbtp_z4,
+                            {"m": int, "w": int, "x": int, "y": int},
+                            {"A": "block_a", "B": "blocks_b", "C": "blocks_c", "D": "blocks_d"},
+                            single=("A",)),
+    "frgbtd": StarterKind(FrGbtdStarter, verify_frgbtd_starter, develop_frgbtd,
+                          {"t": int}, {"A": "blocks"}),
 }
+
+
+def starter_to_obj(s) -> dict:
+    kind = STARTER_KINDS[s.kind]
+    families = {name: [getattr(s, f)] if name in kind.single else getattr(s, f)
+                for name, f in kind.families.items()}
+    obj = {"starter_kind": s.kind,
+           "group": {"factors": list(s.group.factors)},
+           "params": {name: getattr(s, name) for name in kind.params},
+           "families": {name: [[format_point(p) for p in b] for b in blocks]
+                        for name, blocks in families.items()}}
+    colors = {name: getattr(s, f) for name, f in kind.colors.items()}
+    if colors and None not in colors.values():
+        obj["colors"] = {name: list(c) for name, c in colors.items()}
+    return obj
 
 
 def starter_from_obj(obj: dict):
     check_keys(obj, ("starter_kind",), "starter", MalformedStarter)
-    kind = obj["starter_kind"]
-    if not isinstance(kind, str) or kind not in _STARTER_KEYS:
+    name = obj["starter_kind"]
+    if not isinstance(name, str) or name not in STARTER_KINDS:
         raise MalformedStarter("starter_kind %r is not one of %s"
-                               % (kind, ", ".join(_STARTER_KEYS)))
-    top, params, families = _STARTER_KEYS[kind]
-    check_keys(obj, top + ("params", "families"), "%s starter" % kind, MalformedStarter)
-    check_keys(obj["params"], params, "%s starter params" % kind, MalformedStarter)
-    check_keys(obj["families"], families, "%s starter families" % kind, MalformedStarter)
-    for key in params:
-        if type(obj["params"][key]) is not int:
-            raise MalformedStarter("%s starter params %r is not an integer" % (kind, key))
+                               % (name, ", ".join(STARTER_KINDS)))
+    kind = STARTER_KINDS[name]
+    what = "%s starter" % name
+    check_keys(obj, ("group", "params", "families"), what, MalformedStarter)
+    check_keys(obj["group"], ("factors",), what + " group", MalformedStarter)
+    factors = obj["group"]["factors"]
+    if type(factors) is not list or any(type(f) is not int for f in factors):
+        raise MalformedStarter("%s group 'factors' is not a list of integers" % what)
+    params = obj["params"]
+    check_keys(params, tuple(kind.params), what + " params", MalformedStarter)
+    for key, kind_type in kind.params.items():
+        if type(params[key]) is not kind_type:
+            raise MalformedStarter("%s params %r is not %s" % (
+                what, key, "an integer" if kind_type is int else "true or false"))
+    check_keys(obj["families"], tuple(kind.families), what + " families", MalformedStarter)
 
-    def fam(name):
-        entries = obj["families"][name]
+    def fam(key):
+        entries = obj["families"][key]
         if type(entries) is not list or any(type(e) is not list for e in entries):
-            raise MalformedStarter("%s starter family %r is not a list of blocks" % (kind, name))
+            raise MalformedStarter("%s family %r is not a list of blocks" % (what, key))
         try:
-            return [block(parse_point(x) for x in entry) for entry in entries]
+            return tuple(block(parse_point(x) for x in entry) for entry in entries)
         except ValueError as exc:  # a bad label or a point twice in a block
-            raise MalformedStarter("%s starter family %r: %s" % (kind, name, exc)) from None
+            raise MalformedStarter("%s family %r: %s" % (what, key, exc)) from None
 
-    if kind == "gbtd":
-        check_keys(obj["group"], ("factors",), "gbtd starter group", MalformedStarter)
-        factors = obj["group"]["factors"]
-        if type(factors) is not list or any(type(f) is not int for f in factors):
-            raise MalformedStarter("gbtd starter group 'factors' is not a list of integers")
-        group = AbelianGroup(tuple(factors))
-        elems = sorted(group.elements())
-        blocks_a = dict(zip(elems, fam("A")))
-        blocks_b = tuple(fam("B"))
-        colors_a = None
-        colors_b = None
-        if obj.get("colors"):
-            colors = obj["colors"]
-            check_keys(colors, ("A", "B"), "gbtd starter colors", MalformedStarter)
-            for name, size in (("A", len(elems)), ("B", len(blocks_b))):
-                if (type(colors[name]) is not list or len(colors[name]) != size
-                        or any(type(c) is not int for c in colors[name])):
-                    raise MalformedStarter("gbtd starter colors %r is not a list of %d integers"
-                                           % (name, size))
-            colors_a = dict(zip(elems, colors["A"]))
-            colors_b = tuple(colors["B"])
-        return GbtdStarter(group, blocks_a, blocks_b,
-                           special=bool(obj["params"].get("special")),
-                           colors_a=colors_a, colors_b=colors_b)
-    if kind == "igbtp_z2":
-        return IgbtpStarterZ2(obj["params"]["m"], obj["params"]["w"],
-                              tuple(fam("A")), tuple(fam("B")), tuple(fam("C")))
-    if kind == "igbtp_z4":
-        a = fam("A")
-        if len(a) != 1:
-            raise MalformedStarter("igbtp_z4 starter family 'A' must hold exactly one block")
-        return IgbtpStarterZ4(obj["params"]["m"], obj["params"]["x"], obj["params"]["y"],
-                              a[0], tuple(fam("B")), tuple(fam("C")), tuple(fam("D")))
-    t = obj["params"]["t"]
-    keys = [(i, j) for i in range(1, t) for j in (0, 1)]
-    return FrGbtdStarter(t, dict(zip(keys, fam("A"))))
+    families = {key: fam(key) for key in kind.families}
+    args = {f: families[key] for key, f in kind.families.items()}
+    for key in kind.single:
+        if len(families[key]) != 1:
+            raise MalformedStarter("%s family %r must hold exactly one block" % (what, key))
+        args[kind.families[key]] = families[key][0]
+    colors = obj.get("colors") if kind.colors else None
+    if colors:
+        check_keys(colors, tuple(kind.colors), what + " colors", MalformedStarter)
+        for key, f in kind.colors.items():
+            size = len(families[key])
+            if (type(colors[key]) is not list or len(colors[key]) != size
+                    or any(type(c) is not int for c in colors[key])):
+                raise MalformedStarter("%s colors %r is not a list of %d integers"
+                                       % (what, key, size))
+            args[f] = tuple(colors[key])
+    group = AbelianGroup(tuple(factors))
+    init = {f.name for f in fields(kind.cls) if f.init}
+    args.update((key, v) for key, v in [("group", group), *((k, params[k]) for k in kind.params)]
+                if key in init)
+    s = kind.cls(**args)
+    if s.group != group:
+        raise MalformedStarter("%s group 'factors' is %s, not %s"
+                               % (what, factors, list(s.group.factors)))
+    for key in kind.params:
+        if getattr(s, key) != params[key]:
+            raise MalformedStarter("%s params %r is %s, not %s"
+                                   % (what, key, json.dumps(params[key]), getattr(s, key)))
+    return s
 
 
 def verify_starter(s) -> VerifyReport:
-    if isinstance(s, GbtdStarter):
-        return verify_gbtd_starter(s)
-    if isinstance(s, IgbtpStarterZ2):
-        return verify_igbtp_z2_starter(s)
-    if isinstance(s, IgbtpStarterZ4):
-        return verify_igbtp_z4_starter(s)
-    if isinstance(s, FrGbtdStarter):
-        return verify_frgbtd_starter(s)
-    raise TypeError("unknown starter type %r" % type(s))
+    return STARTER_KINDS[s.kind].verify(s)
 
 
 def develop_starter(s) -> DesignGrid:
-    if isinstance(s, GbtdStarter):
-        return develop_gbtd(s)
-    if isinstance(s, IgbtpStarterZ2):
-        return develop_igbtp_z2(s)
-    if isinstance(s, IgbtpStarterZ4):
-        return develop_igbtp_z4(s)
-    if isinstance(s, FrGbtdStarter):
-        return develop_frgbtd(s)
-    raise TypeError("unknown starter type %r" % type(s))
+    return STARTER_KINDS[s.kind].develop(s)
 
 
 def dumps_starter(s) -> str:

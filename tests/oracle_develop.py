@@ -43,12 +43,13 @@ def develop_gbtd(s: GbtdStarter) -> DesignGrid:
     cols = rows + tuple("t%d" % t for t in range(1, t_count + 1))
     cells = {}
     colors = {} if s.colors_a is not None else None
-    for alpha, b in s.blocks_a.items():
+    # A_alpha and its color at alpha's position in sorted element order
+    for a, (alpha, b) in enumerate(zip(elems, s.blocks_a)):
         for beta in elems:
             rc = (_elem_label(g.add(alpha, beta)), _elem_label(beta))
             cells[rc] = translate_block(b, beta, g)
             if colors is not None:
-                colors[rc] = s.colors_a[alpha]
+                colors[rc] = s.colors_a[a]
     for t, b in enumerate(s.blocks_b, start=1):
         for alpha in elems:
             rc = (_elem_label(alpha), "t%d" % t)
@@ -137,7 +138,8 @@ def develop_frgbtd(s: FrGbtdStarter) -> DesignGrid:
     rows = tuple("%d:%d" % (i, j) for i in range(t) for j in (0, 1))
     cols = tuple(str(k) for k in range(3 * t))
     cells = {}
-    for (i, j), b in sorted(s.blocks.items()):
+    # block (i, j) at position 2(i - 1) + j
+    for (i, j), b in zip([(i, j) for i in range(1, t) for j in (0, 1)], s.blocks):
         for k in range(3 * t):
             cells[("%d:%d" % ((i + k) % t, j), str(k))] = translate_block(b, (k,), g)
     points = tuple(fpoint(e, c) for e in g.elements() for c in range(2))

@@ -37,10 +37,16 @@ def _counter_eq(rep, cid, got: Counter, want: Counter):
     rep.add(cid, bad)
 
 
+def _blocks_a(s: GbtdStarter) -> dict:
+    """The A blocks keyed by element: position x holds the x-th element in
+    sorted order."""
+    return dict(zip(sorted(s.group.elements()), s.blocks_a))
+
+
 def _r_multiset(s: GbtdStarter) -> Counter:
     g = s.group
     r = Counter()
-    for alpha, b in s.blocks_a.items():
+    for alpha, b in _blocks_a(s).items():
         for p in translate_block(b, g.neg(alpha), g):
             r[p] += 1
     for b in s.blocks_b:
@@ -56,12 +62,12 @@ def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
     shape_bad = []
     if m % 2 == 0:
         shape_bad.append("group order %d is even" % m)
-    if sorted(s.blocks_a) != sorted(g.elements()):
-        shape_bad.append("A blocks not indexed by the group")
+    if len(s.blocks_a) != m:
+        shape_bad.append("expected %d A blocks" % m)
     if len(s.blocks_b) != (m - 1) // 2:
         shape_bad.append("expected %d B blocks" % ((m - 1) // 2))
     universe = {fpoint(e, c) for e in g.elements() for c in range(3)}
-    for b in list(s.blocks_a.values()) + list(s.blocks_b):
+    for b in list(s.blocks_a) + list(s.blocks_b):
         if len(b) != 3:
             shape_bad.append("block size %d" % len(b))
         for p in b:
@@ -71,7 +77,8 @@ def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
     if shape_bad:
         return rep
 
-    blocks = list(s.blocks_a.values()) + list(s.blocks_b)
+    blocks_a = _blocks_a(s)
+    blocks = list(blocks_a.values()) + list(s.blocks_b)
     nonzero = Counter({e: 1 for e in g.elements() if e != g.zero()})
     full = Counter({e: 1 for e in g.elements()})
     for i in range(3):
@@ -80,7 +87,7 @@ def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
         _counter_eq(rep, "mixed-diffs-%d%d" % (i, j),
                     difference_list(blocks, g, ("mixed", i, j)), full)
 
-    cover = Counter(p for b in s.blocks_a.values() for p in b)
+    cover = Counter(p for b in blocks_a.values() for p in b)
     want = Counter({fpoint(e, c): 1 for e in g.elements() for c in range(3)})
     _counter_eq(rep, "a-cover", cover, want)
 
@@ -100,15 +107,16 @@ def verify_gbtd_starter(s: GbtdStarter) -> VerifyReport:
     rep.add("row-multiset", r_bad)
 
     if s.special:
-        a0 = s.blocks_a[g.zero()]
+        a0 = blocks_a[g.zero()]
         sp_bad = ["%s appears %d times in R" % (format_point(p), r.get(p, 0))
                   for p in a0 if r.get(p, 0) != 1]
         rep.add("special-a0-once", sp_bad)
 
     if s.colors_a is not None:
         by_color = {}
-        for alpha, b in s.blocks_a.items():
-            col = s.colors_a[alpha]
+        colors_a = dict(zip(sorted(g.elements()), s.colors_a))
+        for alpha, b in blocks_a.items():
+            col = colors_a[alpha]
             by_color.setdefault(col, []).append(translate_block(b, g.neg(alpha), g))
         for t, b in enumerate(s.blocks_b):
             by_color.setdefault(s.colors_b[t], []).append(b)
@@ -303,10 +311,13 @@ def verify_frgbtd_starter(s: FrGbtdStarter) -> VerifyReport:
     t = s.t
     g = s.group
     shape_bad = []
-    if sorted(s.blocks) != [(i, j) for i in range(1, t) for j in (0, 1)]:
-        shape_bad.append("blocks must be indexed by [t-1] x {0,1}")
+    # block (i, j) at position 2(i - 1) + j
+    keys = [(i, j) for i in range(1, t) for j in (0, 1)]
+    if len(s.blocks) != len(keys):
+        shape_bad.append("expected %d blocks" % len(keys))
     universe = {fpoint(e, c) for e in g.elements() for c in range(2)}
-    for key, b in sorted(s.blocks.items()):
+    for x, b in enumerate(s.blocks):
+        key = (x // 2 + 1, x % 2)
         if len(b) != 3:
             shape_bad.append("block %r has size %d" % (key, len(b)))
         for p in b:
@@ -316,7 +327,8 @@ def verify_frgbtd_starter(s: FrGbtdStarter) -> VerifyReport:
     if shape_bad:
         return rep
 
-    blocks = [s.blocks[k] for k in sorted(s.blocks)]
+    blocks = list(s.blocks)
+    by_key = dict(zip(keys, s.blocks))
     forbidden = {(0,), (t,), (2 * t,)}
     want = Counter({e: 1 for e in g.elements() if e not in forbidden})
     for i in range(2):
@@ -334,7 +346,7 @@ def verify_frgbtd_starter(s: FrGbtdStarter) -> VerifyReport:
     for j in (0, 1):
         r = Counter()
         for i in range(1, t):
-            for p in s.blocks[(i, j)]:
+            for p in by_key[(i, j)]:
                 r[((p[1][0] - i) % t, p[2])] += 1
         for (res, c), k in sorted(r.items()):
             if res == 0:

@@ -39,6 +39,7 @@ from tforge.designs import (
     verify_gbtd,
 )
 from tforge.search import (
+    Budget,
     arrange_resolution,
     eswc_witness,
     max_eswc,
@@ -57,10 +58,9 @@ from tforge.starters import (
 
 
 def _budget(default):
-    try:
-        return int(os.environ["TFORGE_BUDGET"])
-    except (KeyError, ValueError):
-        return default
+    """TFORGE_BUDGET as `Budget` reads it (one that is not a positive integer
+    raises BudgetZero), or default when it is unset."""
+    return Budget().limit if "TFORGE_BUDGET" in os.environ else default
 
 
 def report(name, detail=""):

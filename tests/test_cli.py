@@ -206,6 +206,8 @@ def test_verify_wrongly_typed_entries_exit_2(tmp_path, fig3):
     cases = {"special": (dict(obj, special={"r": "1"}), "special has no 'c'"),
              "special-list": (dict(obj, special={"r": ["1"], "c": "5"}), "special holds a list"),
              "kind": (dict(obj, kind=5), "kind is not a string"),
+             "star-str": (dict(obj, star="false"), "star is not true or false"),
+             "star-int": (dict(obj, star=1), "star is not true or false"),
              "k_set": (dict(obj, k_set=3), "k_set is not a list"),
              "block": (dict(obj, cells=[dict(first, block="0_0")] + rest),
                        "cell entry 0: block is not a list"),
@@ -393,11 +395,56 @@ def test_starter_file_wrongly_typed_params_exit_2(tmp_path):
     gbtd = json.loads(dumps_starter(build_fq_gbtd_starter(7)))
     z2 = json.loads(dumps_starter(search_starter("igbtp_z2", {"m": 7, "w": 5}).starters[0]))
     cases = {"factors": (dict(gbtd, group={"factors": None}), "group 'factors'"),
-             "w": (dict(z2, params=dict(z2["params"], w="abc")), "params 'w' is not an integer")}
+             "w": (dict(z2, params=dict(z2["params"], w="abc")), "params 'w' is not an integer"),
+             "special": (dict(gbtd, params=dict(gbtd["params"], special="false")),
+                         "params 'special' is not true or false")}
     for name, (bad, entry) in cases.items():
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps(bad))
         _assert_exit_2(path, entry)
+
+
+def test_starter_file_params_not_as_derived_exit_2(tmp_path):
+    # each params and group entry is read back off the starter it makes
+    from tforge.search import search_starter
+    from tforge.starters import build_fq_gbtd_starter, dumps_starter
+
+    gbtd = json.loads(dumps_starter(build_fq_gbtd_starter(7)))
+    z2 = json.loads(dumps_starter(search_starter("igbtp_z2", {"m": 7, "w": 5}).starters[0]))
+    z4 = json.loads(dumps_starter(search_starter("igbtp_z4", {"m": 5}).starters[0]))
+    cases = {"m": (dict(gbtd, params=dict(gbtd["params"], m=99)), "params 'm' is 99, not 7"),
+             "w": (dict(z4, params=dict(z4["params"], w=8)), "params 'w' is 8, not 9"),
+             "group": (dict(z2, group={"factors": [5, 2]}),
+                       "group 'factors' is [5, 2], not [7, 2]")}
+    for name, (bad, entry) in cases.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(bad))
+        _assert_exit_2(path, entry)
+
+
+def test_starter_file_extra_block_fails_shape(tmp_path, frgbtd_t5):
+    from tforge.starters import build_fq_gbtd_starter, dumps_starter
+
+    gbtd = json.loads(dumps_starter(build_fq_gbtd_starter(7)))
+    del gbtd["colors"]  # one color per block: a color more would be needed too
+    gbtd["families"]["A"].append(gbtd["families"]["A"][0])
+    frgbtd = json.loads(dumps_starter(frgbtd_t5.starters[0]))
+    frgbtd["families"]["A"].append(frgbtd["families"]["A"][0])
+    for name, obj, witness in (("gbtd", gbtd, "expected 7 A blocks"),
+                               ("frgbtd", frgbtd, "expected 8 blocks")):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(obj))
+        res = run_cli("verify", str(path))
+        assert res.returncode == 1, (name, res.stdout, res.stderr)
+        assert res.stdout.startswith("shape                  FAIL  witnesses: " + witness)
+
+
+def test_starter_kinds_agree():
+    from tforge import cli, search, starters
+
+    kind = next(p for p in cli.search_starter_cmd.params if p.name == "kind")
+    assert (list(starters.STARTER_KINDS) == list(search.STARTER_SEARCHES)
+            == list(kind.type.choices) == ["gbtd", "igbtp_z2", "igbtp_z4", "frgbtd"])
 
 
 def test_verify_unknown_kind_exit_2(tmp_path, fig1):

@@ -455,13 +455,10 @@ def move_point(s, rng):
     if type(s) in HOLED_FAMILIES:
         return move_holed_point(s, rng)
     copies = 3 if isinstance(s, starters.GbtdStarter) else 2
-    if isinstance(s, starters.GbtdStarter):
-        keys = [("A", k) for k in sorted(s.blocks_a)] + [("B", t) for t in range(len(s.blocks_b))]
-        fam, key = rng.choice(keys)
-        b = s.blocks_a[key] if fam == "A" else s.blocks_b[key]
-    else:
-        fam, key = "A", rng.choice(sorted(s.blocks))
-        b = s.blocks[key]
+    names = ("blocks_a", "blocks_b") if isinstance(s, starters.GbtdStarter) else ("blocks",)
+    name, key = rng.choice([(name, i) for name in names for i in range(len(getattr(s, name)))])
+    fam = list(getattr(s, name))
+    b = fam[key]
     while True:
         new = fpoint(element(s.group, rng),
                      copies if rng.random() < 0.1 else rng.randrange(copies))
@@ -469,14 +466,8 @@ def move_point(s, rng):
             break
     pts = list(b)
     pts[rng.randrange(len(pts))] = new
-    moved = block(pts)
-    if isinstance(s, starters.FrGbtdStarter):
-        return dataclasses.replace(s, blocks={**s.blocks, key: moved})
-    if fam == "A":
-        return dataclasses.replace(s, blocks_a={**s.blocks_a, key: moved})
-    blocks_b = list(s.blocks_b)
-    blocks_b[key] = moved
-    return dataclasses.replace(s, blocks_b=tuple(blocks_b))
+    fam[key] = block(pts)
+    return dataclasses.replace(s, **{name: tuple(fam)})
 
 
 def starter_base(name, frgbtd_t5):
@@ -565,9 +556,9 @@ def test_difference_counts_equal_difference_list(name, frgbtd_t5, seed, moves):
         assert starters._plain_counts(g, starters._located(g, blocks)) == [want[e] for e in elems]
         return
     if isinstance(s, starters.GbtdStarter):
-        blocks, copies = list(s.blocks_a.values()) + list(s.blocks_b), 3
+        blocks, copies = list(s.blocks_a) + list(s.blocks_b), 3
     else:
-        blocks, copies = [s.blocks[k] for k in sorted(s.blocks)], 2
+        blocks, copies = list(s.blocks), 2
     counts = starters._difference_counts(g, starters._located(g, blocks), copies)
     for i, j in itertools.product(range(copies), repeat=2):
         want = difference_list(

@@ -1,8 +1,9 @@
+import json
 from collections import Counter
 
 import pytest
 
-from tforge.algebra import block, cyclic, difference_list, fpoint, gf_build
+from tforge.algebra import AbelianGroup, block, cyclic, difference_list, fpoint, gf_build
 from tforge.codes import code_stats, gbtp_to_code
 from tforge.designs import verify_auto, verify_coloring, verify_igbtp
 from tforge.errors import NotOneMod6, NotPrimePower, StarterInvalid
@@ -30,8 +31,8 @@ def test_q7_starter_internals():
     assert forbidden == {(0,), (6,), (5,), (3,)}
     st = build_fq_gbtd_starter(7)
     # gamma = least element outside the forbidden set
-    assert st.blocks_a[(0,)] == block([fpoint(0, c) for c in range(3)])
-    lam_blocks = [a for a, col in st.colors_a.items() if col == 1]
+    assert st.blocks_a[0] == block([fpoint(0, c) for c in range(3)])
+    lam_blocks = [a for a, col in zip(sorted(st.group.elements()), st.colors_a) if col == 1]
     assert sorted(lam_blocks) == [(3,), (5,), (6,)]
 
 
@@ -47,7 +48,7 @@ def test_q7_starter_verifies_all_conditions():
 
 def test_q7_pure_differences_cover_nonzero():
     st = build_fq_gbtd_starter(7)
-    blocks = list(st.blocks_a.values()) + list(st.blocks_b)
+    blocks = list(st.blocks_a) + list(st.blocks_b)
     d = difference_list(blocks, st.group, ("pure", 0))
     assert d == Counter({(x,): 1 for x in range(1, 7)})
 
@@ -75,7 +76,7 @@ def test_develop_q7():
 
 def test_develop_trivial_m1():
     group = cyclic(1)
-    st = GbtdStarter(group, {(0,): block(fpoint(0, c) for c in range(3))}, (),
+    st = GbtdStarter(group, (block(fpoint(0, c) for c in range(3)),), (),
                      special=True)
     assert verify_starter(st).ok
     g = develop_gbtd(st)
@@ -86,9 +87,9 @@ def test_develop_trivial_m1():
 def test_develop_rejects_broken_starter():
     st = build_fq_gbtd_starter(7)
     g = st.group
-    bad_blocks = dict(st.blocks_a)
-    bad_blocks[(1,)] = bad_blocks[(0,)]
-    bad = GbtdStarter(g, bad_blocks, st.blocks_b)
+    bad_blocks = list(st.blocks_a)
+    bad_blocks[1] = bad_blocks[0]
+    bad = GbtdStarter(g, tuple(bad_blocks), st.blocks_b)
     with pytest.raises(StarterInvalid):
         develop_gbtd(bad)
 
@@ -144,10 +145,28 @@ def test_frgbtd_row_multiset_identity(frgbtd_t5):
         actual = Counter(p for b in g.row_blocks(row) for p in b)
         rj = Counter()
         for i in range(1, t):
-            for p in st.blocks[(i, j)]:
+            for p in st.blocks[2 * (i - 1) + j]:
                 rj[((p[1][0] - i) % t, p[2])] += 1
         expected = Counter()
         for (res, c), k in rj.items():
             for u in range(3):
                 expected[fpoint((res + u * t) % (3 * t), c)] += k
         assert actual == expected
+
+
+def test_large_group_fails_shape_without_its_elements(monkeypatch):
+    # a one-block file naming a group of 10**9 elements: the counts fail the
+    # shape, and neither loading nor verifying lists the group's elements
+    def unlisted(self):
+        raise AssertionError("the group's elements were listed")
+
+    monkeypatch.setattr(AbelianGroup, "elements", unlisted)
+    monkeypatch.setattr(AbelianGroup, "addition", property(unlisted))
+    st = loads_starter(json.dumps({
+        "starter_kind": "gbtd", "group": {"factors": [10 ** 9]},
+        "params": {"m": 10 ** 9, "special": False},
+        "families": {"A": [["0_0", "0_1", "0_2"]], "B": []}}))
+    shape = verify_starter(st).conditions[0]
+    assert shape.cid == "shape" and shape.witnesses == [
+        "group order 1000000000 is even", "expected 1000000000 A blocks",
+        "expected 499999999 B blocks"]
