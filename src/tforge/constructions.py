@@ -203,7 +203,8 @@ def fill_hole(outer: DesignGrid, inner: DesignGrid) -> DesignGrid:
     cells = dict(outer.cells)
     for (r, c), b in inner.cells.items():
         rc = (p_rows[inner.rows.index(r)], q_cols[inner.cols.index(c)])
-        assert rc not in cells
+        if rc in cells:
+            raise HoleMismatch("hole cell (%s,%s) is already filled" % rc)
         cells[rc] = block(point_map[p] for p in b)
     special = (p_rows[0], q_cols[0]) if inner.m == 1 and inner.n == 1 else None
     return DesignGrid(_classify_filled(outer), outer.lam, outer.k_set, outer.points,
@@ -273,7 +274,8 @@ def frame_fill(frame: DesignGrid, inners, final: DesignGrid | str | None = None)
         cmap.update(zip(body_cols, ci))
         for (r, c), b in inner.cells.items():
             rc = (rmap[r], cmap[c])
-            assert rc not in cells
+            if rc in cells:
+                raise WMismatch("inner %d: cell (%s,%s) is already filled" % (gi, *rc))
             cells[rc] = block(pmap[p] for p in b)
         k_set |= set(inner.k_set)
 

@@ -149,22 +149,21 @@ class DesignGrid:
 class Incidence:
     """The array <-> code carrier: one pass over a grid's cells.
 
-    Points are indexed in sorted order.  A point found in a cell but missing
-    from the point list gets the next index after them, so ``v`` counts the
-    listed points and ``V`` every indexed one.  For point index x, row index
-    i and column index j (positions in g.rows and g.cols):
+    Points are indexed in the order of g.points, listed once each and sorted;
+    a point in a cell but not in the list raises MalformedGrid naming the
+    cell and the point.  For point index x, row index i and column index j
+    (positions in g.rows and g.cols), with v = len(g.points):
 
       W[x][j]           the row holding x in column j, -1 if x is absent
-      rowf[i * V + x]   occurrences of x in row i
-      colf[j * V + x]   occurrences of x in column j
-      pairs[x * V + y]  blocks holding both x and y, x before y in point order
+      rowf[i * v + x]   occurrences of x in row i
+      colf[j * v + x]   occurrences of x in column j
+      pairs[x * v + y]  blocks holding both x and y, x before y in point order
       sizes[k]          cells holding a block of k points
 
-    One pass counts every cell, with the size-3 case unrolled; a point
-    missing from the list restarts the pass once every such point is
-    indexed.  ``by_row`` holds each cell's indices per row index, in column
-    order.  It is read off the grid on first use: only witnesses and the
-    checks and searches that walk blocks need it.
+    One pass counts every cell, with the size-3 case unrolled.  ``by_row``
+    holds each cell's indices per row index, in column order.  It is read
+    off the grid on first use: only witnesses and the checks and searches
+    that walk blocks need it.
 
     In a GBTP the rows of W are the code words and ``pairs`` holds their
     agreement counts, so "no pair covered more than λ times" and "distance at
@@ -179,14 +178,11 @@ class Incidence:
         self.row_index = ri = {r: i for i, r in enumerate(g.rows)}
         self.col_index = ci = {c: j for j, c in enumerate(g.cols)}
         self.index = ix = {p: x for x, p in enumerate(g.points)}
-        self.v = len(ix)
-        while not self._count(g.cells, ri, ci, ix):
-            # a point outside the list: index every one in cell order, count again
-            for b in g.cells.values():
-                for p in b:
-                    ix.setdefault(p, len(ix))
-        self.points = list(ix)
-        self.once = [1] * self.v + [0] * (self.V - self.v)  # a column partitioning the points
+        if len(ix) != len(g.points):
+            _check_distinct(map(format_point, g.points), "points")
+        self.points, self.v = list(ix), len(ix)
+        self._count(g.cells, ri, ci, ix)
+        self.once = [1] * self.v  # a column partitioning the points
         self._grid_cells, self._by_row, self.gbtp_passed = g.cells, None, False
 
     @property
@@ -202,50 +198,49 @@ class Incidence:
                 row.sort(key=itemgetter(0))
         return self._by_row
 
-    def _count(self, grid_cells, ri, ci, ix) -> bool:
-        """Count every cell in one pass; False, with the counts unfinished,
-        at the first point that ix does not index."""
-        V = self.V = len(ix)
-        W = self.W = [[-1] * len(ci) for _ in range(V)]
-        rowf = self.rowf = [0] * (len(ri) * V)
-        colf = self.colf = [0] * (len(ci) * V)
-        pairs = self.pairs = [0] * (V * V)
+    def _count(self, grid_cells, ri, ci, ix) -> None:
+        """Count every cell in one pass."""
+        v = self.v
+        W = self.W = [[-1] * len(ci) for _ in range(v)]
+        rowf = self.rowf = [0] * (len(ri) * v)
+        colf = self.colf = [0] * (len(ci) * v)
+        pairs = self.pairs = [0] * (v * v)
         sizes = self.sizes = Counter()  # block size -> cells
-        get = ix.get
         triples = 0
-        for rc, b in grid_cells.items():
-            i, j = ri[rc[0]], ci[rc[1]]
-            ro, co = i * V, j * V
-            if len(b) == 3:
-                p, q, r = b
-                x, y, z = get(p), get(q), get(r)
-                if x is None or y is None or z is None:
-                    return False
-                W[x][j] = W[y][j] = W[z][j] = i
-                rowf[ro + x] += 1
-                rowf[ro + y] += 1
-                rowf[ro + z] += 1
-                colf[co + x] += 1
-                colf[co + y] += 1
-                colf[co + z] += 1
-                pairs[x * V + y] += 1
-                pairs[x * V + z] += 1
-                pairs[y * V + z] += 1
-                triples += 1
-                continue
-            xs = tuple(map(get, b))
-            if None in xs:
-                return False
-            sizes[len(xs)] += 1
-            for x in xs:
-                W[x][j] = i
-                rowf[ro + x] += 1
-                colf[co + x] += 1
-            for x, y in itertools.combinations(xs, 2):
-                pairs[x * V + y] += 1
+        try:
+            for rc, b in grid_cells.items():
+                i, j = ri[rc[0]], ci[rc[1]]
+                ro, co = i * v, j * v
+                if len(b) == 3:
+                    p, q, r = b
+                    x, y, z = ix[p], ix[q], ix[r]
+                    W[x][j] = W[y][j] = W[z][j] = i
+                    rowf[ro + x] += 1
+                    rowf[ro + y] += 1
+                    rowf[ro + z] += 1
+                    colf[co + x] += 1
+                    colf[co + y] += 1
+                    colf[co + z] += 1
+                    pairs[x * v + y] += 1
+                    pairs[x * v + z] += 1
+                    pairs[y * v + z] += 1
+                    triples += 1
+                    continue
+                xs = tuple(map(ix.__getitem__, b))
+                sizes[len(xs)] += 1
+                for x in xs:
+                    W[x][j] = i
+                    rowf[ro + x] += 1
+                    colf[co + x] += 1
+                for x, y in itertools.combinations(xs, 2):
+                    pairs[x * v + y] += 1
+        except KeyError as exc:
+            if exc.args[0] not in b:  # a cell outside the rows or columns
+                raise
+            raise MalformedGrid("cell (%s,%s): point %s is not in points"
+                                % (*rc, format_point(exc.args[0]))) from None
         if triples:
             sizes[3] = triples
-        return True
 
     def without(self, g: DesignGrid, rc) -> Incidence:
         """The Incidence of g, this one's grid with cell rc emptied: the counts
@@ -254,7 +249,7 @@ class Incidence:
         out = copy.copy(self)
         i, j = self.row_index[rc[0]], self.col_index[rc[1]]
         xs = [self.index[p] for p in self._grid_cells[rc]]
-        V = self.V
+        v = self.v
         out.W = W = list(self.W)
         out.rowf, out.colf, out.pairs = rowf, colf, pairs = (
             self.rowf[:], self.colf[:], self.pairs[:])
@@ -263,10 +258,10 @@ class Incidence:
         for x in xs:
             W[x] = W[x][:]
             W[x][j] = -1
-            rowf[i * V + x] -= 1
-            colf[j * V + x] -= 1
+            rowf[i * v + x] -= 1
+            colf[j * v + x] -= 1
         for x, y in itertools.combinations(xs, 2):
-            pairs[x * V + y] -= 1
+            pairs[x * v + y] -= 1
         sizes[len(xs)] -= 1
         if not sizes[len(xs)]:
             del sizes[len(xs)]
@@ -287,52 +282,48 @@ class Incidence:
 
     def row_counts(self, r) -> list:
         i = self.row_index.get(r)
-        return [0] * self.V if i is None else self.rowf[i * self.V:(i + 1) * self.V]
+        return [0] * self.v if i is None else self.rowf[i * self.v:(i + 1) * self.v]
 
     def col_counts(self, c) -> list:
         j = self.col_index.get(c)
-        return [0] * self.V if j is None else self.colf[j * self.V:(j + 1) * self.V]
+        return [0] * self.v if j is None else self.colf[j * self.v:(j + 1) * self.v]
 
     def indices(self, points) -> list:
         """Indices of the given points, in point order; unindexed points are left out."""
         return [self.index[p] for p in sorted(points) if p in self.index]
 
     def misses(self, counts, lo: int, hi: int, skip=()) -> list:
-        """(point, count) for listed points outside skip counted below lo or above hi."""
-        test = counts[:self.v]
+        """(point, count) for points outside skip counted below lo or above hi."""
+        test = counts[:]
         for x in self.indices(skip):
-            if x < self.v:
-                test[x] = lo
+            test[x] = lo
         if lo <= min(test, default=lo) and max(test, default=lo) <= hi:
             return []
         return [(self.points[x], k) for x, k in enumerate(test) if not lo <= k <= hi]
 
     def column_misses(self, c, outside=()) -> list:
-        """Witnesses that column c does not partition the listed points minus outside."""
+        """Witnesses that column c does not partition the points minus outside."""
         counts = self.col_counts(c)
         if not outside and counts == self.once:
             return []
         bad = ["col %s: %s appears %d times" % (c, format_point(p), k)
                for p, k in self.misses(counts, 1, 1, outside)]
-        skip = set(self.indices(outside))
-        if sum(counts) > sum(counts[:self.v]) or any(counts[x] for x in skip):
-            bad += ["col %s: unexpected point %s" % (c, format_point(p)) for p in sorted(
-                self.points[x] for x, k in enumerate(counts) if k and (x >= self.v or x in skip))]
-        return bad
+        return bad + ["col %s: unexpected point %s" % (c, format_point(self.points[x]))
+                      for x in self.indices(outside) if counts[x]]
 
-    def listed_pairs_not(self, lam: int):
-        """(p, q, count) for listed points p < q covered other than lam times."""
-        V, v, pts, pairs = self.V, self.v, self.points, self.pairs
+    def pairs_not(self, lam: int):
+        """(p, q, count) for points p < q covered other than lam times."""
+        v, pts, pairs = self.v, self.points, self.pairs
         for x in range(v):
-            row = pairs[x * V + x + 1:x * V + v]
+            row = pairs[x * v + x + 1:(x + 1) * v]
             if row.count(lam) != len(row):
                 for y, k in enumerate(row, x + 1):
                     if k != lam:
                         yield pts[x], pts[y], k
 
     def group_ids(self, groups) -> list:
-        """Group position of every indexed point, -1 for points in no group."""
-        gid = [-1] * self.V
+        """Group position of every point, -1 for points in no group."""
+        gid = [-1] * self.v
         for gi, grp in enumerate(groups):
             for x in self.indices(grp):
                 gid[x] = gi
@@ -371,18 +362,18 @@ def _star(rep: VerifyReport, g: DesignGrid, skip=()) -> None:
 
 
 def _gdd_pairs(g: DesignGrid, gid: list) -> list:
-    """In-group pairs never covered; cross-group pairs of listed points exactly once."""
+    """In-group pairs never covered; cross-group pairs exactly once."""
     inc = g.incidence
-    V, v, pts, pairs = inc.V, inc.v, inc.points, inc.pairs
+    v, pts, pairs = inc.v, inc.points, inc.pairs
     members = defaultdict(list)
     for x, gi in enumerate(gid):
         members[gi].append(x)
     inside = sorted((pts[x], pts[y]) for xs in members.values()
-                    for x, y in itertools.permutations(xs, 2) if pairs[x * V + y])
+                    for x, y in itertools.permutations(xs, 2) if pairs[x * v + y])
     bad = ["in-group pair %s covered" % _fmt_pair(p, q) for p, q in inside]
-    bad += ["%s covered %d times" % (_fmt_pair(pts[x], pts[y]), pairs[x * V + y])
+    bad += ["%s covered %d times" % (_fmt_pair(pts[x], pts[y]), pairs[x * v + y])
             for x in range(v) for y in range(x + 1, v)
-            if gid[x] != gid[y] and pairs[x * V + y] != 1]
+            if gid[x] != gid[y] and pairs[x * v + y] != 1]
     return bad
 
 
@@ -401,17 +392,14 @@ def verify_packing(g: DesignGrid, exact: bool | None = None) -> VerifyReport:
     rep = VerifyReport()
     rep.add("k-uniform", ["cell (%s,%s) size %d" % (rc + (len(xs),))
                           for rc, xs in inc.sized_outside(g.k_set)])
-    V, v, pts, lam = inc.V, inc.v, inc.points, g.lam
-    strays = [] if V == v else inc.cells_where(lambda xs: any(x >= v for x in xs))
-    rep.add("points-known", ["cell (%s,%s) point %s" % (rc + (format_point(pts[x]),))
-                             for rc, xs in strays for x in xs if x >= v])
+    v, pts, lam = inc.v, inc.points, g.lam
     over = [] if max(inc.pairs, default=0) <= lam else sorted(
-        (pts[xy // V], pts[xy % V], k) for xy, k in enumerate(inc.pairs) if k > lam)
+        (pts[xy // v], pts[xy % v], k) for xy, k in enumerate(inc.pairs) if k > lam)
     rep.add("pair-at-most-lambda", ("%s covered %d times" % (_fmt_pair(p, q), k)
                                     for p, q, k in over))
     if exact:
         rep.add("pair-exactly-lambda", ("%s covered %d times" % (_fmt_pair(p, q), k)
-                                        for p, q, k in inc.listed_pairs_not(lam)))
+                                        for p, q, k in inc.pairs_not(lam)))
     if lam > 1:
         by_pair = defaultdict(list)
         for (_, c), b in g.cells.items():
@@ -484,10 +472,10 @@ def verify_igbtp(g: DesignGrid) -> VerifyReport:
                            for r in p_rows for c in q_cols if (r, c) in g.cells])
     rep.add("row-frequency", _row_frequency(g, w, p_rows))
     rep.add("column-partition", _column_partition(g, w, q_cols))
-    V, pts = inc.V, inc.points
+    v, pts = inc.v, inc.points
     rep.add("w-pairs-uncovered", ("%s covered" % _fmt_pair(pts[x], pts[y])
                                   for x, y in itertools.combinations(inc.indices(w), 2)
-                                  if inc.pairs[x * V + y]))
+                                  if inc.pairs[x * v + y]))
     if g.star:
         _star(rep, g, skip=q_cols)
     return rep
@@ -628,7 +616,7 @@ def verify_coloring(g: DesignGrid, c_colors: int, want_pi: bool = False) -> Veri
 
 def pi_witness_row(g: DesignGrid, c_colors: int):
     """First row with a witness point per color, as (row, {color: point})."""
-    inc, listed = g.incidence, (1 << g.incidence.v) - 1
+    inc, every = g.incidence, (1 << g.incidence.v) - 1
     for r, row in zip(g.rows, inc.by_row):
         used = [0] * c_colors
         for _, rc, xs in row:
@@ -636,7 +624,7 @@ def pi_witness_row(g: DesignGrid, c_colors: int):
             if col in range(c_colors):
                 for x in xs:
                     used[col] |= 1 << x
-        free = [listed & ~u for u in used]
+        free = [every & ~u for u in used]
         if all(free):
             return r, {col: inc.points[(f & -f).bit_length() - 1] for col, f in enumerate(free)}
     return None
@@ -657,7 +645,7 @@ def promote_coloring(g: DesignGrid) -> DesignGrid:
         raise BadParameters("expected %d colors, found %d" % (k - 1, used))
     inc, row = g.incidence, g.incidence.by_row[0]
     cnt = Counter(x for _, _, xs in row for x in xs)
-    least = min((x for x, c in cnt.items() if c == 1), key=inc.points.__getitem__, default=None)
+    least = min((x for x, c in cnt.items() if c == 1), default=None)
     if least is None:
         raise NoSingletonPoint("no point appears exactly once in the first row")
     target = next(rc for _, rc, xs in row if least in xs)
@@ -820,9 +808,8 @@ def grid_from_obj(obj: dict) -> DesignGrid:
     Rejected: missing keys, a value of the wrong JSON type, a bad point label,
     a list or object where a row or column label belongs, a row, column or
     point listed twice, a cell listed twice, a cell whose row
-    or column is not listed, a block holding a point twice, and a color that
-    is not an integer.  Points in a cell but not in the point list are left to
-    the verifiers (condition points-known).
+    or column is not listed, a block holding a point twice or a point that is
+    not listed, and a color that is not an integer.
     """
     check_keys(obj, ("kind", "lambda", "k_set", "points", "rows", "cols", "cells"), "grid",
                MalformedGrid)
@@ -850,7 +837,7 @@ def grid_from_obj(obj: dict) -> DesignGrid:
     except (TypeError, ValueError) as exc:
         raise MalformedGrid("points: %s" % exc) from None
     _check_distinct(map(format_point, points), "points")
-    row_set, col_set = set(rows), set(cols)
+    row_set, col_set, point_set = set(rows), set(cols), set(points)
     cells = {}
     colors = {}
     for i, entry in enumerate(_list(obj["cells"], "cells")):
@@ -869,8 +856,11 @@ def grid_from_obj(obj: dict) -> DesignGrid:
             b = cells[rc] = tuple(sorted(map(parse, entry["block"])))
         except (TypeError, ValueError) as exc:  # an unhashable or bad label
             raise MalformedGrid("cell entry %d: %s" % (i, exc)) from None
-        if len(set(b)) != len(b):
+        if len(distinct := set(b)) != len(b):
             raise MalformedGrid("cell entry %d: block holds a point twice" % i)
+        if not distinct <= point_set:
+            raise MalformedGrid("cell entry %d: point %s is not in points"
+                                % (i, format_point(min(distinct - point_set))))
         if "color" in entry:
             if type(entry["color"]) is not int:
                 raise MalformedGrid("cell entry %d: color %s is not an integer"

@@ -1326,21 +1326,21 @@ class ColoringResult:
 
 def search_coloring(g: DesignGrid, colors: int, want_pi: bool = False) -> ColoringResult:
     """Row-independent block coloring; optionally force a witness row (Π:
-    every color leaves some listed point free).  A row is one `_covers` call:
+    every color leaves some point free).  A row is one `_covers` call:
     its cells in column order are the primary items, each colored in color
     order, and each (color, point) is a secondary item, so same-color blocks
     in a row stay disjoint.  One Budget serves the call."""
     if colors < 1:
         raise InconsistentParams("need at least one color, got %d" % colors)
     inc = g.incidence
-    V, listed, rows = inc.V, (1 << inc.v) - 1, inc.by_row
+    v, every, rows = inc.v, (1 << inc.v) - 1, inc.by_row
     bud, led = Budget(), _Ledger({})
 
     def colorings(cells):
         """(bits of the (color, point) items used, cell -> color), per cover."""
         k, chosen = len(cells), []
         pts = [sum(1 << x for x in set(xs)) << k for _, _, xs in cells]
-        options = [[((rc, c), 1 << i | pts[i] << c * V, ()) for c in range(colors)]
+        options = [[((rc, c), 1 << i | pts[i] << c * v, ()) for c in range(colors)]
                    for i, (_, rc, _) in enumerate(cells)]
         for covered in _covers(bud, led, options, (1 << k) - 1, chosen):
             yield covered >> k, dict(chosen)
@@ -1356,7 +1356,7 @@ def search_coloring(g: DesignGrid, colors: int, want_pi: bool = False) -> Colori
             return ColoringResult(base, True)
         for cells in rows:
             for used, wit in colorings(cells):
-                if all(~used >> c * V & listed for c in range(colors)):
+                if all(~used >> c * v & every for c in range(colors)):
                     return ColoringResult({**base, **wit}, True)
         return ColoringResult(None, True)
     except _Exhausted:

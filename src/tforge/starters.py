@@ -768,7 +768,9 @@ class StarterKind:
     """A starter kind: its class, verifier and develop, and its file's params
     (name -> JSON type), families (name -> field: a tuple of blocks, or one
     block for a name in `single`) and colors (name -> field, one per block of
-    that family).  A file's group and params must read back off its starter."""
+    that family).  The params in `orders` give a factor of the group's order,
+    so they must be positive.  A file's group and params must read back off
+    its starter."""
 
     cls: type
     verify: Callable[..., VerifyReport]
@@ -777,6 +779,7 @@ class StarterKind:
     families: dict
     single: tuple = ()
     colors: dict = field(default_factory=dict)
+    orders: tuple = ()
 
 
 STARTER_KINDS = {
@@ -785,13 +788,14 @@ STARTER_KINDS = {
                         colors={"A": "colors_a", "B": "colors_b"}),
     "igbtp_z2": StarterKind(IgbtpStarterZ2, verify_igbtp_z2_starter, develop_igbtp_z2,
                             {"m": int, "w": int},
-                            {"A": "blocks_a", "B": "blocks_b", "C": "blocks_c"}),
+                            {"A": "blocks_a", "B": "blocks_b", "C": "blocks_c"},
+                            orders=("m",)),
     "igbtp_z4": StarterKind(IgbtpStarterZ4, verify_igbtp_z4_starter, develop_igbtp_z4,
                             {"m": int, "w": int, "x": int, "y": int},
                             {"A": "block_a", "B": "blocks_b", "C": "blocks_c", "D": "blocks_d"},
-                            single=("A",)),
+                            single=("A",), orders=("m",)),
     "frgbtd": StarterKind(FrGbtdStarter, verify_frgbtd_starter, develop_frgbtd,
-                          {"t": int}, {"A": "blocks"}),
+                          {"t": int}, {"A": "blocks"}, orders=("t",)),
 }
 
 
@@ -821,14 +825,16 @@ def starter_from_obj(obj: dict):
     check_keys(obj, ("group", "params", "families"), what, MalformedStarter)
     check_keys(obj["group"], ("factors",), what + " group", MalformedStarter)
     factors = obj["group"]["factors"]
-    if type(factors) is not list or any(type(f) is not int for f in factors):
-        raise MalformedStarter("%s group 'factors' is not a list of integers" % what)
+    if type(factors) is not list or any(type(f) is not int or f < 1 for f in factors):
+        raise MalformedStarter("%s group 'factors' is not a list of positive integers" % what)
     params = obj["params"]
     check_keys(params, tuple(kind.params), what + " params", MalformedStarter)
     for key, kind_type in kind.params.items():
         if type(params[key]) is not kind_type:
             raise MalformedStarter("%s params %r is not %s" % (
                 what, key, "an integer" if kind_type is int else "true or false"))
+        if key in kind.orders and params[key] < 1:
+            raise MalformedStarter("%s params %r is not a positive integer" % (what, key))
     check_keys(obj["families"], tuple(kind.families), what + " families", MalformedStarter)
 
     def fam(key):

@@ -4,9 +4,11 @@ These are the verifiers tforge.designs used before its conditions were read
 off one incidence pass.  They rescan the cell dict for every condition, so
 they are slow, but they share no counting logic with the program.  The
 differential tests require ``describe()`` to be byte-identical between the
-two on fixtures, constructed arrays and their mutants.  The colour checks
-at the end rescan a row's cells once per row and colour; the program reads
-each row's cells off its Incidence instead.
+two on fixtures, constructed arrays and their mutants; on a mutant that
+``strays`` finds a point in a cell but not in the point list, the program
+raises MalformedGrid instead.  The colour checks at the end rescan a row's
+cells once per row and colour; the program reads each row's cells off its
+Incidence instead.
 """
 
 from __future__ import annotations
@@ -47,22 +49,22 @@ def _fmt_pair(p, q) -> str:
     return "{%s,%s}" % (format_point(p), format_point(q))
 
 
+def strays(g: DesignGrid) -> list:
+    """(cell, point) for every point in a cell but not in g.points, row-major.
+    The program refuses such a grid as malformed; these verifiers do not
+    look for them."""
+    pts = set(g.points)
+    return [(rc, p) for rc, b in g.sorted_cells() for p in b if p not in pts]
+
+
 def verify_packing(g: DesignGrid, exact: bool | None = None) -> VerifyReport:
     """K-uniformity plus pairwise coverage <= λ (== λ in exact mode)."""
     if exact is None:
         exact = g.kind in ("GBTD", "RBIBD", "TD", "DRTD")
     rep = VerifyReport()
-    pts = set(g.points)
-    bad_size = []
-    stray = []
-    for rc, b in g.sorted_cells():
-        if len(b) not in g.k_set:
-            bad_size.append("cell (%s,%s) size %d" % (rc[0], rc[1], len(b)))
-        for p in b:
-            if p not in pts:
-                stray.append("cell (%s,%s) point %s" % (rc[0], rc[1], format_point(p)))
+    bad_size = ["cell (%s,%s) size %d" % (rc[0], rc[1], len(b))
+                for rc, b in g.sorted_cells() if len(b) not in g.k_set]
     rep.add("k-uniform", bad_size)
-    rep.add("points-known", stray)
 
     cnt = pair_counts(g.blocks())
     over = ["%s covered %d times" % (_fmt_pair(p, q), c)

@@ -20,7 +20,7 @@ import pytest
 from tforge.codes import Code, code_stats, gbtp_to_code
 from tforge.constructions import load_recipe, run_recipe
 from tforge.designs import dumps_grid, load_grid, loads_grid, verify_auto
-from tforge.errors import NotVerified
+from tforge.errors import MalformedGrid, NotVerified
 from tforge.starters import build_fq_gbtd_starter, develop_gbtd
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -52,10 +52,11 @@ def fresh(g):
 
 
 def outcome(g):
-    """gbtp_to_code's answer on g: its error text, or the code and its stats."""
+    """gbtp_to_code's answer on g: its error text, or the code and its stats.
+    A grid whose cells hold a point that it does not list is malformed."""
     try:
         c = gbtp_to_code(g)
-    except NotVerified as exc:
+    except (NotVerified, MalformedGrid) as exc:
         return "raises", str(exc)
     return "code", c.q, c.n, c.words, c.labels, code_stats(c)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -397,11 +398,41 @@ def test_starter_file_wrongly_typed_params_exit_2(tmp_path):
     cases = {"factors": (dict(gbtd, group={"factors": None}), "group 'factors'"),
              "w": (dict(z2, params=dict(z2["params"], w="abc")), "params 'w' is not an integer"),
              "special": (dict(gbtd, params=dict(gbtd["params"], special="false")),
-                         "params 'special' is not true or false")}
+                         "params 'special' is not true or false"),
+             # an order of 0 is refused before any group is built
+             "factor-0": (dict(gbtd, group={"factors": [0]}),
+                          "group 'factors' is not a list of positive integers"),
+             "m-0": (dict(z2, params=dict(z2["params"], m=0)),
+                     "params 'm' is not a positive integer"),
+             "t-0": ({"starter_kind": "frgbtd", "group": {"factors": [15]}, "params": {"t": 0},
+                      "families": {"A": []}}, "params 't' is not a positive integer")}
     for name, (bad, entry) in cases.items():
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps(bad))
         _assert_exit_2(path, entry)
+
+
+def test_derive_filled_hole_cell_exit_2(tmp_path, fig3):
+    # fill_hole, and frame_fill on the inflated 24^6 frame, with a demoted
+    # fig3 whose hole cell still holds its block
+    from tforge.constructions import make_w_block
+    from tforge.designs import demote_special, dumps_grid
+
+    ig = demote_special(fig3)
+    (tmp_path / "holed.json").write_text(dumps_grid(dataclasses.replace(ig, cells=fig3.cells)))
+    (tmp_path / "w.json").write_text(dumps_grid(make_w_block(ig.hole[0])))
+    frame = [{"op": "drtd", "params": {"k": 3, "q": 4}, "out": "drtd"},
+             {"op": "inflate", "in": [str(ROOT / "fixtures" / "fig8_frgbtd_6_6.json"), "drtd"],
+              "out": "frame"}]
+    cases = {"fill": ([{"op": "fill_hole", "in": ["holed.json", "w.json"]}],
+                      "hole cell (%s,%s) is already filled" % fig3.special),
+             "frame": (frame + [{"op": "frame_fill", "in": ["frame", "holed.json"],
+                                 "params": {"copies": 6}}],
+                       "inner 1: cell (P1,Q1) is already filled")}
+    for name, (steps, entry) in cases.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps({"steps": steps}))
+        _assert_exit_2(path, entry, "derive", "--out-dir", str(tmp_path / "out"))
 
 
 def test_starter_file_params_not_as_derived_exit_2(tmp_path):

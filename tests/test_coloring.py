@@ -2,9 +2,10 @@
 (tests/oracle_coloring.py).
 
 Both must return the same colours and the same `exhausted` on the shipped
-fixtures, on developed fq arrays and on small random grids with empty cells
-and points missing from the point list, at 1-3 colours, with and without
-property Π.  A budget stop is the one way `exhausted` can be False.
+fixtures, on developed fq arrays and on small random grids with empty cells,
+at 1-3 colours, with and without property Π.  A budget stop is the one way
+`exhausted` can be False.  A random grid with a cell point missing from the
+point list is refused as MalformedGrid.
 """
 
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_coloring as oracle
+from tforge.algebra import block, fpoint
 from tforge.designs import DesignGrid
-from tforge.errors import InconsistentParams
+from tforge.errors import InconsistentParams, MalformedGrid
 from tforge.search import search_coloring
 from tforge.starters import build_fq_gbtd_starter, develop_gbtd
 
@@ -43,22 +45,27 @@ def test_fq_arrays_match_oracle(q):
 @st.composite
 def _grids(draw):
     """1-3 rows by 1-5 columns; each cell absent, empty or a set of points
-    drawn from 0..6, of which only some are listed."""
+    drawn from the listed ones or from 0..6, of which only some are listed."""
     rows = tuple("r%d" % i for i in range(draw(st.integers(1, 3))))
     cols = tuple("c%d" % j for j in range(draw(st.integers(1, 5))))
-    points = draw(st.sets(st.integers(0, 6), max_size=5))
+    points = sorted(draw(st.sets(st.integers(0, 6), max_size=5)))
+    pool = draw(st.sampled_from([points, range(7)])) if points else range(7)
     cells = {}
     for rc in ((r, c) for r in rows for c in cols):
-        b = draw(st.none() | st.sets(st.integers(0, 6), max_size=3))
+        b = draw(st.none() | st.sets(st.sampled_from(pool), max_size=3))
         if b is not None:
-            cells[rc] = tuple(sorted(b))
-    return DesignGrid("raw", 1, (1, 2, 3), tuple(points), rows, cols, cells)
+            cells[rc] = block(map(fpoint, b))
+    return DesignGrid("raw", 1, (1, 2, 3), tuple(map(fpoint, points)), rows, cols, cells)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_grids(), st.integers(1, 3), st.booleans())
 def test_random_grids_match_oracle(g, colors, want_pi):
-    _agree(g, colors, want_pi)
+    if any(p not in g.points for b in g.cells.values() for p in b):
+        with pytest.raises(MalformedGrid, match="is not in points"):
+            search_coloring(g, colors, want_pi)
+    else:
+        _agree(g, colors, want_pi)
 
 
 def test_budget_stop(monkeypatch):

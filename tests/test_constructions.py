@@ -1,3 +1,6 @@
+import dataclasses
+import pathlib
+
 import pytest
 
 from tforge.algebra import ipoint
@@ -25,8 +28,25 @@ from tforge.designs import (
     verify_gdd,
     verify_td,
 )
-from tforge.errors import ColorMissing, HoleMismatch, KeepOutOfRange, KTooLarge, WMismatch
+from tforge.errors import (
+    BadParameters,
+    BadShape,
+    ColorMissing,
+    GroupCountMismatch,
+    HoleMismatch,
+    KeepOutOfRange,
+    KTooLarge,
+    MissingIngredient,
+    WMismatch,
+)
 from tforge.starters import build_frgbtd_6_8
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def _holed_fig3(fig3):
+    """fig3 demoted, with its special cell's block kept in the hole."""
+    return dataclasses.replace(demote_special(fig3), cells=fig3.cells)
 
 
 def test_build_td_5_4():
@@ -64,6 +84,12 @@ def test_fill_hole_rejects_mismatch(fig7):
         fill_hole(fig7, make_w_block(tuple(ipoint(i) for i in range(3))))
 
 
+def test_fill_hole_refuses_a_filled_hole_cell(fig3):
+    holed = _holed_fig3(fig3)
+    with pytest.raises(HoleMismatch, match=r"^hole cell \(1,5\) is already filled$"):
+        fill_hole(holed, make_w_block(holed.hole[0]))
+
+
 def test_inflate_fig8(fig8):
     frame = inflate(fig8, drtd_from_td(build_td(5, 4)))
     assert frame.v == 144
@@ -94,8 +120,39 @@ def test_star_partial_answers_star():
 
 
 def test_frame_fill_group_count_check(fig8, fig3):
-    with pytest.raises(WMismatch):
+    with pytest.raises(WMismatch, match="^inner order 27 does not fit group of size 6$"):
         frame_fill(build_frgbtd_6_8(), [fig3] * 8)
+
+
+def test_frame_fill_refusals(fig8, fig3, fig7):
+    with pytest.raises(GroupCountMismatch, match="^need one inner per group$"):
+        frame_fill(fig8, [fig3] * 5)
+    with pytest.raises(WMismatch, match="^inners disagree on the hole parameters$"):
+        frame_fill(fig8, [fig3] + [fig7] * 5)
+
+
+def test_frame_fill_final_through_a_recipe():
+    step = {"op": "frame_fill", "in": [str(FIXTURES / "fig8_frgbtd_6_6.json"),
+                                       str(FIXTURES / "fig3_gbtd_3_9.json")],
+            "params": {"copies": 6, "final": 5}}
+    with pytest.raises(BadParameters, match="^final must be a grid, \"w\" or None, not 5$"):
+        run_recipe({"steps": [step]}, ".", None, verbose=lambda _line: None)
+
+
+def test_frame_fill_refuses_a_filled_hole_cell(fig8, fig3):
+    frame = inflate(fig8, drtd_from_td(build_td(5, 4)))
+    with pytest.raises(WMismatch, match=r"^inner 1: cell \(P1,Q1\) is already filled$"):
+        frame_fill(frame, [_holed_fig3(fig3)] * 6)
+
+
+def test_drtd_needs_three_groups():
+    with pytest.raises(BadShape, match="^need at least three groups$"):
+        drtd_from_td(build_td(2, 4))
+
+
+def test_inflate_square_group_count(fig8):
+    with pytest.raises(BadShape, match="^square must have 3 groups$"):
+        inflate(fig8, drtd_from_td(build_td(6, 5)))
 
 
 def test_tripling_requires_colors(fig3):
@@ -164,6 +221,15 @@ def test_fundamental_zero_weight(fig8):
                      groups=tuple(tuple(sorted(set(g) - {dead})) for g in master.groups))
     out = fundamental(sub, weights, provider)
     assert all(dead not in grp for grp in out.groups)
+
+
+def test_fundamental_refusals(fig8):
+    master = build_td(5, 5)
+    with pytest.raises(MissingIngredient, match="^master has no weighted blocks$"):
+        fundamental(master, {}, lambda t: fig8)
+    # every block has five points of weight 6; fig8 is of type 6^6
+    with pytest.raises(MissingIngredient, match="^ingredient type mismatch$"):
+        fundamental(master, {p: 6 for p in master.points}, lambda t: fig8)
 
 
 def test_fundamental_pbd_closure(frgbtd_t5):

@@ -242,9 +242,28 @@ def test_loader_names_the_first_repeated_label_by_first_place(fig1):
         grid_from_obj(dict(obj, cols=["b", 1, "c", True]))
 
 
-def test_stray_point_stays_a_verifier_condition(fig3):
+def test_stray_point_is_refused_by_the_loader(fig3):
+    # a point in a cell but not in points has no code word: the grid is malformed
     obj = grid_to_obj(fig3)
-    obj["cells"][0]["block"][0] = "99"
-    rep = verify_auto(grid_from_obj(obj))
-    stray = next(c for c in rep.conditions if c.cid == "points-known")
-    assert not stray.ok and "point 99" in stray.witnesses[0]
+    obj["cells"][1]["block"][0] = "99"
+    with pytest.raises(MalformedGrid, match="^cell entry 1: point 99 is not in points$"):
+        grid_from_obj(obj)
+
+
+def test_stray_point_is_refused_by_the_incidence(fig3):
+    rc = sorted(fig3.cells)[1]
+    stray = block([fpoint(99), *fig3.cells[rc][1:]])
+    g = dataclasses.replace(fig3, cells={**fig3.cells, rc: stray})
+    msg = r"^cell \(%s,%s\): point 99 is not in points$" % rc
+    with pytest.raises(MalformedGrid, match=msg):
+        g.incidence
+    with pytest.raises(MalformedGrid, match=msg):
+        verify_auto(g)
+
+
+def test_incidence_counts_each_listed_point_once(fig1):
+    # v is the length of the point list, so a point listed twice is refused
+    assert fig1.incidence.v == fig1.v
+    twice = dataclasses.replace(fig1, points=fig1.points + fig1.points[:1])
+    with pytest.raises(MalformedGrid, match="^points lists 1 twice$"):
+        twice.incidence

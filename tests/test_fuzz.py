@@ -80,12 +80,14 @@ def replaced(text: str, path: tuple, value) -> str:
     return json.dumps(obj)
 
 
-def run(args, text: str):
-    """cli.run on args with text as stdin; an uncaught exception propagates."""
+def run(args, text: str, err=None):
+    """cli.run on args with text as stdin; an uncaught exception propagates.
+    Error output goes to err when given."""
     argv, stdin = sys.argv, sys.stdin
     sys.argv, sys.stdin = ["tforge", *args], io.StringIO(text)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err or io.StringIO())):
             return cli.run()
     finally:
         sys.argv, sys.stdin = argv, stdin
@@ -119,6 +121,19 @@ def test_every_recipe_key_as_every_json_type_exits_cleanly(tmp_path, name):
         for value in JSON_TYPES:
             path.write_text(replaced(text, key_path, value))
             assert run(args, "") in (0, 1, 2), (key_path, value)
+
+
+@pytest.mark.parametrize("name", ("fq7", "fig7", "fig8"))
+def test_unlisted_cell_point_exits_2(name):
+    # every cell point must be in points: the file names the entry, not a verdict
+    obj = json.loads(files()[name][1])
+    assert "999" not in obj["points"]
+    obj["cells"][-1]["block"][-1] = "999"
+    want = "error: cell entry %d: point 999 is not in points\n" % (len(obj["cells"]) - 1)
+    for args in COMMANDS["grid"]:
+        err = io.StringIO()
+        assert run(args, json.dumps(obj), err) == 2, args
+        assert err.getvalue() == want, args
 
 
 json_values = st.recursive(
